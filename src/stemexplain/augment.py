@@ -12,9 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .classify import LabeledDataset, derive_seed, evaluate_accuracy, stratified_split, train_logreg
-from .corpus import Document, document_identifiers, primary_label
-from .encode import TokenStream, fit_tfidf, tokenize, transform
+# train_logreg is re-exported: bench/tracing.py patches the trainer under
+# this module's name too.
+from .classify import (derive_seed, fit_split_model, labeled_documents,  # noqa: F401
+                       stratified_split, subset_accuracy, train_logreg)
+from .corpus import Document, document_identifiers
+from .encode import TokenStream, tokenize
 from .errors import ParseError, ValidationError
 
 # Full-scale reference accuracies for the experiments this module
@@ -185,35 +188,6 @@ class AugmentationReport:
     reference: dict = field(default_factory=lambda: dict(FULL_SCALE_REFERENCE))
 
 
-def _labeled_docs(documents: list[Document], class_axis: str) -> tuple[list[Document], list[str]]:
-    docs = []
-    labels = []
-    for doc in documents:
-        label = primary_label(doc, class_axis)
-        if label is not None:
-            docs.append(doc)
-            labels.append(label)
-    if not docs:
-        raise ValidationError(f"no document carries a label on axis {class_axis!r}")
-    return docs, labels
-
-
-def _split_accuracy(streams: list[TokenStream], labels: list[str],
-                    train_idx: list[int], test_idx: list[int],
-                    seed: int, **train_kwargs) -> float:
-    """Fit tf-idf and the classifier on the training part, score the test part."""
-    train_streams = [streams[i] for i in train_idx]
-    encoder = fit_tfidf(train_streams)
-    dim = len(encoder.vocabulary)
-    train = LabeledDataset([transform(encoder, s) for s in train_streams],
-                           [labels[i] for i in train_idx], dim=dim)
-    model = train_logreg(train, seed=seed, **train_kwargs)
-    eval_idx = test_idx if test_idx else train_idx
-    test = LabeledDataset([transform(encoder, streams[i]) for i in eval_idx],
-                          [labels[i] for i in eval_idx], dim=dim)
-    return evaluate_accuracy(model, test)
-
-
 def run_augmentation_experiment(documents: list[Document], sources: list[SymbolNameSource],
                                 top_ks: list[int], seed: int = 0, class_axis: str = "arxiv",
                                 test_fraction: float = 0.2, **train_kwargs) -> AugmentationReport:
@@ -223,7 +197,7 @@ def run_augmentation_experiment(documents: list[Document], sources: list[SymbolN
     accuracies are comparable.  Baselines: text only, identifier symbol
     occurrences only, and text plus symbol occurrences.
     """
-    docs, labels = _labeled_docs(documents, class_axis)
+    docs, labels, _ = labeled_documents(documents, class_axis)
     train_idx, test_idx = stratified_split(labels, test_fraction, derive_seed(seed, "augment"))
 
     text_streams = [TokenStream.of(d.doc_id, d.text_tokens()) for d in docs]
@@ -232,7 +206,8 @@ def run_augmentation_experiment(documents: list[Document], sources: list[SymbolN
                     for d, t, s in zip(docs, text_streams, symbol_streams)]
 
     def cell_accuracy(streams):
-        return _split_accuracy(streams, labels, train_idx, test_idx, seed, **train_kwargs)
+        _, vectors, model = fit_split_model(streams, labels, train_idx, seed, **train_kwargs)
+        return subset_accuracy(model, vectors, labels, test_idx or train_idx)
 
     cells = []
     for source in sources:
@@ -275,7 +250,7 @@ def concept_coverage_violations(documents: list[Document], concept_map: ConceptC
     Each phrase is checked only against the class the map assigns it to;
     absence from other classes is the expected situation, not a defect.
     """
-    docs, labels = _labeled_docs(documents, class_axis)
+    docs, labels, _ = labeled_documents(documents, class_axis)
     tokens_by_class: dict[str, list[list[str]]] = {}
     for doc, label in zip(docs, labels):
         tokens_by_class.setdefault(label, []).append(doc.text_tokens())
@@ -300,7 +275,7 @@ def run_ablation_experiment(documents: list[Document], concept_map: ConceptCateg
     phrases missing from every document of their own class are
     reported as coverage violations rather than failing the run.
     """
-    docs, labels = _labeled_docs(documents, class_axis)
+    docs, labels, _ = labeled_documents(documents, class_axis)
     math_tokens = concept_map.token_set()
     train_idx, test_idx = stratified_split(labels, test_fraction, derive_seed(seed, "ablate"))
     violations = concept_coverage_violations(documents, concept_map, class_axis)
@@ -312,7 +287,8 @@ def run_ablation_experiment(documents: list[Document], concept_map: ConceptCateg
         volume = sum(len(s.tokens) for s in streams)
         if mode == TEXT_MODE:
             text_volume = volume
-        accuracy = _split_accuracy(streams, labels, train_idx, test_idx, seed, **train_kwargs)
+        _, vectors, model = fit_split_model(streams, labels, train_idx, seed, **train_kwargs)
+        accuracy = subset_accuracy(model, vectors, labels, test_idx or train_idx)
         cost = volume / text_volume if text_volume else 0.0
         rows.append(AblationRow(mode, accuracy, cost))
     return AblationReport(class_axis, tuple(rows), tuple(violations),

@@ -1,9 +1,13 @@
 """Multinomial logistic regression over sparse tf-idf vectors.
 
-Training is deterministic full-batch gradient descent on L2-regularized
-multinomial cross-entropy: weights start at zero and follow the exact
-analytic gradient with a fixed step size, so the same data, hyper-
-parameters, and seed always reproduce bit-identical weights.
+Training minimizes L2-regularized multinomial cross-entropy, starting
+from zero weights.  The default solver is limited-memory BFGS (Liu &
+Nocedal 1989): a two-loop recursion over the last few curvature pairs
+gives the search direction and an Armijo backtracking line search the
+step length.  The former fixed-step full-batch gradient descent
+remains as ``solver="gd"``, the reference the tests measure L-BFGS
+against.  Both are deterministic, so the same data, hyperparameters,
+and seed always reproduce bit-identical weights.
 Multi-label documents are handled by expansion into repeated
 single-label instances that share one feature vector.
 """
@@ -12,13 +16,18 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import Document, axis_labels, primary_label
-from .encode import SparseVector, TfIdfModel, TokenStream, fit_tfidf, transform
-from .errors import DomainError, TrainingError, ValidationError
+from .encode import SparseVector, TfIdfModel, TokenStream, fit_tfidf, transform, transform_all
+from .errors import ConvergenceWarning, DomainError, TrainingError, ValidationError
+
+LBFGS_HISTORY = 5  # curvature pairs kept by L-BFGS; each holds two parameter vectors
+ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
+MAX_BACKTRACKS = 50  # step halvings before the line search gives up
 
 
 @dataclass
@@ -104,22 +113,13 @@ def _dense(vectors: list[SparseVector], dim: int) -> np.ndarray:
     return x
 
 
-def train_logreg(data: LabeledDataset, l2: float = 1e-4, step: float = 0.5,
-                 max_iterations: int = 500, tolerance: float = 1e-6,
-                 seed: int = 0) -> LogRegModel:
-    """Fit the classifier by full-batch gradient descent.
+def _gradient_descent(x, y, weights, bias, l2, step, max_iterations, tolerance):
+    """Fixed-step descent, updating ``weights`` and ``bias`` in place.
 
-    Stops when the loss improves by less than ``tolerance`` or after
-    ``max_iterations`` steps.  Requires at least two distinct labels.
+    Returns (loss, gradient norm, iterations, converged); the loss and
+    gradient are those of the last evaluation, which precedes the last
+    step when the iteration cap is hit.
     """
-    classes = data.classes()
-    if len(classes) < 2:
-        raise ValidationError("training needs at least two distinct labels")
-    index_of = {label: i for i, label in enumerate(classes)}
-    x = _dense(data.vectors, data.dim)
-    y = np.array([index_of[label] for label in data.labels], dtype=int)
-    weights = np.zeros((len(classes), data.dim), dtype=float)
-    bias = np.zeros(len(classes), dtype=float)
     previous = math.inf
     loss = previous
     iterations = 0
@@ -134,7 +134,118 @@ def train_logreg(data: LabeledDataset, l2: float = 1e-4, step: float = 0.5,
         weights -= step * grad_w
         bias -= step * grad_b
         previous = loss
-    metadata = {"iterations": iterations, "final_loss": loss, "converged": converged,
+    grad_norm = (math.sqrt(float((grad_w ** 2).sum() + (grad_b ** 2).sum()))
+                 if iterations else math.nan)
+    return loss, grad_norm, iterations, converged
+
+
+def _lbfgs(x, y, weights, bias, l2, max_iterations, tolerance):
+    """Limited-memory BFGS, writing the solution into ``weights`` and ``bias``.
+
+    Weights and bias form one parameter vector.  The direction comes from
+    the two-loop recursion over the newest ``LBFGS_HISTORY`` pairs, kept
+    in preallocated ring buffers; pairs without clearly positive curvature
+    are not stored.  The first trial step is 1 (at most unit length while
+    no pair is stored) and halves until the Armijo condition holds on a
+    finite loss.  Each accepted step is one iteration; the fit has
+    converged when a step changes the loss by less than ``tolerance``.
+    Returns (loss, gradient norm, iterations, converged).
+    """
+    n_classes, dim = weights.shape
+    split = n_classes * dim
+
+    def evaluate(theta):
+        loss, grad_w, grad_b = loss_and_gradient(
+            theta[:split].reshape(n_classes, dim), theta[split:], x, y, l2)
+        return loss, np.concatenate((grad_w.ravel(), grad_b))
+
+    theta = np.zeros(split + n_classes)
+    loss, grad = evaluate(theta)
+    s_hist = np.empty((LBFGS_HISTORY, theta.size))
+    y_hist = np.empty((LBFGS_HISTORY, theta.size))
+    rho = np.empty(LBFGS_HISTORY)
+    alpha = np.empty(LBFGS_HISTORY)
+    stored = 0
+    newest = -1
+    iterations = 0
+    converged = False
+    while iterations < max_iterations:
+        direction = -grad
+        if stored:
+            order = [(newest - k) % LBFGS_HISTORY for k in range(stored)]
+            for i in order:
+                alpha[i] = rho[i] * (s_hist[i] @ direction)
+                direction -= alpha[i] * y_hist[i]
+            direction *= (s_hist[newest] @ y_hist[newest]) / (y_hist[newest] @ y_hist[newest])
+            for i in reversed(order):
+                direction += (alpha[i] - rho[i] * (y_hist[i] @ direction)) * s_hist[i]
+        slope = float(grad @ direction)
+        if slope >= 0.0:  # not a descent direction: restart from steepest descent
+            stored = 0
+            direction = -grad
+            slope = float(grad @ direction)
+        t = 1.0 if stored else 1.0 / max(1.0, math.sqrt(-slope))
+        for _ in range(MAX_BACKTRACKS):
+            candidate = theta + t * direction
+            with np.errstate(over="ignore", invalid="ignore"):
+                new_loss, new_grad = evaluate(candidate)
+            if math.isfinite(new_loss) and new_loss <= loss + ARMIJO_C * t * slope:
+                break
+            t *= 0.5
+        else:
+            break  # no acceptable step: stop unconverged
+        iterations += 1
+        step_vec = candidate - theta
+        grad_change = new_grad - grad
+        curvature = float(step_vec @ grad_change)
+        if curvature > 1e-10 * float(grad_change @ grad_change):
+            newest = (newest + 1) % LBFGS_HISTORY
+            s_hist[newest] = step_vec
+            y_hist[newest] = grad_change
+            rho[newest] = 1.0 / curvature
+            stored = min(stored + 1, LBFGS_HISTORY)
+        theta, grad, previous, loss = candidate, new_grad, loss, new_loss
+        if abs(previous - loss) < tolerance:
+            converged = True
+            break
+    weights[...] = theta[:split].reshape(n_classes, dim)
+    bias[...] = theta[split:]
+    return loss, float(np.linalg.norm(grad)), iterations, converged
+
+
+def train_logreg(data: LabeledDataset, l2: float = 1e-4, step: float = 0.5,
+                 max_iterations: int = 500, tolerance: float = 1e-6,
+                 seed: int = 0, solver: str = "lbfgs") -> LogRegModel:
+    """Fit the classifier with L-BFGS.
+
+    Starts from zero weights and stops when the loss changes by less
+    than ``tolerance`` or after ``max_iterations`` steps; a fit that
+    hits the cap emits a ``ConvergenceWarning``.  ``solver="gd"`` runs
+    fixed-step gradient descent with step size ``step`` instead, as a
+    reference for tests.  Requires at least two distinct labels.
+    """
+    if solver not in ("lbfgs", "gd"):
+        raise ValidationError(f"solver must be 'lbfgs' or 'gd', got {solver!r}")
+    classes = data.classes()
+    if len(classes) < 2:
+        raise ValidationError("training needs at least two distinct labels")
+    index_of = {label: i for i, label in enumerate(classes)}
+    x = _dense(data.vectors, data.dim)
+    y = np.array([index_of[label] for label in data.labels], dtype=int)
+    weights = np.zeros((len(classes), data.dim), dtype=float)
+    bias = np.zeros(len(classes), dtype=float)
+    if solver == "gd":
+        loss, grad_norm, iterations, converged = _gradient_descent(
+            x, y, weights, bias, l2, step, max_iterations, tolerance)
+    else:
+        loss, grad_norm, iterations, converged = _lbfgs(
+            x, y, weights, bias, l2, max_iterations, tolerance)
+    if not converged:
+        warnings.warn(ConvergenceWarning(
+            f"{solver} fit stopped after {iterations} iterations at loss {loss:.6g} "
+            f"without converging", iterations, loss), stacklevel=2)
+    metadata = {"solver": solver, "iterations": iterations, "final_loss": loss,
+                "grad_norm": grad_norm, "converged": converged,
                 "l2": l2, "step": step, "seed": seed}
     return LogRegModel(classes, weights, bias, metadata)
 
@@ -156,12 +267,45 @@ def predict_label(model: LogRegModel, vector: SparseVector) -> str:
     return model.classes[int(np.argmax(probs))]
 
 
+def predict_labels(model: LogRegModel, vectors: list[SparseVector]) -> list[str]:
+    """Argmax class of every vector, scored with one dense product.
+
+    Ties resolve to the lowest class index, as in ``predict_label``.
+    """
+    if not vectors:
+        return []
+    x = _dense(vectors, model.weights.shape[1])
+    scores = x @ model.weights.T + model.bias
+    return [model.classes[i] for i in np.argmax(scores, axis=1)]
+
+
 def evaluate_accuracy(model: LogRegModel, data: LabeledDataset) -> float:
     if not data.vectors:
         raise DomainError("accuracy undefined on an empty dataset")
-    hits = sum(1 for vector, label in zip(data.vectors, data.labels)
-               if predict_label(model, vector) == label)
+    predicted = predict_labels(model, data.vectors)
+    hits = sum(1 for guess, label in zip(predicted, data.labels) if guess == label)
     return hits / len(data.vectors)
+
+
+def subset_accuracy(model: LogRegModel, vectors: list[SparseVector], labels: list[str],
+                    indices: list[int]) -> float:
+    """Accuracy on the rows ``indices`` of parallel vector and label lists."""
+    return evaluate_accuracy(model, LabeledDataset(
+        [vectors[i] for i in indices], [labels[i] for i in indices],
+        dim=model.weights.shape[1]))
+
+
+def fit_split_model(streams: list[TokenStream], labels: list[str], train_idx: list[int],
+                    seed: int = 0, **train_kwargs) -> tuple[TfIdfModel, list[SparseVector], LogRegModel]:
+    """Fit tf-idf and the classifier on the training rows; encode every stream.
+
+    Returns (encoder, one vector per stream, model).
+    """
+    encoder = fit_tfidf([streams[i] for i in train_idx])
+    vectors = transform_all(encoder, streams)
+    train = LabeledDataset([vectors[i] for i in train_idx], [labels[i] for i in train_idx],
+                           dim=len(encoder.vocabulary))
+    return encoder, vectors, train_logreg(train, seed=seed, **train_kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +328,22 @@ def expand_multilabel(documents: list[Document], axis: str) -> tuple[list[tuple[
         for label in labels:
             pairs.append((doc.doc_id, label))
     return pairs, skipped
+
+
+def labeled_documents(documents: list[Document], class_axis: str) -> tuple[list[Document], list[str], int]:
+    """Documents with a primary label on the axis, their labels, and the
+    number of unlabeled documents skipped."""
+    kept, labels, skipped = [], [], 0
+    for doc in documents:
+        label = primary_label(doc, class_axis)
+        if label is None:
+            skipped += 1
+            continue
+        kept.append(doc)
+        labels.append(label)
+    if not kept:
+        raise ValidationError(f"no document carries a label on axis {class_axis!r}")
+    return kept, labels, skipped
 
 
 def derive_seed(seed: int, *parts: str) -> int:
@@ -242,11 +402,20 @@ class CategoryPredictionReport:
     evaluated_on: str  # "test", or "train" when the split left no test set
 
 
+def direction_axes(direction: str) -> tuple[str, str]:
+    """(source axis, target axis) of a cross-prediction direction."""
+    if direction == "arxiv-from-msc":
+        return "msc", "arxiv"
+    if direction == "msc-from-arxiv":
+        return "arxiv", "msc"
+    raise ValidationError(f"unknown direction {direction!r}")
+
+
 def predict_categories(documents: list[Document], direction: str,
                        label_mode: str = "single", granularity: str = "fine",
                        seed: int = 0, test_fraction: float = 0.2,
-                       l2: float = 1e-4, step: float = 0.5,
-                       max_iterations: int = 500, tolerance: float = 1e-6) -> CategoryPredictionReport:
+                       l2: float = 1e-4, max_iterations: int = 500,
+                       tolerance: float = 1e-6) -> CategoryPredictionReport:
     """Predict one category axis from the other.
 
     The source-axis labels of a document are its token stream (one
@@ -255,12 +424,7 @@ def predict_categories(documents: list[Document], direction: str,
     "multi" expands every target label into its own instance sharing
     the document's feature vector.
     """
-    if direction == "arxiv-from-msc":
-        source_axis, target_axis = "msc", "arxiv"
-    elif direction == "msc-from-arxiv":
-        source_axis, target_axis = "arxiv", "msc"
-    else:
-        raise ValidationError(f"unknown direction {direction!r}")
+    source_axis, target_axis = direction_axes(direction)
     if label_mode not in ("single", "multi"):
         raise ValidationError(f"label_mode must be 'single' or 'multi', got {label_mode!r}")
 
@@ -290,13 +454,11 @@ def predict_categories(documents: list[Document], direction: str,
     train_idx, test_idx = stratified_split(labels, test_fraction, derive_seed(seed, "categories", direction))
     train = LabeledDataset([vectors[i] for i in train_idx], [labels[i] for i in train_idx],
                            dim=len(encoder.vocabulary))
-    model = train_logreg(train, l2=l2, step=step, max_iterations=max_iterations,
+    model = train_logreg(train, l2=l2, max_iterations=max_iterations,
                          tolerance=tolerance, seed=seed)
     train_accuracy = evaluate_accuracy(model, train)
     if test_idx:
-        test = LabeledDataset([vectors[i] for i in test_idx], [labels[i] for i in test_idx],
-                              dim=len(encoder.vocabulary))
-        accuracy = evaluate_accuracy(model, test)
+        accuracy = subset_accuracy(model, vectors, labels, test_idx)
         evaluated_on = "test"
     else:
         accuracy = train_accuracy
@@ -313,12 +475,7 @@ def classifier_label_map(documents: list[Document], direction: str, seed: int = 
     Used to compare the classifier against co-occurrence argmax
     predictions label by label.
     """
-    if direction == "arxiv-from-msc":
-        source_axis, target_axis = "msc", "arxiv"
-    elif direction == "msc-from-arxiv":
-        source_axis, target_axis = "arxiv", "msc"
-    else:
-        raise ValidationError(f"unknown direction {direction!r}")
+    source_axis, target_axis = direction_axes(direction)
     streams = []
     labels = []
     source_labels = set()

@@ -8,9 +8,12 @@ the same config and input bytes, regardless of where the output directory
 lives: manifests record content digests and relative names, never paths.
 
 Exit codes: 0 success, 2 config error (bad JSON, unknown keys, missing
-seed), 3 input error (missing or malformed input files, missing stage
-outputs), 4 runtime failure (training or evaluation raised).  Failures
-print a single JSON record on stderr: {"error": <class>, "message": <text>}.
+seed, out-of-range logreg values), 3 input error (missing or malformed
+input files, missing stage outputs), 4 runtime failure (training or
+evaluation raised).  Failures print a single JSON record on stderr:
+{"error": <class>, "message": <text>}.  A model fit that stops without
+converging prints {"warning": "ConvergenceWarning", "stage", "iterations",
+"final_loss", "message"} on stderr and the stage goes on.
 
 Relative file paths inside a config file resolve against the config file's
 directory; paths given on the command line resolve against the working
@@ -23,7 +26,10 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import sys
+import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -31,15 +37,14 @@ from . import augment as augment_mod
 from . import explain as explain_mod
 from . import linker as linker_mod
 from . import synth as synth_mod
-from .classify import (LabeledDataset, classifier_label_map, derive_seed,
-                       evaluate_accuracy, predict_categories, predict_label,
-                       stratified_split, train_logreg)
+from .classify import (classifier_label_map, derive_seed, fit_split_model,
+                       labeled_documents, predict_categories, predict_labels,
+                       stratified_split, subset_accuracy)
 from .corpus import (Document, GoldAnnotations, corpus_to_text,
-                     document_identifiers, load_corpus, primary_label,
-                     save_corpus)
-from .encode import (STOPWORDS, TokenStream, fit_tfidf, lemmatize_stream,
-                     remove_stopwords, tokenize, transform, transform_all)
-from .errors import ParseError, ToolkitError, ValidationError
+                     document_identifiers, load_corpus, save_corpus)
+from .encode import (STOPWORDS, TokenStream, lemmatize_stream,
+                     remove_stopwords, tokenize)
+from .errors import ConvergenceWarning, ParseError, ToolkitError, ValidationError
 from .stats import (argmax_predict, build_cooccurrence,
                     build_distribution_library, compare_predictions,
                     entropy_summary, uncertainty_report)
@@ -61,7 +66,7 @@ DEFAULT_CONFIG = {
     "class_axis": "arxiv",
     "encode": {"remove_stopwords": True, "lemmatize": False},
     "split": {"test_fraction": 0.2},
-    "logreg": {"l2": 1e-4, "step": 0.5, "max_iterations": 500, "tolerance": 1e-6},
+    "logreg": {"l2": 1e-4, "max_iterations": 500, "tolerance": 1e-6},
     "lime": {"num_samples": 300, "kernel_width": None, "ridge": 1.0, "top_k": 10},
     "linker": {"gazetteers": {}, "max_n": 3, "window": 10},
     "augment": {"sources": {}, "top_k": [3, 5], "concept_map": None},
@@ -187,7 +192,26 @@ def load_config(path: str | None, overrides: dict) -> dict:
     fraction = config["split"]["test_fraction"]
     if not isinstance(fraction, (int, float)) or not 0 <= fraction < 1:
         raise ConfigError("split.test_fraction must lie in [0, 1)")
+    _check_logreg(config["logreg"])
     return config
+
+
+def _is_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _check_logreg(logreg: dict) -> None:
+    for key in ("l2", "tolerance"):
+        if not _is_number(logreg[key]) or logreg[key] < 0:
+            raise ConfigError(f"logreg.{key} must be a number >= 0")
+    iterations = logreg["max_iterations"]
+    if not isinstance(iterations, int) or isinstance(iterations, bool) or iterations < 1:
+        raise ConfigError("logreg.max_iterations must be an integer >= 1")
 
 
 def config_digest(config: dict) -> str:
@@ -423,47 +447,17 @@ def stage_correspond(config: dict, out_dir: Path) -> list[str]:
     return outputs
 
 
-def _labeled(docs: list[Document], class_axis: str) -> tuple[list[Document], list[str], int]:
-    kept, labels, skipped = [], [], 0
-    for doc in docs:
-        label = primary_label(doc, class_axis)
-        if label is None:
-            skipped += 1
-            continue
-        kept.append(doc)
-        labels.append(label)
-    if not kept:
-        raise ValidationError(f"no document carries a label on axis {class_axis!r}")
-    return kept, labels, skipped
-
-
-def _fit_split_model(streams: list[TokenStream], labels: list[str],
-                     train_idx: list[int], config: dict):
-    """Tf-idf fit on the training part, one trained model, all vectors."""
-    encoder = fit_tfidf([streams[i] for i in train_idx])
-    vectors = transform_all(encoder, streams)
-    dim = len(encoder.vocabulary)
-    train = LabeledDataset([vectors[i] for i in train_idx],
-                           [labels[i] for i in train_idx], dim=dim)
-    model = train_logreg(train, seed=config["seed"], **config["logreg"])
-    return encoder, vectors, model
-
-
 def stage_classify(config: dict, out_dir: Path) -> list[str]:
     docs, corpus_digest = _resolve_corpus(config)
-    kept, labels, skipped = _labeled(docs, config["class_axis"])
+    kept, labels, skipped = labeled_documents(docs, config["class_axis"])
     streams = [_encoded_stream(doc, config) for doc in kept]
     train_idx, test_idx = stratified_split(labels, config["split"]["test_fraction"],
                                            derive_seed(config["seed"], "classify"))
-    encoder, vectors, model = _fit_split_model(streams, labels, train_idx, config)
-    dim = len(encoder.vocabulary)
-    train = LabeledDataset([vectors[i] for i in train_idx],
-                           [labels[i] for i in train_idx], dim=dim)
-    train_accuracy = evaluate_accuracy(model, train)
+    encoder, vectors, model = fit_split_model(streams, labels, train_idx, config["seed"],
+                                              **config["logreg"])
+    train_accuracy = subset_accuracy(model, vectors, labels, train_idx)
     if test_idx:
-        test = LabeledDataset([vectors[i] for i in test_idx],
-                              [labels[i] for i in test_idx], dim=dim)
-        accuracy, evaluated_on = evaluate_accuracy(model, test), "test"
+        accuracy, evaluated_on = subset_accuracy(model, vectors, labels, test_idx), "test"
     else:
         accuracy, evaluated_on = train_accuracy, "train"
     rows = [
@@ -475,15 +469,18 @@ def stage_classify(config: dict, out_dir: Path) -> list[str]:
         ("n_skipped_unlabeled", skipped),
         ("classes", len(model.classes)),
         ("vocabulary", len(encoder.vocabulary)),
+        ("solver", model.metadata["solver"]),
         ("iterations", model.metadata["iterations"]),
         ("final_loss", model.metadata["final_loss"]),
+        ("grad_norm", model.metadata["grad_norm"]),
         ("converged", model.metadata["converged"]),
     ]
     write_tsv(out_dir / "classify.tsv", ["metric", "value"], rows)
     write_json(out_dir / "classify_model.json",
                {"tfidf": encoder.to_record(), "logreg": model.to_record()})
-    predictions = [(kept[i].doc_id, labels[i], predict_label(model, vectors[i]))
-                   for i in test_idx]
+    predicted = predict_labels(model, [vectors[i] for i in test_idx])
+    predictions = [(kept[i].doc_id, labels[i], guess)
+                   for i, guess in zip(test_idx, predicted)]
     write_tsv(out_dir / "classify_predictions.tsv",
               ["doc", "label", "predicted"], predictions)
     outputs = ["classify.tsv", "classify_model.json", "classify_predictions.tsv"]
@@ -703,7 +700,7 @@ def stage_explain(config: dict, out_dir: Path) -> list[str]:
         concept_map, map_digest = _load_concept_map(config)
         inputs["concept_map"] = map_digest
 
-    kept, labels, _ = _labeled(docs, config["class_axis"])
+    kept, labels, _ = labeled_documents(docs, config["class_axis"])
     math_streams = build_math_streams(kept, source,
                                       config["explain"]["source_top_k"], concept_map)
     text_streams = [TokenStream.of(d.doc_id,
@@ -713,9 +710,10 @@ def stage_explain(config: dict, out_dir: Path) -> list[str]:
                           for d in kept]
     train_idx, _ = stratified_split(labels, config["split"]["test_fraction"],
                                     derive_seed(config["seed"], "classify"))
-    text_encoder, _, text_model = _fit_split_model(text_streams, labels, train_idx, config)
-    math_encoder, _, math_model = _fit_split_model(math_token_streams, labels,
-                                                   train_idx, config)
+    text_encoder, _, text_model = fit_split_model(text_streams, labels, train_idx,
+                                                  config["seed"], **config["logreg"])
+    math_encoder, _, math_model = fit_split_model(math_token_streams, labels, train_idx,
+                                                  config["seed"], **config["logreg"])
 
     lime_cfg = config["lime"]
     explanation_rows = []
@@ -922,6 +920,30 @@ def _fail(exc: Exception, code: int) -> int:
     return code
 
 
+@contextmanager
+def _convergence_warnings(stage: str):
+    """Print one JSON line on stderr per fit that stopped unconverged.
+
+    Other warnings pass through unchanged.
+    """
+    caught: list[warnings.WarningMessage] = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ConvergenceWarning)
+            yield
+    finally:
+        for item in caught:
+            if isinstance(item.message, ConvergenceWarning):
+                record = {"warning": "ConvergenceWarning", "stage": stage,
+                          "iterations": item.message.iterations,
+                          "final_loss": item.message.final_loss,
+                          "message": str(item.message)}
+                print(json.dumps(record, ensure_ascii=False), file=sys.stderr)
+            else:
+                warnings.showwarning(item.message, item.category, item.filename,
+                                     item.lineno, item.file, item.line)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {"corpus": args.corpus, "out_dir": args.out_dir, "seed": args.seed}
@@ -936,7 +958,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         out_dir = Path(config["out_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = STAGES[args.command](config, out_dir)
+        with _convergence_warnings(args.command):
+            outputs = STAGES[args.command](config, out_dir)
         print(f"{args.command}: wrote {', '.join(outputs)}")
         return 0
     except ConfigError as exc:

@@ -3,7 +3,9 @@
 Parse errors point at malformed input bytes, validation errors at
 structurally sound but contract-violating values, domain errors at
 mathematically undefined requests (entropy of nothing), and training
-errors at optimizer-level failures.
+errors at optimizer-level failures.  A fit that stops at its iteration
+cap without meeting its tolerance is not an error: it emits a
+``ConvergenceWarning`` and still returns the model.
 """
 
 
@@ -34,3 +36,12 @@ class DomainError(ToolkitError):
 
 class TrainingError(ToolkitError):
     """Optimizer failed in a way that invalidates the fitted model."""
+
+
+class ConvergenceWarning(UserWarning):
+    """A fit stopped before its loss change fell below the tolerance."""
+
+    def __init__(self, message: str, iterations: int, final_loss: float):
+        super().__init__(message)
+        self.iterations = iterations
+        self.final_loss = final_loss

@@ -69,3 +69,23 @@ def tfidf_vectors(token_lists: list[list[str]]) -> tuple[list[str], list[dict[st
             weights = {t: w / norm for t, w in weights.items()}
         vectors.append(weights)
     return vocabulary, vectors
+
+
+def argmax_predictions(weights, bias, classes, vectors) -> list[str]:
+    """Per-row linear scores in plain floats; ties go to the first class.
+
+    ``vectors`` are (indices, values) pairs.  The reference for batch
+    scoring: the class with the highest score has the highest softmax
+    probability.
+    """
+    predictions = []
+    for indices, values in vectors:
+        best, best_score = 0, None
+        for c in range(len(classes)):
+            score = float(bias[c])
+            for index, value in zip(indices, values):
+                score += float(weights[c][index]) * value
+            if best_score is None or score > best_score:
+                best, best_score = c, score
+        predictions.append(classes[best])
+    return predictions

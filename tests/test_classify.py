@@ -1,19 +1,25 @@
 """Softmax regression training, splits, and the category cross-prediction."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 
 from stemexplain.classify import (LabeledDataset, LogRegModel, derive_seed,
                                   evaluate_accuracy, expand_multilabel,
-                                  loss_and_gradient, predict_categories,
-                                  predict_label, predict_proba, softmax,
+                                  labeled_documents, loss_and_gradient,
+                                  predict_categories, predict_label,
+                                  predict_labels, predict_proba, softmax,
                                   stratified_split, train_logreg,
                                   truncate_label)
 from stemexplain.corpus import record_to_document
-from stemexplain.encode import SparseVector
-from stemexplain.errors import DomainError, TrainingError, ValidationError
+from stemexplain.encode import SparseVector, TokenStream, fit_tfidf, transform_all
+from stemexplain.errors import (ConvergenceWarning, DomainError, TrainingError,
+                                ValidationError)
+from stemexplain.synth import demo_corpus
+
+from . import oracles
 
 
 def vec(*pairs):
@@ -103,7 +109,7 @@ class TestTraining:
 
     def test_divergent_step_raises(self):
         with pytest.raises(TrainingError):
-            train_logreg(separable_dataset(), step=1e18, max_iterations=80)
+            train_logreg(separable_dataset(), step=1e18, max_iterations=80, solver="gd")
 
     def test_round_trip_record(self):
         model = train_logreg(separable_dataset())
@@ -120,6 +126,71 @@ class TestTraining:
         data = LabeledDataset([vec((0, 1.0))], ["only"], dim=1)
         with pytest.raises(ValidationError):
             train_logreg(data)
+
+
+def demo_dataset():
+    """Raw text tokens of the demo corpus, tf-idf encoded, arXiv labels."""
+    docs, labels, _ = labeled_documents(demo_corpus(), "arxiv")
+    streams = [TokenStream.of(d.doc_id, d.text_tokens()) for d in docs]
+    encoder = fit_tfidf(streams)
+    return LabeledDataset(transform_all(encoder, streams), labels,
+                          dim=len(encoder.vocabulary))
+
+
+class TestLbfgs:
+    @pytest.mark.parametrize("make", [separable_dataset, demo_dataset])
+    def test_converges_below_gradient_descent_loss(self, make):
+        data = make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            descent = train_logreg(data, solver="gd", max_iterations=500)
+        model = train_logreg(data)
+        assert model.metadata["solver"] == "lbfgs"
+        assert model.metadata["converged"] is True
+        assert model.metadata["iterations"] < 500
+        assert model.metadata["final_loss"] <= descent.metadata["final_loss"]
+        assert model.metadata["grad_norm"] < descent.metadata["grad_norm"]
+
+    def test_fits_bit_identical(self):
+        data = demo_dataset()
+        a = train_logreg(data)
+        b = train_logreg(data)
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.bias.tobytes() == b.bias.tobytes()
+        assert a.metadata == b.metadata
+
+    def test_iteration_cap_warns_and_returns_model(self):
+        with pytest.warns(ConvergenceWarning) as record:
+            model = train_logreg(demo_dataset(), max_iterations=1)
+        assert model.metadata["iterations"] == 1
+        assert model.metadata["converged"] is False
+        assert record[0].message.iterations == 1
+        assert record[0].message.final_loss == model.metadata["final_loss"]
+
+    def test_unknown_solver_rejected(self):
+        with pytest.raises(ValidationError, match="solver"):
+            train_logreg(separable_dataset(), solver="newton")
+
+
+class TestBatchScoring:
+    def test_matches_per_row_reference(self):
+        data = demo_dataset()
+        model = train_logreg(data)
+        rows = [(v.indices, v.values) for v in data.vectors]
+        expected = oracles.argmax_predictions(model.weights.tolist(), model.bias.tolist(),
+                                              model.classes, rows)
+        assert predict_labels(model, data.vectors) == expected
+        hits = sum(1 for guess, label in zip(expected, data.labels) if guess == label)
+        assert evaluate_accuracy(model, data) == hits / len(data.labels)
+
+    def test_ties_go_to_lowest_class_index(self):
+        model = LogRegModel(["b-class", "a-class"], np.zeros((2, 2)), np.zeros(2), {})
+        assert predict_labels(model, [SparseVector((), ()), vec((1, 1.0))]) == ["b-class"] * 2
+
+    def test_index_beyond_model_dim_rejected(self):
+        model = train_logreg(separable_dataset())
+        with pytest.raises(ValidationError):
+            evaluate_accuracy(model, LabeledDataset([vec((7, 1.0))], ["neg"]))
 
 
 class TestPrediction:

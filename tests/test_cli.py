@@ -1,8 +1,14 @@
 """Command-line behavior: config handling, exit codes, stage outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import stemexplain
 
 from stemexplain.cli import (DEFAULT_CONFIG, ConfigError, config_digest,
                              load_config, main)
@@ -76,6 +82,35 @@ class TestConfigLoading:
         path.write_text('{"seed": 1, "corpus": "@demo"}', encoding="utf-8")
         config = load_config(str(path), {"seed": 99})
         assert config["seed"] == 99
+
+
+class TestLogregValidation:
+    @pytest.mark.parametrize("key, value", [
+        ("l2", -1e-4),
+        ("l2", 10 ** 400),  # parses as an int too large for a float
+        ("tolerance", "tiny"),
+        ("tolerance", float("inf")),
+        ("max_iterations", 0),
+        ("max_iterations", True),
+        ("max_iterations", 2.5),
+    ])
+    def test_bad_value_exits_2(self, capsys, tmp_path, key, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seed": 1, "logreg": {key: value}}), encoding="utf-8")
+        code, _, err = run(capsys, "classify", "-c", str(path),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        record = stderr_record(err)
+        assert record["error"] == "ConfigError"
+        assert f"logreg.{key}" in record["message"]
+
+    def test_step_is_not_a_config_key(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seed": 1, "logreg": {"step": "x"}}), encoding="utf-8")
+        code, _, err = run(capsys, "classify", "-c", str(path),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert stderr_record(err)["message"] == "unknown config key: logreg.step"
 
 
 class TestConfigDigest:
@@ -240,3 +275,39 @@ class TestStages:
         assert metrics["evaluated_on"] == "test"
         assert (out_dir / "classify_model.json").is_file()
         assert (out_dir / "classify_predictions.tsv").is_file()
+
+    def test_classify_reports_solver_and_convergence(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "classify", "--seed", "1", "--out-dir", str(out_dir))
+        assert code == 0
+        assert err == ""
+        table = (out_dir / "classify.tsv").read_text().splitlines()
+        metrics = dict(line.split("\t") for line in table[1:])
+        assert metrics["solver"] == "lbfgs"
+        assert metrics["converged"] == "true"
+        assert float(metrics["grad_norm"]) >= 0.0
+
+    def test_unconverged_fit_warns_on_stderr_only(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"seed": 1, "logreg": {"max_iterations": 1}}', encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "classify", "-c", str(path), "--out-dir", str(out_dir))
+        assert code == 0
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["warning"] == "ConvergenceWarning"
+        assert record["stage"] == "classify"
+        assert record["iterations"] == 1
+        assert record["final_loss"] > 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "classify.tsv", "classify_manifest.json", "classify_model.json",
+            "classify_predictions.tsv"]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, stemexplain.cli; print('scipy' in sys.modules)"
+    src = str(Path(stemexplain.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
+    assert result.stdout.strip() == "False"
