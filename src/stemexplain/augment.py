@@ -3,9 +3,11 @@
 A symbol-name source ranks candidate names for identifier symbols by
 frequency.  Augmentation appends, for each distinct symbol of a
 document, the tokens of its ``top_k`` candidate names to the text
-token stream.  Ablation composes token streams from text tokens and a
-designated math token set (identifier names and/or concept phrase
-tokens) in four modes and measures how classification accuracy reacts.
+token stream; the same names, plus the concept phrases found in the
+text, make up a document's math-entity stream.  Ablation composes
+token streams from text tokens and a designated math token set
+(identifier names and/or concept phrase tokens) in four modes and
+measures how classification accuracy reacts.
 """
 
 from __future__ import annotations
@@ -129,6 +131,12 @@ def symbol_tokens(doc: Document) -> list[str]:
     return tokens
 
 
+def _name_tokens(doc: Document, source: SymbolNameSource, top_k: int) -> list[str]:
+    """The tokens of the top_k candidate names of each distinct symbol, in order."""
+    return [token for symbol in distinct_symbols(doc)
+            for name in source.top_names(symbol, top_k) for token in tokenize(name)]
+
+
 def augment_identifiers(doc: Document, source: SymbolNameSource, top_k: int) -> TokenStream:
     """Text tokens plus the top_k candidate-name tokens per distinct symbol.
 
@@ -136,11 +144,23 @@ def augment_identifiers(doc: Document, source: SymbolNameSource, top_k: int) -> 
     """
     if top_k < 1:
         raise ValidationError(f"top_k must be >= 1, got {top_k}")
-    tokens = doc.text_tokens()
-    for symbol in distinct_symbols(doc):
-        for name in source.top_names(symbol, top_k):
-            tokens.extend(tokenize(name))
-    return TokenStream.of(doc.doc_id, tokens)
+    return TokenStream.of(doc.doc_id, doc.text_tokens() + _name_tokens(doc, source, top_k))
+
+
+def build_math_streams(docs: list[Document], source: SymbolNameSource, top_k: int,
+                       concept_map: ConceptCategoryMap | None) -> dict[str, list[str]]:
+    """Math-entity token streams: symbol names plus in-text concept phrases."""
+    streams: dict[str, list[str]] = {}
+    for doc in docs:
+        tokens = _name_tokens(doc, source, top_k)
+        if concept_map is not None:
+            text = doc.text_tokens()
+            for phrase in concept_map.phrases():
+                parts = tokenize(phrase)
+                if _phrase_in_tokens(parts, text):
+                    tokens.extend(parts)
+        streams[doc.doc_id] = tokens
+    return streams
 
 
 def ablate(doc: Document, mode: str, math_tokens: frozenset[str]) -> TokenStream:

@@ -8,10 +8,10 @@ the same config and input bytes, regardless of where the output directory
 lives: manifests record content digests and relative names, never paths.
 
 Exit codes: 0 success, 2 config error (bad JSON, unknown keys, missing
-seed, out-of-range logreg values), 3 input error (missing or malformed
-input files, missing stage outputs), 4 runtime failure (training or
-evaluation raised).  Failures print a single JSON record on stderr:
-{"error": <class>, "message": <text>}.  A model fit that stops without
+seed, mistyped or out-of-range numeric settings), 3 input error (missing
+or malformed input files, missing stage outputs), 4 runtime failure
+(training or evaluation raised).  Failures print a single JSON record on
+stderr: {"error": <class>, "message": <text>}.  A model fit that stops without
 converging prints {"warning": "ConvergenceWarning", "stage", "iterations",
 "final_loss", "message"} on stderr and the stage goes on.
 
@@ -29,6 +29,7 @@ import json
 import math
 import sys
 import warnings
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -37,13 +38,13 @@ from . import augment as augment_mod
 from . import explain as explain_mod
 from . import linker as linker_mod
 from . import synth as synth_mod
+from .augment import build_math_streams
 from .classify import (classifier_label_map, derive_seed, fit_split_model,
                        labeled_documents, predict_categories, predict_labels,
                        stratified_split, subset_accuracy)
 from .corpus import (Document, GoldAnnotations, corpus_to_text,
                      document_identifiers, load_corpus, save_corpus)
-from .encode import (STOPWORDS, TokenStream, lemmatize_stream,
-                     remove_stopwords, tokenize)
+from .encode import STOPWORDS, TokenStream, lemmatize_stream, remove_stopwords
 from .errors import ConvergenceWarning, ParseError, ToolkitError, ValidationError
 from .stats import (argmax_predict, build_cooccurrence,
                     build_distribution_library, compare_predictions,
@@ -192,7 +193,7 @@ def load_config(path: str | None, overrides: dict) -> dict:
     fraction = config["split"]["test_fraction"]
     if not isinstance(fraction, (int, float)) or not 0 <= fraction < 1:
         raise ConfigError("split.test_fraction must lie in [0, 1)")
-    _check_logreg(config["logreg"])
+    _check_settings(config)
     return config
 
 
@@ -205,13 +206,32 @@ def _is_number(value) -> bool:
         return False
 
 
-def _check_logreg(logreg: dict) -> None:
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+# Settings that must be integers >= 1.
+_COUNT_KEYS = (("logreg", "max_iterations"), ("linker", "max_n"), ("linker", "window"),
+               ("lime", "num_samples"), ("explain", "budget"), ("explain", "top_m"),
+               ("explain", "num_samples"), ("explain", "source_top_k"))
+
+
+def _check_settings(config: dict) -> None:
+    """Type and range checks on the numeric settings of the stages."""
+    logreg, lime = config["logreg"], config["lime"]
     for key in ("l2", "tolerance"):
         if not _is_number(logreg[key]) or logreg[key] < 0:
             raise ConfigError(f"logreg.{key} must be a number >= 0")
-    iterations = logreg["max_iterations"]
-    if not isinstance(iterations, int) or isinstance(iterations, bool) or iterations < 1:
-        raise ConfigError("logreg.max_iterations must be an integer >= 1")
+    for section, key in _COUNT_KEYS:
+        if not _is_count(config[section][key]):
+            raise ConfigError(f"{section}.{key} must be an integer >= 1")
+    if lime["top_k"] is not None and not _is_count(lime["top_k"]):
+        raise ConfigError("lime.top_k must be null or an integer >= 1")
+    if not _is_number(lime["ridge"]) or lime["ridge"] < 0:
+        raise ConfigError("lime.ridge must be a number >= 0")
+    width = lime["kernel_width"]
+    if width is not None and (not _is_number(width) or width <= 0):
+        raise ConfigError("lime.kernel_width must be null or a number > 0")
 
 
 def config_digest(config: dict) -> str:
@@ -241,15 +261,20 @@ def config_digest(config: dict) -> str:
 # Shared input loading
 
 
+def _load_input(ref: str, what: str, load):
+    """``load(path)`` and the file's digest; a missing file is an input error."""
+    path = Path(ref)
+    if not path.is_file():
+        raise ParseError(f"{what} file not found: {ref}")
+    return load(path), _digest_file(path)
+
+
 def _resolve_corpus(config: dict) -> tuple[list[Document], str]:
     ref = config["corpus"]
     if ref == "@demo":
         docs = synth_mod.demo_corpus()
         return docs, _digest_bytes(corpus_to_text(docs).encode("utf-8"))
-    path = Path(ref)
-    if not path.is_file():
-        raise ParseError(f"corpus file not found: {ref}")
-    return load_corpus(path), _digest_file(path)
+    return _load_input(ref, "corpus", load_corpus)
 
 
 def _encoded_stream(doc: Document, config: dict) -> TokenStream:
@@ -264,11 +289,8 @@ def _encoded_stream(doc: Document, config: dict) -> TokenStream:
 def _load_gazetteers(config: dict) -> tuple[dict[str, linker_mod.Gazetteer], dict[str, str]]:
     gazetteers, digests = {}, {}
     for tag, ref in sorted(config["linker"]["gazetteers"].items()):
-        path = Path(ref)
-        if not path.is_file():
-            raise ParseError(f"gazetteer file not found: {ref}")
-        gazetteers[tag] = linker_mod.load_gazetteer(path, tag)
-        digests[f"gazetteer:{tag}"] = _digest_file(path)
+        gazetteers[tag], digests[f"gazetteer:{tag}"] = _load_input(
+            ref, "gazetteer", lambda path: linker_mod.load_gazetteer(path, tag))
     if not gazetteers:
         raise ConfigError("linker.gazetteers is empty; nothing to link against")
     return gazetteers, digests
@@ -278,20 +300,15 @@ def _load_source(config: dict, tag: str) -> tuple[augment_mod.SymbolNameSource, 
     ref = config["augment"]["sources"].get(tag)
     if ref is None:
         raise ConfigError(f"augment.sources has no entry {tag!r}")
-    path = Path(ref)
-    if not path.is_file():
-        raise ParseError(f"symbol source file not found: {ref}")
-    return augment_mod.load_symbol_source(path, tag), _digest_file(path)
+    return _load_input(ref, "symbol source",
+                       lambda path: augment_mod.load_symbol_source(path, tag))
 
 
 def _load_concept_map(config: dict) -> tuple[augment_mod.ConceptCategoryMap, str]:
     ref = config["augment"]["concept_map"]
     if ref is None:
         raise ConfigError("augment.concept_map is required for this stage")
-    path = Path(ref)
-    if not path.is_file():
-        raise ParseError(f"concept map file not found: {ref}")
-    return augment_mod.load_concept_map(path), _digest_file(path)
+    return _load_input(ref, "concept map", augment_mod.load_concept_map)
 
 
 def _write_manifest(stage: str, config: dict, out_dir: Path,
@@ -555,13 +572,20 @@ def stage_ablate(config: dict, out_dir: Path) -> list[str]:
 
 
 def stage_link(config: dict, out_dir: Path) -> list[str]:
+    """Link every document's text and score the gold-judged documents.
+
+    Links whose surface a gold document leaves unjudged are counted per
+    mode in the ``unjudged`` column instead of being evaluated.
+    """
     docs, corpus_digest = _resolve_corpus(config)
     gazetteers, digests = _load_gazetteers(config)
     max_n = config["linker"]["max_n"]
-    mode_names = [mode.name for mode in linker_mod.DEFAULT_EVAL_MODES]
+    modes = linker_mod.DEFAULT_EVAL_MODES
+    mode_names = [mode.name for mode in modes]
 
     link_rows, tuple_rows = [], []
-    totals: dict[tuple[str, str], linker_mod.ModeCounts] = {}
+    marks: dict[tuple[str, str], list[str]] = {}
+    unjudged: Counter = Counter()  # (source, lemmatized) -> links
     for doc in docs:
         links = []
         for tag in sorted(gazetteers):
@@ -576,35 +600,38 @@ def stage_link(config: dict, out_dir: Path) -> list[str]:
                               link.lemmatized))
         if doc.gold is None or not doc.gold.entity_relevance:
             continue
-        evaluation = linker_mod.evaluate_linking(links, doc.gold)
+        normalized = {raw: linker_mod.normalize_surface(raw)
+                      for raw in doc.gold.entity_relevance}
+        judged_forms = set(normalized.values())
+        # A link's surface is space-joined tokenizer output, hence already
+        # in normalized form.
+        judged = [l for l in links if l.surface in judged_forms]
+        unjudged.update((l.source, l.lemmatized) for l in links
+                        if l.surface not in judged_forms)
+        evaluation = linker_mod.evaluate_linking(judged, doc.gold)
         for mode in mode_names:
             for variant in linker_mod.VARIANTS:
-                counts = evaluation.counts[mode][variant]
-                tally = totals.setdefault((mode, variant), linker_mod.ModeCounts())
-                tally.tp += counts.tp
-                tally.fp += counts.fp
-                tally.fn += counts.fn
-                tally.tn += counts.tn
-                tally.excluded += counts.excluded
+                marks.setdefault((mode, variant), []).extend(
+                    evaluation.assignments[mode][variant].values())
         for raw in sorted(doc.gold.entity_relevance):
-            normalized = linker_mod.normalize_surface(raw)
-            marks = [evaluation.assignments[mode][variant][normalized]
-                     for variant in linker_mod.VARIANTS for mode in mode_names]
+            row_marks = [evaluation.assignments[mode][variant][normalized[raw]]
+                         for variant in linker_mod.VARIANTS for mode in mode_names]
             tuple_rows.append((doc.doc_id, raw, doc.gold.entity_relevance[raw])
-                              + tuple(marks))
+                              + tuple(row_marks))
     write_tsv(out_dir / "links.tsv",
               ["doc", "start", "length", "surface", "match_form", "title",
                "item", "source", "lemmatized"], link_rows)
     eval_rows = []
     for variant in linker_mod.VARIANTS:
-        for mode in mode_names:
-            counts = totals.get((mode, variant), linker_mod.ModeCounts())
-            eval_rows.append((mode, variant, counts.tp, counts.fp, counts.fn,
+        for mode in modes:
+            counts = linker_mod.ModeCounts.from_marks(marks.get((mode.name, variant), ()))
+            eval_rows.append((mode.name, variant, counts.tp, counts.fp, counts.fn,
                               counts.tn, counts.excluded, counts.precision(),
-                              counts.recall(), counts.f1()))
+                              counts.recall(), counts.f1(),
+                              unjudged[mode.source, variant == linker_mod.LEMMATIZED]))
     write_tsv(out_dir / "link_eval.tsv",
               ["mode", "variant", "tp", "fp", "fn", "tn", "excluded",
-               "precision", "recall", "f1"], eval_rows)
+               "precision", "recall", "f1", "unjudged"], eval_rows)
     mark_header = [f"{mode}_{variant}" for variant in linker_mod.VARIANTS
                    for mode in mode_names]
     write_tsv(out_dir / "link_tuples.tsv",
@@ -662,25 +689,6 @@ def stage_mathel(config: dict, out_dir: Path) -> list[str]:
     return outputs
 
 
-def build_math_streams(docs: list[Document], source: augment_mod.SymbolNameSource,
-                       top_k: int, concept_map: augment_mod.ConceptCategoryMap | None) -> dict[str, list[str]]:
-    """Math-entity token streams: symbol names plus in-text concept phrases."""
-    streams: dict[str, list[str]] = {}
-    for doc in docs:
-        tokens: list[str] = []
-        for symbol in augment_mod.distinct_symbols(doc):
-            for name in source.top_names(symbol, top_k):
-                tokens.extend(tokenize(name))
-        if concept_map is not None:
-            text = doc.text_tokens()
-            for phrase in concept_map.phrases():
-                parts = tokenize(phrase)
-                if augment_mod._phrase_in_tokens(parts, text):
-                    tokens.extend(parts)
-        streams[doc.doc_id] = tokens
-    return streams
-
-
 def stage_explain(config: dict, out_dir: Path) -> list[str]:
     """Surrogate explanations, entity rankings, and the entropy table.
 
@@ -718,15 +726,14 @@ def stage_explain(config: dict, out_dir: Path) -> list[str]:
     lime_cfg = config["lime"]
     explanation_rows = []
     for doc, label, stream in zip(kept, labels, text_streams):
-        try:
-            explanation = explain_mod.lime_explain(
-                text_model, text_encoder, doc.doc_id, list(stream.tokens), label,
-                num_samples=lime_cfg["num_samples"],
-                kernel_width=lime_cfg["kernel_width"], ridge=lime_cfg["ridge"],
-                top_k=lime_cfg["top_k"],
-                seed=derive_seed(config["seed"], "lime", doc.doc_id))
-        except ValidationError:
+        if not any(t in text_encoder.vocabulary for t in stream.tokens):
             continue  # nothing in vocabulary, nothing to explain
+        explanation = explain_mod.lime_explain(
+            text_model, text_encoder, doc.doc_id, list(stream.tokens), label,
+            num_samples=lime_cfg["num_samples"],
+            kernel_width=lime_cfg["kernel_width"], ridge=lime_cfg["ridge"],
+            top_k=lime_cfg["top_k"],
+            seed=derive_seed(config["seed"], "lime", doc.doc_id))
         for position, (token, weight) in enumerate(explanation.features, start=1):
             explanation_rows.append((doc.doc_id, label, explanation.fidelity,
                                      position, token, weight))

@@ -72,11 +72,7 @@ class Document:
 
     def text_tokens(self) -> list[str]:
         """All tokens of the text segments, in reading order."""
-        tokens: list[str] = []
-        for segment in self.segments:
-            if segment.kind == TEXT:
-                tokens.extend(tokenize(segment.content))
-        return tokens
+        return self.token_layout()[0]
 
     def formula_segments(self) -> list[tuple[str, Segment]]:
         """(formula id, segment) pairs in document order.

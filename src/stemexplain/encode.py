@@ -23,6 +23,8 @@ from .errors import ValidationError
 
 # Alphanumeric runs; underscore is a boundary like any other punctuation.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# Matches exactly the characters for which str.isspace() is true.
+_SPACE_RE = re.compile(r"\s")
 
 
 def tokenize(text: str) -> list[str]:
@@ -100,7 +102,7 @@ class TokenStream:
 
     def __post_init__(self):
         for tok in self.tokens:
-            if not tok or any(ch.isspace() for ch in tok):
+            if not tok or _SPACE_RE.search(tok):
                 raise ValidationError(f"bad token {tok!r} in stream for {self.doc_id!r}")
 
     @staticmethod

@@ -1,10 +1,12 @@
 """Gazetteer-based entity linking for text n-grams and formula concepts.
 
-Text linking slides n-gram windows (1..max_n) over the document's text
-tokens and looks each candidate up in an offline gazetteer by exact
-match on a normalized surface form; candidates consisting entirely of
-stopwords are never linked.  Formula-concept linking searches a fixed
-token window before and after each formula and records a signed rank:
+One matcher serves both linkers: it slides n-gram windows (1..max_n)
+over a token list and looks each candidate up in an offline gazetteer
+by exact match on a normalized surface form; candidates consisting
+entirely of stopwords are never linked.  Text linking runs it over the
+document's text tokens, optionally on their lemmas (each token is
+lemmatized once).  Formula-concept linking runs it over a fixed token
+window before and after each formula and records a signed rank:
 positive distances sit before the formula, negative distances after.
 
 Evaluation compares produced links against gold relevance judgments
@@ -17,6 +19,7 @@ the mode covers any non-stopword token of the tuple.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .corpus import Document, GoldAnnotations
@@ -110,6 +113,25 @@ class EntityLink:
     lemmatized: bool
 
 
+def _gazetteer_hits(tokens: list[str], forms: list[str], gazetteer: Gazetteer, max_n: int,
+                    stopwords: frozenset[str]) -> list[tuple[int, int, str, GazetteerEntry]]:
+    """(start, length, form, entry) for every n-gram whose form is a gazetteer key.
+
+    ``forms[i]`` is the lookup form of ``tokens[i]``; an n-gram's form is
+    its token forms space-joined.  N-grams made up entirely of stopword
+    tokens are skipped.  Hits come in ``generate_ngrams`` order.
+    """
+    hits = []
+    for start, gram in generate_ngrams(tokens, max_n):
+        if all(t in stopwords for t in gram):
+            continue
+        form = " ".join(forms[start:start + len(gram)])
+        entry = gazetteer.entries.get(form)
+        if entry is not None:
+            hits.append((start, len(gram), form, entry))
+    return hits
+
+
 def link_text_entities(doc: Document, gazetteer: Gazetteer, max_n: int = 3,
                        lemmatized: bool = False,
                        stopwords: frozenset[str] | None = None) -> list[EntityLink]:
@@ -121,18 +143,11 @@ def link_text_entities(doc: Document, gazetteer: Gazetteer, max_n: int = 3,
     """
     words = STOPWORDS if stopwords is None else stopwords
     tokens = doc.text_tokens()
-    links = []
-    for start, gram in generate_ngrams(tokens, max_n):
-        if all(t in words for t in gram):
-            continue
-        form_tokens = [lemmatize(t) for t in gram] if lemmatized else list(gram)
-        form = " ".join(form_tokens)
-        entry = gazetteer.entries.get(form)
-        if entry is None:
-            continue
-        links.append(EntityLink(doc.doc_id, start, len(gram), " ".join(gram), form,
-                                entry.title, entry.item_id, gazetteer.source, lemmatized))
-    return links
+    forms = [lemmatize(t) for t in tokens] if lemmatized else tokens
+    return [EntityLink(doc.doc_id, start, length, " ".join(tokens[start:start + length]),
+                       form, entry.title, entry.item_id, gazetteer.source, lemmatized)
+            for start, length, form, entry in _gazetteer_hits(tokens, forms, gazetteer,
+                                                              max_n, words)]
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +184,12 @@ class ModeCounts:
     fn: int = 0
     tn: int = 0
     excluded: int = 0
+
+    @staticmethod
+    def from_marks(marks) -> "ModeCounts":
+        """Tally TP/FP/FN/TN/EXCL marks."""
+        tally = Counter(marks)
+        return ModeCounts(tally["TP"], tally["FP"], tally["FN"], tally["TN"], tally["EXCL"])
 
     def evaluated(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
@@ -256,7 +277,7 @@ def evaluate_linking(links: list[EntityLink], gold: GoldAnnotations,
         if normalize_surface(link.surface) not in tuples:
             raise ValidationError(f"no gold relevance for linked n-gram {link.surface!r}")
 
-    counts = {mode.name: {v: ModeCounts() for v in VARIANTS} for mode in modes}
+    counts = {mode.name: {} for mode in modes}
     assignments = {mode.name: {v: {} for v in VARIANTS} for mode in modes}
     for mode in modes:
         for variant in VARIANTS:
@@ -265,7 +286,6 @@ def evaluate_linking(links: list[EntityLink], gold: GoldAnnotations,
             by_surface: dict[str, list[EntityLink]] = {}
             for link in mode_links:
                 by_surface.setdefault(normalize_surface(link.surface), []).append(link)
-            tally = counts[mode.name][variant]
             marks = assignments[mode.name][variant]
             for ngram, relevance in tuples.items():
                 linked = [l for l in by_surface.get(ngram, ())
@@ -281,16 +301,7 @@ def evaluate_linking(links: list[EntityLink], gold: GoldAnnotations,
                     covered = _half_covered(ngram, mode_links, mode.field, words)
                     mark = "EXCL" if covered else "FN"
                 marks[ngram] = mark
-                if mark == "TP":
-                    tally.tp += 1
-                elif mark == "FP":
-                    tally.fp += 1
-                elif mark == "FN":
-                    tally.fn += 1
-                elif mark == "TN":
-                    tally.tn += 1
-                else:
-                    tally.excluded += 1
+            counts[mode.name][variant] = ModeCounts.from_marks(marks.values())
     return LinkEvalReport(counts, assignments, len(tuples))
 
 
@@ -359,18 +370,13 @@ def link_formula_concepts(doc: Document, gazetteer: Gazetteer, window: int = 10,
             (after, lambda start: -(start + 1)),
         )
         for side_tokens, rank_of in sides:
-            for start, gram in generate_ngrams(side_tokens, max_n):
-                if all(t in words for t in gram):
-                    continue
-                form = " ".join(gram)
-                entry = gazetteer.entries.get(form)
-                if entry is None:
-                    continue
+            for start, length, form, entry in _gazetteer_hits(side_tokens, side_tokens,
+                                                              gazetteer, max_n, words):
                 rank: int | None = rank_of(start)
                 score = gold_scores.get(fid, {}).get(form) if gold else None
                 if score == 0:
                     rank = None
-                links.append(FormulaConceptLink(doc.doc_id, fid, form, len(gram), rank,
+                links.append(FormulaConceptLink(doc.doc_id, fid, form, length, rank,
                                                 score, entry.title, entry.item_id,
                                                 gazetteer.source))
     return links

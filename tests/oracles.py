@@ -4,7 +4,8 @@ Everything here is deliberately written on a different code path than the
 library: mpmath arbitrary precision instead of numpy floats, plain dicts
 instead of sparse vectors, math.log instead of vectorized idf.  Expected
 values asserted elsewhere were frozen from these oracles, not from the
-implementation under test.
+implementation under test.  The two linkers are the per-n-gram loops the
+library used before both linkers shared one gazetteer matcher.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from __future__ import annotations
 import math
 
 import mpmath
+
+from stemexplain.encode import STOPWORDS, lemmatize
+from stemexplain.linker import EntityLink, FormulaConceptLink, generate_ngrams, normalize_surface
 
 mpmath.mp.dps = 40
 
@@ -89,3 +93,55 @@ def argmax_predictions(weights, bias, classes, vectors) -> list[str]:
                 best, best_score = c, score
         predictions.append(classes[best])
     return predictions
+
+
+def link_text_entities(doc, gazetteer, max_n=3, lemmatized=False, stopwords=None):
+    """Exact-match n-gram linking, lemmatizing every token of every n-gram."""
+    words = STOPWORDS if stopwords is None else stopwords
+    tokens = doc.text_tokens()
+    links = []
+    for start, gram in generate_ngrams(tokens, max_n):
+        if all(t in words for t in gram):
+            continue
+        form_tokens = [lemmatize(t) for t in gram] if lemmatized else list(gram)
+        form = " ".join(form_tokens)
+        entry = gazetteer.entries.get(form)
+        if entry is None:
+            continue
+        links.append(EntityLink(doc.doc_id, start, len(gram), " ".join(gram), form,
+                                entry.title, entry.item_id, gazetteer.source, lemmatized))
+    return links
+
+
+def link_formula_concepts(doc, gazetteer, window=10, max_n=3, gold=None, stopwords=None):
+    """Gazetteer phrases within +-window tokens of each formula, with signed ranks."""
+    words = STOPWORDS if stopwords is None else stopwords
+    tokens, positions = doc.token_layout()
+    gold_scores = {}
+    if gold:
+        gold_scores = {fid: {normalize_surface(p): s for p, s in phrases.items()}
+                       for fid, phrases in gold.concept_relevance.items()}
+    links = []
+    for fid, position in positions:
+        before = tokens[max(0, position - window):position]
+        after = tokens[position:position + window]
+        sides = (
+            (before, lambda start: len(before) - start),
+            (after, lambda start: -(start + 1)),
+        )
+        for side_tokens, rank_of in sides:
+            for start, gram in generate_ngrams(side_tokens, max_n):
+                if all(t in words for t in gram):
+                    continue
+                form = " ".join(gram)
+                entry = gazetteer.entries.get(form)
+                if entry is None:
+                    continue
+                rank = rank_of(start)
+                score = gold_scores.get(fid, {}).get(form) if gold else None
+                if score == 0:
+                    rank = None
+                links.append(FormulaConceptLink(doc.doc_id, fid, form, len(gram), rank,
+                                                score, entry.title, entry.item_id,
+                                                gazetteer.source))
+    return links

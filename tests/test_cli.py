@@ -113,6 +113,45 @@ class TestLogregValidation:
         assert stderr_record(err)["message"] == "unknown config key: logreg.step"
 
 
+class TestSettingsValidation:
+    @pytest.mark.parametrize("stage, section, key, value", [
+        ("explain", "explain", "top_m", "a"),
+        ("mathel", "linker", "window", 2.5),
+        ("explain", "lime", "num_samples", 0),
+        ("link", "linker", "max_n", 0),
+        ("mathel", "linker", "window", True),
+        ("explain", "explain", "budget", 0),
+        ("explain", "explain", "num_samples", -3),
+        ("explain", "explain", "source_top_k", False),
+        ("explain", "lime", "top_k", 0),
+        ("explain", "lime", "top_k", 1.5),
+        ("explain", "lime", "ridge", -1.0),
+        ("explain", "lime", "ridge", float("nan")),
+        ("explain", "lime", "kernel_width", 0),
+        ("explain", "lime", "kernel_width", "wide"),
+    ])
+    def test_bad_value_exits_2_before_writing(self, capsys, tmp_path, stage, section,
+                                              key, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seed": 1, section: {key: value}}), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, stage, "-c", str(path), "--out-dir", str(out_dir))
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        record = stderr_record(err)
+        assert record["error"] == "ConfigError"
+        assert f"{section}.{key}" in record["message"]
+        assert not out_dir.exists()
+
+    def test_null_top_k_and_kernel_width_accepted(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"seed": 1, "lime": {"top_k": null, "kernel_width": null}}',
+                        encoding="utf-8")
+        config = load_config(str(path), {})
+        assert config["lime"]["top_k"] is None
+        assert config["lime"]["kernel_width"] is None
+
+
 class TestConfigDigest:
     def test_out_dir_does_not_participate(self):
         a = load_config(None, {"seed": 1, "out_dir": "here"})
@@ -303,6 +342,34 @@ class TestStages:
         assert sorted(p.name for p in out_dir.iterdir()) == [
             "classify.tsv", "classify_manifest.json", "classify_model.json",
             "classify_predictions.tsv"]
+
+    def test_link_counts_unjudged_links_of_a_gold_document(self, capsys, tmp_path):
+        record = {"id": "d1", "arxiv": ["math.AP"], "msc": [],
+                  "segments": [{"kind": "text",
+                                "content": "the wave function and the metric tensor"}],
+                  "gold": {"entity_relevance": {"wave function": 1},
+                           "entity_targets": {"wave function": {"title": "Wave_function"}}}}
+        (tmp_path / "corpus.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+        (tmp_path / "gaz.tsv").write_text(
+            "wave function\tWave_function\nmetric tensor\tMetric_tensor\n", encoding="utf-8")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seed": 1, "corpus": "corpus.jsonl",
+                                    "linker": {"gazetteers": {"wikidump": "gaz.tsv"}}}),
+                        encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, _, _ = run(capsys, "link", "-c", str(path), "--out-dir", str(out_dir))
+        assert code == 0
+        lines = (out_dir / "link_eval.tsv").read_text(encoding="utf-8").splitlines()
+        header = lines[0].split("\t")
+        rows = {(r["mode"], r["variant"]): r
+                for r in (dict(zip(header, line.split("\t"))) for line in lines[1:])}
+        for variant in ("unlemmatized", "lemmatized"):
+            # "metric tensor" links but has no judgment; "wave function" is a TP
+            for mode in ("eval1", "eval2"):
+                assert rows[mode, variant]["unjudged"] == "1"
+                assert rows[mode, variant]["tp"] == "1"
+            for mode in ("eval3", "eval4", "eval5", "eval6"):
+                assert rows[mode, variant]["unjudged"] == "0"
 
 
 def test_cli_import_leaves_scipy_unloaded():

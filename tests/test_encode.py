@@ -122,6 +122,11 @@ class TestTokenStream:
         with pytest.raises(ValidationError):
             TokenStream.of("d", ["two words"])
 
+    @pytest.mark.parametrize("token", ["a\u00a0b", "a\u2003b", "a\u3000b", "a\x1cb"])
+    def test_rejects_unicode_whitespace_token(self, token):
+        with pytest.raises(ValidationError):
+            TokenStream.of("d", ["ok", token])
+
 
 class TestSparseVector:
     def test_rejects_unsorted_indices(self):

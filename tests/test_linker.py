@@ -1,8 +1,11 @@
 """Gazetteer lookup, text/formula linking, and confusion-table evaluation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stemexplain.corpus import GoldAnnotations, record_to_document
+from stemexplain.encode import lemmatize
 from stemexplain.errors import DomainError, ParseError, ValidationError
 from stemexplain.linker import (DEFAULT_EVAL_MODES, LEMMATIZED, UNLEMMATIZED,
                                 EntityLink, EvalMode, FormulaConceptLink,
@@ -10,6 +13,8 @@ from stemexplain.linker import (DEFAULT_EVAL_MODES, LEMMATIZED, UNLEMMATIZED,
                                 link_formula_concepts, link_text_entities,
                                 load_gazetteer, mathel_coverage_report,
                                 merge_concept_links, normalize_surface)
+
+from . import oracles
 
 
 def text_doc(content, doc_id="d1"):
@@ -371,3 +376,55 @@ class TestCoverageReport:
     def test_empty_gold_rejected(self):
         with pytest.raises(DomainError):
             mathel_coverage_report([], GoldAnnotations())
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the per-n-gram reference loops
+
+WORDS = ["the", "of", "a", "is", "wave", "waves", "function", "functions",
+         "field", "fields", "matrix", "matrices"]
+_words = st.sampled_from(WORDS)
+_phrases = st.lists(_words, min_size=1, max_size=4).map(" ".join)
+
+
+@st.composite
+def linking_case(draw):
+    """A document of text and formula segments, a gazetteer, and formula gold."""
+    segments, fids = [], []
+    for text in draw(st.lists(st.one_of(st.none(), _phrases), max_size=8)):
+        if text is None:
+            fids.append(f"f{len(fids)}")
+            segments.append({"kind": "formula", "fid": fids[-1],
+                             "content": "<math><mi>x</mi></math>"})
+        else:
+            segments.append({"kind": "text", "content": text})
+    doc = record_to_document({"id": "d", "arxiv": [], "msc": [], "segments": segments})
+    surfaces = draw(st.lists(_phrases, max_size=8))
+    # Stretches of the text itself, as written and lemmatized, make hits likely.
+    tokens = doc.text_tokens()
+    for start, length, lemmas in draw(st.lists(
+            st.tuples(st.integers(0, 40), st.integers(1, 4), st.booleans()), max_size=6)):
+        gram = tokens[start:start + length]
+        if gram:
+            surfaces.append(" ".join(lemmatize(t) for t in gram) if lemmas else " ".join(gram))
+    targets = st.sampled_from(["Q7", "Some_title"])
+    gazetteer = Gazetteer.from_pairs("src", [(s, draw(targets)) for s in surfaces])
+    scores = st.dictionaries(_phrases, st.integers(0, 2), max_size=4)
+    gold = GoldAnnotations(concept_relevance={fid: draw(scores) for fid in fids})
+    return doc, gazetteer, gold
+
+
+class TestMatcherEquivalence:
+    @given(linking_case(), st.integers(1, 4), st.integers(1, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_links_equal_reference_loops(self, case, max_n, window):
+        doc, gazetteer, gold = case
+        for lemmatized in (False, True):
+            assert (link_text_entities(doc, gazetteer, max_n=max_n, lemmatized=lemmatized)
+                    == oracles.link_text_entities(doc, gazetteer, max_n=max_n,
+                                                  lemmatized=lemmatized))
+        for formula_gold in (None, gold):
+            assert (link_formula_concepts(doc, gazetteer, window=window, max_n=max_n,
+                                          gold=formula_gold)
+                    == oracles.link_formula_concepts(doc, gazetteer, window=window,
+                                                     max_n=max_n, gold=formula_gold))
