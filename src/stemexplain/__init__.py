@@ -7,39 +7,47 @@ vector encoding, formula identifier extraction, distribution statistics,
 category classification, identifier augmentation and ablation experiments,
 gazetteer entity linking, and surrogate explanations.  The cli module ties
 them together behind one executable.
+
+Importing the package loads none of these modules.  Each public name in
+``__all__`` resolves on first access through the module ``__getattr__``
+(PEP 562), which imports its home module then.  So ``import stemexplain``
+and a stage process that never fits a model do not pay for numpy, which only
+``classify`` and ``explain`` import.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .corpus import (Document, GoldAnnotations, IdentifierOccurrence, Segment,
-                     document_identifiers, load_corpus, parse_corpus_text,
-                     save_corpus)
-from .encode import (SparseVector, TfIdfModel, TokenStream, fit_tfidf,
-                     lemmatize, tokenize, transform)
-from .errors import (DomainError, ParseError, ToolkitError, TrainingError,
-                     ValidationError)
-from .formulas import extract_identifiers
-from .stats import (CountDistribution, build_cooccurrence,
-                    build_distribution_library, margin_uncertainty,
-                    shannon_entropy)
-from .classify import LogRegModel, predict_categories, train_logreg
-from .linker import (Gazetteer, evaluate_linking, link_formula_concepts,
-                     link_text_entities)
-from .explain import build_entropy_report, compute_rankings, lime_explain
+# Public name -> the submodule that defines it.
+_HOMES = {
+    **dict.fromkeys(("Document", "GoldAnnotations", "IdentifierOccurrence", "Segment",
+                     "document_identifiers", "load_corpus", "parse_corpus_text",
+                     "save_corpus"), "corpus"),
+    **dict.fromkeys(("SparseVector", "TfIdfModel", "TokenStream", "fit_tfidf",
+                     "lemmatize", "tokenize", "transform"), "encode"),
+    **dict.fromkeys(("DomainError", "ParseError", "ToolkitError", "TrainingError",
+                     "ValidationError"), "errors"),
+    "extract_identifiers": "formulas",
+    **dict.fromkeys(("CountDistribution", "build_cooccurrence",
+                     "build_distribution_library", "margin_uncertainty",
+                     "shannon_entropy"), "stats"),
+    **dict.fromkeys(("LogRegModel", "predict_categories", "train_logreg"), "classify"),
+    **dict.fromkeys(("Gazetteer", "evaluate_linking", "link_formula_concepts",
+                     "link_text_entities"), "linker"),
+    **dict.fromkeys(("build_entropy_report", "compute_rankings", "lime_explain"),
+                    "explain"),
+}
 
-__all__ = [
-    "__version__",
-    "Document", "GoldAnnotations", "IdentifierOccurrence", "Segment",
-    "document_identifiers", "load_corpus", "parse_corpus_text", "save_corpus",
-    "SparseVector", "TfIdfModel", "TokenStream", "fit_tfidf", "lemmatize",
-    "tokenize", "transform",
-    "DomainError", "ParseError", "ToolkitError", "TrainingError",
-    "ValidationError",
-    "extract_identifiers",
-    "CountDistribution", "build_cooccurrence", "build_distribution_library",
-    "margin_uncertainty", "shannon_entropy",
-    "LogRegModel", "predict_categories", "train_logreg",
-    "Gazetteer", "evaluate_linking", "link_formula_concepts",
-    "link_text_entities",
-    "build_entropy_report", "compute_rankings", "lime_explain",
-]
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{home}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

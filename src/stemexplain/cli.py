@@ -18,6 +18,14 @@ converging prints {"warning": "ConvergenceWarning", "stage", "iterations",
 Relative file paths inside a config file resolve against the config file's
 directory; paths given on the command line resolve against the working
 directory.
+
+Each stage runs in its own process, so imports are part of every stage's
+cost.  This module imports only the numpy-free modules at its top (corpus,
+encode, errors, stats, linker).  The five stages that fit models
+(correspond, classify, augment, ablate, explain) import classify, augment and
+explain, and with them numpy, inside their own bodies; synth is imported only
+by the synth stage and for the ``@demo`` corpus.  So ingest, stats, link,
+mathel, plotdata and report never load numpy.
 """
 
 from __future__ import annotations
@@ -32,16 +40,10 @@ import warnings
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from . import augment as augment_mod
-from . import explain as explain_mod
 from . import linker as linker_mod
-from . import synth as synth_mod
-from .augment import build_math_streams
-from .classify import (classifier_label_map, derive_seed, fit_split_model,
-                       labeled_documents, predict_categories, predict_labels,
-                       stratified_split, subset_accuracy)
 from .corpus import (Document, GoldAnnotations, corpus_to_text,
                      document_identifiers, load_corpus, save_corpus)
 from .encode import STOPWORDS, TokenStream, lemmatize_stream, remove_stopwords
@@ -49,6 +51,9 @@ from .errors import ConvergenceWarning, ParseError, ToolkitError, ValidationErro
 from .stats import (argmax_predict, build_cooccurrence,
                     build_distribution_library, compare_predictions,
                     entropy_summary, uncertainty_report)
+
+if TYPE_CHECKING:
+    from .augment import ConceptCategoryMap, SymbolNameSource
 
 TOOL_NAME = "stemexplain"
 
@@ -232,6 +237,9 @@ def _check_settings(config: dict) -> None:
     width = lime["kernel_width"]
     if width is not None and (not _is_number(width) or width <= 0):
         raise ConfigError("lime.kernel_width must be null or a number > 0")
+    top_ks = config["augment"]["top_k"]
+    if not isinstance(top_ks, list) or not top_ks or not all(map(_is_count, top_ks)):
+        raise ConfigError("augment.top_k must be a non-empty list of integers >= 1")
 
 
 def config_digest(config: dict) -> str:
@@ -272,7 +280,9 @@ def _load_input(ref: str, what: str, load):
 def _resolve_corpus(config: dict) -> tuple[list[Document], str]:
     ref = config["corpus"]
     if ref == "@demo":
-        docs = synth_mod.demo_corpus()
+        from .synth import demo_corpus
+
+        docs = demo_corpus()
         return docs, _digest_bytes(corpus_to_text(docs).encode("utf-8"))
     return _load_input(ref, "corpus", load_corpus)
 
@@ -296,19 +306,30 @@ def _load_gazetteers(config: dict) -> tuple[dict[str, linker_mod.Gazetteer], dic
     return gazetteers, digests
 
 
-def _load_source(config: dict, tag: str) -> tuple[augment_mod.SymbolNameSource, str]:
+def _load_source(config: dict, tag: str) -> tuple[SymbolNameSource, str]:
+    from .augment import load_symbol_source
+
     ref = config["augment"]["sources"].get(tag)
     if ref is None:
         raise ConfigError(f"augment.sources has no entry {tag!r}")
-    return _load_input(ref, "symbol source",
-                       lambda path: augment_mod.load_symbol_source(path, tag))
+    return _load_input(ref, "symbol source", lambda path: load_symbol_source(path, tag))
 
 
-def _load_concept_map(config: dict) -> tuple[augment_mod.ConceptCategoryMap, str]:
+def _load_concept_map(config: dict) -> tuple[ConceptCategoryMap, str]:
+    from .augment import load_concept_map
+
     ref = config["augment"]["concept_map"]
     if ref is None:
         raise ConfigError("augment.concept_map is required for this stage")
-    return _load_input(ref, "concept map", augment_mod.load_concept_map)
+    return _load_input(ref, "concept map", load_concept_map)
+
+
+def build_math_streams(docs: list[Document], source: SymbolNameSource, top_k: int,
+                       concept_map: ConceptCategoryMap | None) -> dict[str, list[str]]:
+    """``augment.build_math_streams``, imported only when a stage calls it."""
+    from .augment import build_math_streams
+
+    return build_math_streams(docs, source, top_k, concept_map)
 
 
 def _write_manifest(stage: str, config: dict, out_dir: Path,
@@ -336,6 +357,8 @@ def stage_synth(config: dict, out_dir: Path) -> list[str]:
     manifest; the emitted config uses paths relative to the output
     directory and works from anywhere.
     """
+    from . import synth as synth_mod
+
     docs = synth_mod.demo_corpus()
     save_corpus(docs, out_dir / "demo_corpus.jsonl")
     outputs = ["demo_corpus.jsonl"]
@@ -410,6 +433,8 @@ def stage_stats(config: dict, out_dir: Path) -> list[str]:
 
 
 def stage_correspond(config: dict, out_dir: Path) -> list[str]:
+    from .classify import classifier_label_map, predict_categories
+
     docs, corpus_digest = _resolve_corpus(config)
     matrix = build_cooccurrence(docs)
     header = ["arxiv\\msc"] + list(matrix.col_labels)
@@ -465,6 +490,9 @@ def stage_correspond(config: dict, out_dir: Path) -> list[str]:
 
 
 def stage_classify(config: dict, out_dir: Path) -> list[str]:
+    from .classify import (derive_seed, fit_split_model, labeled_documents, predict_labels,
+                           stratified_split, subset_accuracy)
+
     docs, corpus_digest = _resolve_corpus(config)
     kept, labels, skipped = labeled_documents(docs, config["class_axis"])
     streams = [_encoded_stream(doc, config) for doc in kept]
@@ -506,6 +534,8 @@ def stage_classify(config: dict, out_dir: Path) -> list[str]:
 
 
 def stage_augment(config: dict, out_dir: Path) -> list[str]:
+    from . import augment as augment_mod
+
     docs, corpus_digest = _resolve_corpus(config)
     inputs = {"corpus": corpus_digest}
     sources = []
@@ -515,12 +545,8 @@ def stage_augment(config: dict, out_dir: Path) -> list[str]:
         inputs[f"source:{tag}"] = digest
     if not sources:
         raise ConfigError("augment.sources is empty")
-    top_ks = config["augment"]["top_k"]
-    if (not isinstance(top_ks, list) or not top_ks
-            or not all(isinstance(k, int) and k >= 1 for k in top_ks)):
-        raise ConfigError("augment.top_k must be a non-empty list of positive integers")
     report = augment_mod.run_augmentation_experiment(
-        docs, sources, top_ks, seed=config["seed"],
+        docs, sources, config["augment"]["top_k"], seed=config["seed"],
         class_axis=config["class_axis"],
         test_fraction=config["split"]["test_fraction"], **config["logreg"])
     rows = [("baseline", "text_only", "", report.text_only),
@@ -547,6 +573,8 @@ def stage_augment(config: dict, out_dir: Path) -> list[str]:
 
 
 def stage_ablate(config: dict, out_dir: Path) -> list[str]:
+    from . import augment as augment_mod
+
     docs, corpus_digest = _resolve_corpus(config)
     concept_map, map_digest = _load_concept_map(config)
     report = augment_mod.run_ablation_experiment(
@@ -696,6 +724,9 @@ def stage_explain(config: dict, out_dir: Path) -> list[str]:
     same streams the ranker explains) rather than the encode settings,
     so surrogate features always line up with the model vocabulary.
     """
+    from . import explain as explain_mod
+    from .classify import derive_seed, fit_split_model, labeled_documents, stratified_split
+
     docs, corpus_digest = _resolve_corpus(config)
     inputs = {"corpus": corpus_digest}
     source_tag = config["explain"]["source"]

@@ -15,11 +15,25 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .augment import ConceptCategoryMap, SymbolNameSource
 from .corpus import FORMULA, TEXT, Document, GoldAnnotations, Segment
 from .errors import ValidationError
 from .linker import Gazetteer
+
+if TYPE_CHECKING:
+    from .augment import ConceptCategoryMap, SymbolNameSource
+
+
+def __getattr__(name: str):
+    # Fixture builders reach augment's two fixture classes through this module.
+    # augment imports numpy, so they are looked up on first use and the demo
+    # corpus stays free of numpy.
+    if name in ("ConceptCategoryMap", "SymbolNameSource"):
+        from . import augment
+
+        return getattr(augment, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -206,6 +220,8 @@ def demo_symbol_sources() -> list[SymbolNameSource]:
     while larger ones pull in misleading names.  Shared symbols rank
     neutral gloss words that appear in no document text.
     """
+    from .augment import SymbolNameSource
+
     config = DEMO_CONFIG
     n = len(config.classes)
     sources = []
@@ -225,6 +241,8 @@ def demo_symbol_sources() -> list[SymbolNameSource]:
 
 
 def demo_concept_map() -> ConceptCategoryMap:
+    from .augment import ConceptCategoryMap
+
     mapping = {}
     for class_index, cls in enumerate(DEMO_CONFIG.classes):
         for phrase in concept_phrases(DEMO_CONFIG, class_index):

@@ -1,5 +1,6 @@
 """Command-line behavior: config handling, exit codes, stage outputs."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -129,6 +130,11 @@ class TestSettingsValidation:
         ("explain", "lime", "ridge", float("nan")),
         ("explain", "lime", "kernel_width", 0),
         ("explain", "lime", "kernel_width", "wide"),
+        ("augment", "augment", "top_k", [True]),
+        ("augment", "augment", "top_k", []),
+        ("augment", "augment", "top_k", [0]),
+        ("augment", "augment", "top_k", [2.5]),
+        ("augment", "augment", "top_k", "3"),
     ])
     def test_bad_value_exits_2_before_writing(self, capsys, tmp_path, stage, section,
                                               key, value):
@@ -372,9 +378,75 @@ class TestStages:
                 assert rows[mode, variant]["unjudged"] == "0"
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    code = "import sys, stemexplain.cli; print('scipy' in sys.modules)"
+def _python(code: str, *argv: str) -> subprocess.CompletedProcess:
     src = str(Path(stemexplain.__file__).resolve().parents[1])
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    result = _python("import sys, stemexplain.cli; print('scipy' in sys.modules)")
+    assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+# Runs one stage through cli.main, then reports whether numpy was loaded.
+_STAGE_PROBE = ("import sys\n"
+                "from stemexplain.cli import main\n"
+                "code = main(sys.argv[1:])\n"
+                "print('numpy' in sys.modules)\n"
+                "sys.exit(code)\n")
+
+
+def _stage_loads_numpy(*argv: str) -> bool:
+    result = _python(_STAGE_PROBE, *argv)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("module", ["stemexplain", "stemexplain.cli"])
+def test_import_leaves_numpy_unloaded(module):
+    result = _python(f"import sys, {module}; print('numpy' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_demo_corpus_stage_leaves_numpy_unloaded(tmp_path):
+    assert not _stage_loads_numpy("ingest", "--corpus", "@demo", "--seed", "1",
+                                  "--out-dir", str(tmp_path / "out"))
+
+
+def test_light_stage_processes_leave_numpy_unloaded(capsys, tmp_path):
+    fixtures, out_dir = tmp_path / "fixtures", tmp_path / "out"
+    synth = _python(_STAGE_PROBE, "synth", "--seed", "1", "--out-dir", str(fixtures))
+    assert synth.returncode == 0, synth.stderr
+    common = ("-c", str(fixtures / "demo_config.json"), "--out-dir", str(out_dir))
+    light = ("ingest", "stats", "link", "mathel", "plotdata", "report")
+    for argv in (("ingest",), ("stats",), ("correspond",), ("classify",), ("augment",),
+                 ("ablate",), ("link",), ("mathel",), ("explain",),
+                 ("plotdata", "--which", "symbol-name-distribution"),
+                 ("plotdata", "--which", "entropy-table"), ("report",)):
+        if argv[0] in light:
+            assert not _stage_loads_numpy(*argv, *common), argv
+        else:  # a fitting stage; it only has to leave its outputs behind
+            assert run(capsys, *argv, *common)[0] == 0, argv
+    assert (out_dir / "manifest.json").is_file()
+
+
+class TestLazyPackage:
+    def test_every_public_name_resolves_to_its_home_object(self):
+        for name in stemexplain.__all__:
+            value = getattr(stemexplain, name)
+            if name == "__version__":
+                assert value == "0.1.0"
+                continue
+            home = importlib.import_module(value.__module__)
+            assert getattr(home, name) is value, name
+
+    def test_dir_lists_every_public_name(self):
+        assert set(stemexplain.__all__) <= set(dir(stemexplain))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            stemexplain.no_such_name  # noqa: B018
+        assert not hasattr(stemexplain, "no_such_name")
