@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 # train_logreg is re-exported: bench/tracing.py patches the trainer under
 # this module's name too.
-from .classify import (derive_seed, fit_split_model, labeled_documents,  # noqa: F401
-                       stratified_split, subset_accuracy, train_logreg)
+from .classify import (derive_seed, fit_split_model, held_out_accuracy,  # noqa: F401
+                       labeled_documents, stratified_split, train_logreg)
 from .corpus import Document, document_identifiers
 from .encode import TokenStream, tokenize
 from .errors import ParseError, ValidationError
@@ -227,7 +227,7 @@ def run_augmentation_experiment(documents: list[Document], sources: list[SymbolN
 
     def cell_accuracy(streams):
         _, vectors, model = fit_split_model(streams, labels, train_idx, seed, **train_kwargs)
-        return subset_accuracy(model, vectors, labels, test_idx or train_idx)
+        return held_out_accuracy(model, vectors, labels, train_idx, test_idx)[0]
 
     cells = []
     for source in sources:
@@ -308,7 +308,7 @@ def run_ablation_experiment(documents: list[Document], concept_map: ConceptCateg
         if mode == TEXT_MODE:
             text_volume = volume
         _, vectors, model = fit_split_model(streams, labels, train_idx, seed, **train_kwargs)
-        accuracy = subset_accuracy(model, vectors, labels, test_idx or train_idx)
+        accuracy = held_out_accuracy(model, vectors, labels, train_idx, test_idx)[0]
         cost = volume / text_volume if text_volume else 0.0
         rows.append(AblationRow(mode, accuracy, cost))
     return AblationReport(class_axis, tuple(rows), tuple(violations),

@@ -1,15 +1,18 @@
 """Multinomial logistic regression over sparse tf-idf vectors.
 
 Training minimizes L2-regularized multinomial cross-entropy, starting
-from zero weights.  The default solver is limited-memory BFGS (Liu &
-Nocedal 1989): a two-loop recursion over the last few curvature pairs
-gives the search direction and an Armijo backtracking line search the
-step length.  The former fixed-step full-batch gradient descent
-remains as ``solver="gd"``, the reference the tests measure L-BFGS
-against.  Both are deterministic, so the same data, hyperparameters,
-and seed always reproduce bit-identical weights.
-Multi-label documents are handled by expansion into repeated
-single-label instances that share one feature vector.
+from zero weights, with limited-memory BFGS (Liu & Nocedal 1989): a
+two-loop recursion over the last few curvature pairs gives the search
+direction and an Armijo backtracking line search the step length.  It
+is the only solver; the former fixed-step gradient descent lives in
+``tests/oracles.py`` as the reference the tests measure L-BFGS against.
+The fit is deterministic, so the same data, hyperparameters, and seed
+always reproduce bit-identical weights.
+
+Every model is fitted through ``fit_split_model``: tf-idf on the
+training rows, then the classifier on their vectors.  Multi-label
+documents become one single-label instance per label, each carrying
+the document's token stream.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .corpus import Document, axis_labels, primary_label
 from .encode import SparseVector, TfIdfModel, TokenStream, fit_tfidf, transform, transform_all
-from .errors import ConvergenceWarning, DomainError, TrainingError, ValidationError
+from .errors import ConvergenceWarning, DomainError, ValidationError
 
 LBFGS_HISTORY = 5  # curvature pairs kept by L-BFGS; each holds two parameter vectors
 ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
@@ -113,32 +116,6 @@ def _dense(vectors: list[SparseVector], dim: int) -> np.ndarray:
     return x
 
 
-def _gradient_descent(x, y, weights, bias, l2, step, max_iterations, tolerance):
-    """Fixed-step descent, updating ``weights`` and ``bias`` in place.
-
-    Returns (loss, gradient norm, iterations, converged); the loss and
-    gradient are those of the last evaluation, which precedes the last
-    step when the iteration cap is hit.
-    """
-    previous = math.inf
-    loss = previous
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iterations + 1):
-        loss, grad_w, grad_b = loss_and_gradient(weights, bias, x, y, l2)
-        if not math.isfinite(loss):
-            raise TrainingError(f"loss diverged at iteration {iterations}")
-        if abs(previous - loss) < tolerance:
-            converged = True
-            break
-        weights -= step * grad_w
-        bias -= step * grad_b
-        previous = loss
-    grad_norm = (math.sqrt(float((grad_w ** 2).sum() + (grad_b ** 2).sum()))
-                 if iterations else math.nan)
-    return loss, grad_norm, iterations, converged
-
-
 def _lbfgs(x, y, weights, bias, l2, max_iterations, tolerance):
     """Limited-memory BFGS, writing the solution into ``weights`` and ``bias``.
 
@@ -213,19 +190,16 @@ def _lbfgs(x, y, weights, bias, l2, max_iterations, tolerance):
     return loss, float(np.linalg.norm(grad)), iterations, converged
 
 
-def train_logreg(data: LabeledDataset, l2: float = 1e-4, step: float = 0.5,
-                 max_iterations: int = 500, tolerance: float = 1e-6,
-                 seed: int = 0, solver: str = "lbfgs") -> LogRegModel:
-    """Fit the classifier with L-BFGS.
+def train_logreg(data: LabeledDataset, l2: float = 1e-4, max_iterations: int = 500,
+                 tolerance: float = 1e-6, seed: int = 0) -> LogRegModel:
+    """Fit the classifier with L-BFGS, the only solver.
 
     Starts from zero weights and stops when the loss changes by less
     than ``tolerance`` or after ``max_iterations`` steps; a fit that
-    hits the cap emits a ``ConvergenceWarning``.  ``solver="gd"`` runs
-    fixed-step gradient descent with step size ``step`` instead, as a
-    reference for tests.  Requires at least two distinct labels.
+    hits the cap emits a ``ConvergenceWarning``.  Requires at least two
+    distinct labels.  The fixed-step gradient descent the tests compare
+    against is ``gradient_descent`` in ``tests/oracles.py``.
     """
-    if solver not in ("lbfgs", "gd"):
-        raise ValidationError(f"solver must be 'lbfgs' or 'gd', got {solver!r}")
     classes = data.classes()
     if len(classes) < 2:
         raise ValidationError("training needs at least two distinct labels")
@@ -234,19 +208,14 @@ def train_logreg(data: LabeledDataset, l2: float = 1e-4, step: float = 0.5,
     y = np.array([index_of[label] for label in data.labels], dtype=int)
     weights = np.zeros((len(classes), data.dim), dtype=float)
     bias = np.zeros(len(classes), dtype=float)
-    if solver == "gd":
-        loss, grad_norm, iterations, converged = _gradient_descent(
-            x, y, weights, bias, l2, step, max_iterations, tolerance)
-    else:
-        loss, grad_norm, iterations, converged = _lbfgs(
-            x, y, weights, bias, l2, max_iterations, tolerance)
+    loss, grad_norm, iterations, converged = _lbfgs(
+        x, y, weights, bias, l2, max_iterations, tolerance)
     if not converged:
         warnings.warn(ConvergenceWarning(
-            f"{solver} fit stopped after {iterations} iterations at loss {loss:.6g} "
+            f"lbfgs fit stopped after {iterations} iterations at loss {loss:.6g} "
             f"without converging", iterations, loss), stacklevel=2)
-    metadata = {"solver": solver, "iterations": iterations, "final_loss": loss,
-                "grad_norm": grad_norm, "converged": converged,
-                "l2": l2, "step": step, "seed": seed}
+    metadata = {"solver": "lbfgs", "iterations": iterations, "final_loss": loss,
+                "grad_norm": grad_norm, "converged": converged, "l2": l2, "seed": seed}
     return LogRegModel(classes, weights, bias, metadata)
 
 
@@ -295,11 +264,21 @@ def subset_accuracy(model: LogRegModel, vectors: list[SparseVector], labels: lis
         dim=model.weights.shape[1]))
 
 
+def held_out_accuracy(model: LogRegModel, vectors: list[SparseVector], labels: list[str],
+                      train_idx: list[int], test_idx: list[int]) -> tuple[float, str]:
+    """Accuracy on the test rows, or on the training rows when the split
+    left no test rows; returns (accuracy, "test" or "train")."""
+    if test_idx:
+        return subset_accuracy(model, vectors, labels, test_idx), "test"
+    return subset_accuracy(model, vectors, labels, train_idx), "train"
+
+
 def fit_split_model(streams: list[TokenStream], labels: list[str], train_idx: list[int],
                     seed: int = 0, **train_kwargs) -> tuple[TfIdfModel, list[SparseVector], LogRegModel]:
     """Fit tf-idf and the classifier on the training rows; encode every stream.
 
-    Returns (encoder, one vector per stream, model).
+    The only caller of ``train_logreg`` in the package.  Returns
+    (encoder, one vector per stream, model).
     """
     encoder = fit_tfidf([streams[i] for i in train_idx])
     vectors = transform_all(encoder, streams)
@@ -309,25 +288,7 @@ def fit_split_model(streams: list[TokenStream], labels: list[str], train_idx: li
 
 
 # ---------------------------------------------------------------------------
-# Label expansion and the category-from-category experiment
-
-
-def expand_multilabel(documents: list[Document], axis: str) -> tuple[list[tuple[str, str]], int]:
-    """(doc_id, label) pairs, one per label on the axis.
-
-    A document with k labels yields k instances; unlabeled documents
-    are skipped and counted in the second return value.
-    """
-    pairs = []
-    skipped = 0
-    for doc in documents:
-        labels = axis_labels(doc, axis)
-        if not labels:
-            skipped += 1
-            continue
-        for label in labels:
-            pairs.append((doc.doc_id, label))
-    return pairs, skipped
+# Labels, splits, and the category-from-category experiment
 
 
 def labeled_documents(documents: list[Document], class_axis: str) -> tuple[list[Document], list[str], int]:
@@ -414,22 +375,23 @@ def direction_axes(direction: str) -> tuple[str, str]:
 def predict_categories(documents: list[Document], direction: str,
                        label_mode: str = "single", granularity: str = "fine",
                        seed: int = 0, test_fraction: float = 0.2,
-                       l2: float = 1e-4, max_iterations: int = 500,
-                       tolerance: float = 1e-6) -> CategoryPredictionReport:
+                       **train_kwargs) -> CategoryPredictionReport:
     """Predict one category axis from the other.
 
     The source-axis labels of a document are its token stream (one
-    token per code), tf-idf encoded and classified toward the target
-    axis.  ``label_mode`` "single" keeps the primary target label,
-    "multi" expands every target label into its own instance sharing
-    the document's feature vector.
+    token per code), classified toward the target axis.  ``label_mode``
+    "single" keeps the primary target label; "multi" makes one instance
+    per target label, each with the document's stream.  Instances are
+    split, and tf-idf and the classifier are fitted on the training
+    instances only, so a training document with k labels counts k times
+    in the document frequencies as in the loss.
     """
     source_axis, target_axis = direction_axes(direction)
     if label_mode not in ("single", "multi"):
         raise ValidationError(f"label_mode must be 'single' or 'multi', got {label_mode!r}")
 
     streams = []
-    target_sets = []
+    labels = []
     skipped = 0
     for doc in documents:
         source = [truncate_label(c, source_axis, granularity) for c in axis_labels(doc, source_axis)]
@@ -437,35 +399,19 @@ def predict_categories(documents: list[Document], direction: str,
         if not source or not target:
             skipped += 1
             continue
-        streams.append(TokenStream.of(doc.doc_id, source))
-        target_sets.append(target[:1] if label_mode == "single" else target)
+        stream = TokenStream.of(doc.doc_id, source)
+        for label in (target[:1] if label_mode == "single" else target):
+            streams.append(stream)
+            labels.append(label)
     if not streams:
         raise ValidationError("no document carries labels on both axes")
 
-    encoder = fit_tfidf(streams)
-    doc_vectors = [transform(encoder, s) for s in streams]
-    vectors = []
-    labels = []
-    for vector, targets in zip(doc_vectors, target_sets):
-        for label in targets:
-            vectors.append(vector)
-            labels.append(label)
-
     train_idx, test_idx = stratified_split(labels, test_fraction, derive_seed(seed, "categories", direction))
-    train = LabeledDataset([vectors[i] for i in train_idx], [labels[i] for i in train_idx],
-                           dim=len(encoder.vocabulary))
-    model = train_logreg(train, l2=l2, max_iterations=max_iterations,
-                         tolerance=tolerance, seed=seed)
-    train_accuracy = evaluate_accuracy(model, train)
-    if test_idx:
-        accuracy = subset_accuracy(model, vectors, labels, test_idx)
-        evaluated_on = "test"
-    else:
-        accuracy = train_accuracy
-        evaluated_on = "train"
+    _, vectors, model = fit_split_model(streams, labels, train_idx, seed, **train_kwargs)
+    accuracy, evaluated_on = held_out_accuracy(model, vectors, labels, train_idx, test_idx)
     return CategoryPredictionReport(direction, label_mode, granularity, accuracy,
-                                    train_accuracy, len(train_idx), len(test_idx),
-                                    skipped, evaluated_on)
+                                    subset_accuracy(model, vectors, labels, train_idx),
+                                    len(train_idx), len(test_idx), skipped, evaluated_on)
 
 
 def classifier_label_map(documents: list[Document], direction: str, seed: int = 0,
@@ -489,10 +435,8 @@ def classifier_label_map(documents: list[Document], direction: str, seed: int = 
         labels.append(target)
     if not streams:
         raise ValidationError("no document carries labels on both axes")
-    encoder = fit_tfidf(streams)
-    data = LabeledDataset([transform(encoder, s) for s in streams], labels,
-                          dim=len(encoder.vocabulary))
-    model = train_logreg(data, seed=seed, **train_kwargs)
+    encoder, _, model = fit_split_model(streams, labels, list(range(len(streams))), seed,
+                                        **train_kwargs)
     predictions = {}
     for label in sorted(source_labels):
         vector = transform(encoder, TokenStream.of("probe", [label]))

@@ -8,7 +8,7 @@ the same config and input bytes, regardless of where the output directory
 lives: manifests record content digests and relative names, never paths.
 
 Exit codes: 0 success, 2 config error (bad JSON, unknown keys, missing
-seed, mistyped or out-of-range numeric settings), 3 input error (missing
+seed, mistyped or out-of-range settings), 3 input error (missing
 or malformed input files, missing stage outputs), 4 runtime failure
 (training or evaluation raised).  Failures print a single JSON record on
 stderr: {"error": <class>, "message": <text>}.  A model fit that stops without
@@ -157,6 +157,19 @@ def _anchor(path_value, base: Path):
     return path_value if candidate.is_absolute() else str(base / candidate)
 
 
+def _check_paths(config: dict) -> None:
+    """Type checks on the file settings, so that anchoring can rely on them."""
+    if not isinstance(config["corpus"], str):
+        raise ConfigError("corpus must be a string")
+    for section, key in (("linker", "gazetteers"), ("augment", "sources")):
+        paths = config[section][key]
+        if not isinstance(paths, dict) or not all(isinstance(p, str) for p in paths.values()):
+            raise ConfigError(f"{section}.{key} must be an object with string values")
+    concept_map = config["augment"]["concept_map"]
+    if concept_map is not None and not isinstance(concept_map, str):
+        raise ConfigError("augment.concept_map must be null or a string")
+
+
 def _anchor_paths(config: dict, base: Path) -> None:
     config["corpus"] = _anchor(config["corpus"], base)
     config["linker"]["gazetteers"] = {
@@ -180,6 +193,7 @@ def load_config(path: str | None, overrides: dict) -> dict:
         if not isinstance(loaded, dict):
             raise ConfigError("config root must be a JSON object")
         config = _merge_config(config, loaded)
+        _check_paths(config)
         _anchor_paths(config, source.resolve().parent)
     for key, value in overrides.items():
         if value is None:
@@ -195,9 +209,6 @@ def load_config(path: str | None, overrides: dict) -> dict:
         raise ConfigError("seed must be an integer")
     if config["class_axis"] not in ("arxiv", "msc"):
         raise ConfigError("class_axis must be 'arxiv' or 'msc'")
-    fraction = config["split"]["test_fraction"]
-    if not isinstance(fraction, (int, float)) or not 0 <= fraction < 1:
-        raise ConfigError("split.test_fraction must lie in [0, 1)")
     _check_settings(config)
     return config
 
@@ -222,7 +233,13 @@ _COUNT_KEYS = (("logreg", "max_iterations"), ("linker", "max_n"), ("linker", "wi
 
 
 def _check_settings(config: dict) -> None:
-    """Type and range checks on the numeric settings of the stages."""
+    """Type and range checks on the numeric and boolean settings of the stages."""
+    for key in ("remove_stopwords", "lemmatize"):
+        if not isinstance(config["encode"][key], bool):
+            raise ConfigError(f"encode.{key} must be true or false")
+    fraction = config["split"]["test_fraction"]
+    if not _is_number(fraction) or not 0 <= fraction < 1:
+        raise ConfigError("split.test_fraction must lie in [0, 1)")
     logreg, lime = config["logreg"], config["lime"]
     for key in ("l2", "tolerance"):
         if not _is_number(logreg[key]) or logreg[key] < 0:
@@ -490,8 +507,8 @@ def stage_correspond(config: dict, out_dir: Path) -> list[str]:
 
 
 def stage_classify(config: dict, out_dir: Path) -> list[str]:
-    from .classify import (derive_seed, fit_split_model, labeled_documents, predict_labels,
-                           stratified_split, subset_accuracy)
+    from .classify import (derive_seed, fit_split_model, held_out_accuracy, labeled_documents,
+                           predict_labels, stratified_split, subset_accuracy)
 
     docs, corpus_digest = _resolve_corpus(config)
     kept, labels, skipped = labeled_documents(docs, config["class_axis"])
@@ -501,10 +518,7 @@ def stage_classify(config: dict, out_dir: Path) -> list[str]:
     encoder, vectors, model = fit_split_model(streams, labels, train_idx, config["seed"],
                                               **config["logreg"])
     train_accuracy = subset_accuracy(model, vectors, labels, train_idx)
-    if test_idx:
-        accuracy, evaluated_on = subset_accuracy(model, vectors, labels, test_idx), "test"
-    else:
-        accuracy, evaluated_on = train_accuracy, "train"
+    accuracy, evaluated_on = held_out_accuracy(model, vectors, labels, train_idx, test_idx)
     rows = [
         ("accuracy", accuracy),
         ("train_accuracy", train_accuracy),

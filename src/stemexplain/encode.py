@@ -79,17 +79,20 @@ def lemmatize(token: str, exceptions: dict[str, str] | None = None) -> str:
 
     Rule order: exception table, -ies -> -y, sibilant -es stripping,
     plain -s stripping.  The guards (-ss, -us, -is, minimum lengths)
-    keep the map idempotent: lemmatize(lemmatize(w)) == lemmatize(w).
+    keep lemmas such as "class" and "radius" whole.  A stripped stem
+    goes through the rules again, so "atlases" and "atlas" both give
+    "atla" and, with exception values that are lemmas themselves, the
+    map is idempotent: lemmatize(lemmatize(w)) == lemmatize(w).
     """
     table = LEMMA_EXCEPTIONS if exceptions is None else exceptions
     if token in table:
         return table[token]
     if token.endswith("ies") and len(token) >= 5:
-        return token[:-3] + "y"
+        return lemmatize(token[:-3] + "y", table)
     if token.endswith("es") and len(token) >= 4 and token[:-2].endswith(("s", "x", "z", "ch", "sh")):
-        return token[:-2]
+        return lemmatize(token[:-2], table)
     if token.endswith("s") and len(token) >= 4 and not token.endswith(("ss", "us", "is")):
-        return token[:-1]
+        return lemmatize(token[:-1], table)
     return token
 
 
@@ -140,19 +143,6 @@ class SparseVector:
 
     def norm(self) -> float:
         return math.sqrt(sum(v * v for v in self.values))
-
-    def dot(self, other: "SparseVector") -> float:
-        if len(self.indices) > len(other.indices):
-            return other.dot(self)
-        lookup = dict(zip(other.indices, other.values))
-        return sum(v * lookup[i] for i, v in zip(self.indices, self.values) if i in lookup)
-
-    def cosine_distance(self, other: "SparseVector") -> float:
-        """1 - cosine similarity; distance to or from a zero vector is 1."""
-        denom = self.norm() * other.norm()
-        if denom == 0.0:
-            return 1.0
-        return 1.0 - self.dot(other) / denom
 
 
 @dataclass

@@ -6,6 +6,9 @@ instead of sparse vectors, math.log instead of vectorized idf.  Expected
 values asserted elsewhere were frozen from these oracles, not from the
 implementation under test.  The two linkers are the per-n-gram loops the
 library used before both linkers shared one gazetteer matcher.
+``gradient_descent`` is the fixed-step solver the library used before
+L-BFGS, and ``expand_multilabel`` counts the (document, label) instances
+of the multi-label category prediction.
 """
 
 from __future__ import annotations
@@ -13,8 +16,12 @@ from __future__ import annotations
 import math
 
 import mpmath
+import numpy as np
 
+from stemexplain.classify import LogRegModel, loss_and_gradient
+from stemexplain.corpus import axis_labels
 from stemexplain.encode import STOPWORDS, lemmatize
+from stemexplain.errors import TrainingError
 from stemexplain.linker import EntityLink, FormulaConceptLink, generate_ngrams, normalize_surface
 
 mpmath.mp.dps = 40
@@ -145,3 +152,55 @@ def link_formula_concepts(doc, gazetteer, window=10, max_n=3, gold=None, stopwor
                                                 score, entry.title, entry.item_id,
                                                 gazetteer.source))
     return links
+
+
+def gradient_descent(data, step=0.5, max_iterations=500, tolerance=1e-6, l2=1e-4):
+    """Fixed-step full-batch gradient descent from zero weights.
+
+    Minimizes the same objective as ``classify.train_logreg`` and stops
+    on the same rule: the loss changes by less than ``tolerance``, or
+    ``max_iterations`` evaluations.  Raises TrainingError when the loss
+    stops being finite.  The metadata's loss and gradient norm are those
+    of the last evaluation, which precedes the last step when the
+    iteration cap is hit.
+    """
+    classes = data.classes()
+    index_of = {label: i for i, label in enumerate(classes)}
+    x = np.zeros((len(data.vectors), data.dim), dtype=float)
+    for row, vector in enumerate(data.vectors):
+        x[row, list(vector.indices)] = vector.values
+    y = np.array([index_of[label] for label in data.labels], dtype=int)
+    weights = np.zeros((len(classes), data.dim), dtype=float)
+    bias = np.zeros(len(classes), dtype=float)
+    previous = math.inf
+    loss = previous
+    iterations = 0
+    converged = False
+    for iterations in range(1, max_iterations + 1):
+        loss, grad_w, grad_b = loss_and_gradient(weights, bias, x, y, l2)
+        if not math.isfinite(loss):
+            raise TrainingError(f"loss diverged at iteration {iterations}")
+        if abs(previous - loss) < tolerance:
+            converged = True
+            break
+        weights -= step * grad_w
+        bias -= step * grad_b
+        previous = loss
+    grad_norm = math.sqrt(float((grad_w ** 2).sum() + (grad_b ** 2).sum()))
+    return LogRegModel(classes, weights, bias,
+                       {"solver": "gd", "iterations": iterations, "final_loss": loss,
+                        "grad_norm": grad_norm, "converged": converged})
+
+
+def expand_multilabel(documents, axis):
+    """(doc_id, label) pairs, one per label on the axis, and the number of
+    documents without a label on it."""
+    pairs = []
+    skipped = 0
+    for doc in documents:
+        labels = axis_labels(doc, axis)
+        if not labels:
+            skipped += 1
+            continue
+        pairs.extend((doc.doc_id, label) for label in labels)
+    return pairs, skipped

@@ -1,13 +1,13 @@
 """Softmax regression training, splits, and the category cross-prediction."""
 
 import hashlib
-import warnings
 
 import numpy as np
 import pytest
 
-from stemexplain.classify import (LabeledDataset, LogRegModel, derive_seed,
-                                  evaluate_accuracy, expand_multilabel,
+from stemexplain import classify
+from stemexplain.classify import (LabeledDataset, LogRegModel, classifier_label_map,
+                                  derive_seed, evaluate_accuracy,
                                   labeled_documents, loss_and_gradient,
                                   predict_categories, predict_label,
                                   predict_labels, predict_proba, softmax,
@@ -109,7 +109,7 @@ class TestTraining:
 
     def test_divergent_step_raises(self):
         with pytest.raises(TrainingError):
-            train_logreg(separable_dataset(), step=1e18, max_iterations=80, solver="gd")
+            oracles.gradient_descent(separable_dataset(), step=1e18, max_iterations=80)
 
     def test_round_trip_record(self):
         model = train_logreg(separable_dataset())
@@ -141,9 +141,7 @@ class TestLbfgs:
     @pytest.mark.parametrize("make", [separable_dataset, demo_dataset])
     def test_converges_below_gradient_descent_loss(self, make):
         data = make()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConvergenceWarning)
-            descent = train_logreg(data, solver="gd", max_iterations=500)
+        descent = oracles.gradient_descent(data, max_iterations=500)
         model = train_logreg(data)
         assert model.metadata["solver"] == "lbfgs"
         assert model.metadata["converged"] is True
@@ -166,10 +164,6 @@ class TestLbfgs:
         assert model.metadata["converged"] is False
         assert record[0].message.iterations == 1
         assert record[0].message.final_loss == model.metadata["final_loss"]
-
-    def test_unknown_solver_rejected(self):
-        with pytest.raises(ValidationError, match="solver"):
-            train_logreg(separable_dataset(), solver="newton")
 
 
 class TestBatchScoring:
@@ -296,7 +290,7 @@ class TestPredictCategories:
         record = {"id": "d", "arxiv": ["c-a"], "msc": ["20A01", "21A01"],
                   "segments": [{"kind": "text", "content": "stub"}]}
         docs = fanout_docs() + [record_to_document(record)]
-        pairs, skipped = expand_multilabel(docs, "msc")
+        pairs, skipped = oracles.expand_multilabel(docs, "msc")
         assert len(pairs) == len(fanout_docs()) + 2
         assert skipped == 0
         report = predict_categories(docs, "msc-from-arxiv", label_mode="multi", seed=1)
@@ -318,3 +312,32 @@ class TestPredictCategories:
         docs = fanout_docs() + [record_to_document(record)]
         report = predict_categories(docs, "arxiv-from-msc", seed=1)
         assert report.skipped == 1
+
+    @pytest.mark.parametrize("label_mode", ["single", "multi"])
+    def test_tfidf_fitted_on_training_instances_only(self, monkeypatch, label_mode):
+        records = [{"id": f"two-{j}", "arxiv": ["c-a", "c-b"], "msc": ["20A01"],
+                    "segments": [{"kind": "text", "content": "stub"}]} for j in range(4)]
+        docs = fanout_docs() + [record_to_document(r) for r in records]
+        fitted = []
+        fit_tfidf_unspied = classify.fit_tfidf
+
+        def spy(streams):
+            fitted.append(len(streams))
+            return fit_tfidf_unspied(streams)
+
+        monkeypatch.setattr(classify, "fit_tfidf", spy)
+        report = predict_categories(docs, "arxiv-from-msc", label_mode=label_mode, seed=1)
+        assert report.n_test > 0
+        extra_instances = 4 if label_mode == "multi" else 0
+        assert report.n_train + report.n_test == len(docs) + extra_instances
+        assert fitted == [report.n_train]
+
+
+class TestClassifierLabelMap:
+    def test_fanout_mapping(self):
+        docs = fanout_docs()
+        assert classifier_label_map(docs, "arxiv-from-msc", seed=1) == {
+            f"{20 + ci}A0{j}": cls for ci, cls in enumerate(["c-a", "c-b", "c-c"])
+            for j in (1, 2, 3)}
+        assert classifier_label_map(docs, "msc-from-arxiv", seed=1) == {
+            "c-a": "20A01", "c-b": "21A02", "c-c": "22A02"}

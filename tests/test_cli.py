@@ -135,6 +135,13 @@ class TestSettingsValidation:
         ("augment", "augment", "top_k", [0]),
         ("augment", "augment", "top_k", [2.5]),
         ("augment", "augment", "top_k", "3"),
+        ("link", "linker", "gazetteers", ["a"]),
+        ("link", "linker", "gazetteers", {"a": 5}),
+        ("augment", "augment", "sources", "x"),
+        ("augment", "augment", "concept_map", 5),
+        ("classify", "split", "test_fraction", False),
+        ("classify", "encode", "lemmatize", "yes"),
+        ("classify", "encode", "remove_stopwords", 0),
     ])
     def test_bad_value_exits_2_before_writing(self, capsys, tmp_path, stage, section,
                                               key, value):
@@ -147,6 +154,18 @@ class TestSettingsValidation:
         record = stderr_record(err)
         assert record["error"] == "ConfigError"
         assert f"{section}.{key}" in record["message"]
+        assert not out_dir.exists()
+
+    def test_non_string_corpus_exits_2_before_writing(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seed": 1, "corpus": 5}), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "ingest", "-c", str(path), "--out-dir", str(out_dir))
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        record = stderr_record(err)
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith("corpus ")
         assert not out_dir.exists()
 
     def test_null_top_k_and_kernel_width_accepted(self, tmp_path):
