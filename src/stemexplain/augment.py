@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .classify import (derive_seed, fit_split_model, held_out_accuracy,  # noqa: F401
                        labeled_documents, stratified_split, train_logreg)
 from .corpus import Document, document_identifiers
-from .encode import TokenStream, tokenize
+from .encode import PhraseIndex, TokenStream, phrase_hits, tokenize
 from .errors import ParseError, ValidationError
 
 # Full-scale reference accuracies for the experiments this module
@@ -86,18 +86,45 @@ def load_symbol_source(path: str, name: str) -> SymbolNameSource:
 
 @dataclass(frozen=True)
 class ConceptCategoryMap:
-    """Concept phrases mapped to the class they are characteristic of."""
+    """Concept phrases mapped to the class they are characteristic of.
+
+    ``phrase_tokens`` holds each phrase's tokens, and ``index`` describes
+    the phrases' normalized keys (tokens space-joined) for ``keys_in``.
+    A phrase that tokenizes to nothing has no key and occurs nowhere.
+    """
 
     phrase_to_class: dict[str, str]
+    phrase_tokens: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+    keys: frozenset[str] = field(init=False, repr=False, compare=False)
+    index: PhraseIndex = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        phrase_tokens = {phrase: tokenize(phrase) for phrase in self.phrase_to_class}
+        keys = frozenset(" ".join(parts) for parts in phrase_tokens.values() if parts)
+        index = PhraseIndex()
+        for key in keys:
+            index.add(key)
+        object.__setattr__(self, "phrase_tokens", phrase_tokens)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "index", index)
 
     def phrases(self) -> list[str]:
         return sorted(self.phrase_to_class)
 
     def token_set(self) -> frozenset[str]:
-        tokens = set()
-        for phrase in self.phrase_to_class:
-            tokens.update(tokenize(phrase))
-        return frozenset(tokens)
+        return frozenset(t for parts in self.phrase_tokens.values() for t in parts)
+
+    def keys_in(self, tokens: list[str]) -> set[str]:
+        """The keys that occur in ``tokens`` as runs of adjacent tokens.
+
+        Stopwords count like any other token here.
+        """
+        return {form for _, _, form in phrase_hits(tokens, tokens, self.keys, self.index,
+                                                   max(self.index.longest, 1), frozenset())}
+
+    def occurs(self, phrase: str, keys: set[str]) -> bool:
+        """Whether ``phrase`` is among the keys ``keys_in`` found."""
+        return " ".join(self.phrase_tokens[phrase]) in keys
 
 
 def load_concept_map(path: str) -> ConceptCategoryMap:
@@ -154,11 +181,10 @@ def build_math_streams(docs: list[Document], source: SymbolNameSource, top_k: in
     for doc in docs:
         tokens = _name_tokens(doc, source, top_k)
         if concept_map is not None:
-            text = doc.text_tokens()
+            found = concept_map.keys_in(doc.text_tokens())
             for phrase in concept_map.phrases():
-                parts = tokenize(phrase)
-                if _phrase_in_tokens(parts, text):
-                    tokens.extend(parts)
+                if concept_map.occurs(phrase, found):
+                    tokens.extend(concept_map.phrase_tokens[phrase])
         streams[doc.doc_id] = tokens
     return streams
 
@@ -256,13 +282,6 @@ class AblationReport:
     reference: dict = field(default_factory=lambda: dict(FULL_SCALE_REFERENCE))
 
 
-def _phrase_in_tokens(phrase_tokens: list[str], tokens: list[str]) -> bool:
-    n = len(phrase_tokens)
-    if n == 0 or n > len(tokens):
-        return False
-    return any(tokens[i:i + n] == phrase_tokens for i in range(len(tokens) - n + 1))
-
-
 def concept_coverage_violations(documents: list[Document], concept_map: ConceptCategoryMap,
                                 class_axis: str = "arxiv") -> list[tuple[str, str]]:
     """(phrase, class) pairs where the phrase's own class never contains it.
@@ -271,15 +290,13 @@ def concept_coverage_violations(documents: list[Document], concept_map: ConceptC
     absence from other classes is the expected situation, not a defect.
     """
     docs, labels, _ = labeled_documents(documents, class_axis)
-    tokens_by_class: dict[str, list[list[str]]] = {}
+    keys_by_class: dict[str, set[str]] = {}
     for doc, label in zip(docs, labels):
-        tokens_by_class.setdefault(label, []).append(doc.text_tokens())
+        keys_by_class.setdefault(label, set()).update(concept_map.keys_in(doc.text_tokens()))
     violations = []
     for phrase in concept_map.phrases():
-        phrase_tokens = tokenize(phrase)
         label = concept_map.phrase_to_class[phrase]
-        class_docs = tokens_by_class.get(label, [])
-        if not any(_phrase_in_tokens(phrase_tokens, toks) for toks in class_docs):
+        if not concept_map.occurs(phrase, keys_by_class.get(label, set())):
             violations.append((phrase, label))
     return violations
 

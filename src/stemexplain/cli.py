@@ -20,12 +20,14 @@ directory; paths given on the command line resolve against the working
 directory.
 
 Each stage runs in its own process, so imports are part of every stage's
-cost.  This module imports only the numpy-free modules at its top (corpus,
-encode, errors, stats, linker).  The five stages that fit models
-(correspond, classify, augment, ablate, explain) import classify, augment and
-explain, and with them numpy, inside their own bodies; synth is imported only
-by the synth stage and for the ``@demo`` corpus.  So ingest, stats, link,
-mathel, plotdata and report never load numpy.
+cost.  This module imports only corpus, encode and errors at its top; every
+other module is imported inside the stages that use it.  The five stages that
+fit models (correspond, classify, augment, ablate, explain) import classify,
+augment and explain, and with them numpy; stats is imported by stats,
+correspond and plotdata, linker by link and mathel, and synth by the synth
+stage and for the ``@demo`` corpus.  So ingest, stats, link, mathel, plotdata
+and report never load numpy, and ingest and report load neither stats nor
+linker.
 """
 
 from __future__ import annotations
@@ -43,17 +45,14 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from . import linker as linker_mod
 from .corpus import (Document, GoldAnnotations, corpus_to_text,
                      document_identifiers, load_corpus, save_corpus)
 from .encode import STOPWORDS, TokenStream, lemmatize_stream, remove_stopwords
 from .errors import ConvergenceWarning, ParseError, ToolkitError, ValidationError
-from .stats import (argmax_predict, build_cooccurrence,
-                    build_distribution_library, compare_predictions,
-                    entropy_summary, uncertainty_report)
 
 if TYPE_CHECKING:
     from .augment import ConceptCategoryMap, SymbolNameSource
+    from .linker import Gazetteer
 
 TOOL_NAME = "stemexplain"
 
@@ -313,11 +312,13 @@ def _encoded_stream(doc: Document, config: dict) -> TokenStream:
     return stream
 
 
-def _load_gazetteers(config: dict) -> tuple[dict[str, linker_mod.Gazetteer], dict[str, str]]:
+def _load_gazetteers(config: dict) -> tuple[dict[str, Gazetteer], dict[str, str]]:
+    from .linker import load_gazetteer
+
     gazetteers, digests = {}, {}
     for tag, ref in sorted(config["linker"]["gazetteers"].items()):
         gazetteers[tag], digests[f"gazetteer:{tag}"] = _load_input(
-            ref, "gazetteer", lambda path: linker_mod.load_gazetteer(path, tag))
+            ref, "gazetteer", lambda path: load_gazetteer(path, tag))
     if not gazetteers:
         raise ConfigError("linker.gazetteers is empty; nothing to link against")
     return gazetteers, digests
@@ -429,6 +430,8 @@ def stage_ingest(config: dict, out_dir: Path) -> list[str]:
 
 
 def stage_stats(config: dict, out_dir: Path) -> list[str]:
+    from .stats import build_distribution_library, entropy_summary
+
     docs, corpus_digest = _resolve_corpus(config)
     library = build_distribution_library(docs, class_axis=config["class_axis"])
     (out_dir / "library.jsonl").write_text(
@@ -451,6 +454,8 @@ def stage_stats(config: dict, out_dir: Path) -> list[str]:
 
 def stage_correspond(config: dict, out_dir: Path) -> list[str]:
     from .classify import classifier_label_map, predict_categories
+    from .stats import (argmax_predict, build_cooccurrence, compare_predictions,
+                        uncertainty_report)
 
     docs, corpus_digest = _resolve_corpus(config)
     matrix = build_cooccurrence(docs)
@@ -617,8 +622,12 @@ def stage_link(config: dict, out_dir: Path) -> list[str]:
     """Link every document's text and score the gold-judged documents.
 
     Links whose surface a gold document leaves unjudged are counted per
-    mode in the ``unjudged`` column instead of being evaluated.
+    mode in the ``unjudged`` column instead of being evaluated.  Each
+    document is tokenized once and each distinct token lemmatized once;
+    every gazetteer and variant links over those tokens and lemmas.
     """
+    from . import linker as linker_mod
+
     docs, corpus_digest = _resolve_corpus(config)
     gazetteers, digests = _load_gazetteers(config)
     max_n = config["linker"]["max_n"]
@@ -628,12 +637,16 @@ def stage_link(config: dict, out_dir: Path) -> list[str]:
     link_rows, tuple_rows = [], []
     marks: dict[tuple[str, str], list[str]] = {}
     unjudged: Counter = Counter()  # (source, lemmatized) -> links
+    lemma_of: dict[str, str] = {}
     for doc in docs:
+        tokens = doc.text_tokens()
+        lemmas = linker_mod.lemma_forms(tokens, lemma_of)
         links = []
         for tag in sorted(gazetteers):
             for lemmatized in (False, True):
                 links.extend(linker_mod.link_text_entities(
-                    doc, gazetteers[tag], max_n=max_n, lemmatized=lemmatized))
+                    doc, gazetteers[tag], max_n=max_n, lemmatized=lemmatized,
+                    tokens=tokens, lemmas=lemmas))
         links.sort(key=lambda l: (l.start, -l.length, l.source, l.lemmatized))
         for link in links:
             link_rows.append((link.doc_id, link.start, link.length, link.surface,
@@ -685,6 +698,8 @@ def stage_link(config: dict, out_dir: Path) -> list[str]:
 
 
 def stage_mathel(config: dict, out_dir: Path) -> list[str]:
+    from . import linker as linker_mod
+
     docs, corpus_digest = _resolve_corpus(config)
     gazetteers, digests = _load_gazetteers(config)
     window = config["linker"]["window"]
@@ -825,6 +840,8 @@ def stage_explain(config: dict, out_dir: Path) -> list[str]:
 def stage_plotdata(config: dict, out_dir: Path) -> list[str]:
     which = config["plot"]["which"]
     if which == "symbol-name-distribution":
+        from .stats import build_distribution_library
+
         docs, corpus_digest = _resolve_corpus(config)
         library = build_distribution_library(docs, class_axis=config["class_axis"])
         if not library.identifier_class:

@@ -2,7 +2,9 @@
 
 The pipeline is deliberately small and fully deterministic: a
 boundary-split tokenizer, a fixed shipped stopword list, a rule-based
-plural lemmatizer with an exception table, and a TF-IDF model with
+plural lemmatizer with an exception table, a phrase matcher over token
+lists (the gazetteer linkers and the concept-phrase checks share it),
+and a TF-IDF model with
 
     idf(t) = ln((1 + N) / (1 + df(t))) + 1
 
@@ -16,8 +18,10 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from importlib import resources
+from operator import itemgetter
 
 from .errors import ValidationError
 
@@ -94,6 +98,53 @@ def lemmatize(token: str, exceptions: dict[str, str] | None = None) -> str:
     if token.endswith("s") and len(token) >= 4 and not token.endswith(("ss", "us", "is")):
         return lemmatize(token[:-1], table)
     return token
+
+
+@dataclass(slots=True)
+class PhraseIndex:
+    """Where a key of a phrase set can start.
+
+    ``first_tokens`` holds the first token of every key (a one-token key
+    is stored as itself, not copied) and ``longest`` the token length of
+    the longest key.  Keys are normalized: tokens joined by one space.
+    """
+
+    first_tokens: set[str] = field(default_factory=set)
+    longest: int = 0
+
+    def add(self, key: str) -> None:
+        self.first_tokens.add(key.partition(" ")[0])
+        n = key.count(" ") + 1
+        if n > self.longest:
+            self.longest = n
+
+
+def phrase_hits(tokens: list[str], forms: list[str], keys: Collection[str], index: PhraseIndex,
+                max_n: int, stopwords: Collection[str]) -> list[tuple[int, int, str]]:
+    """(start, length, form) for every n-gram of length <= max_n whose form is a key.
+
+    ``forms[i]`` is the lookup form of ``tokens[i]``; an n-gram's form is
+    its token forms space-joined.  ``index`` describes ``keys``.  N-grams
+    whose tokens are all stopwords are skipped.  Hits are ordered by
+    (length, start).
+    """
+    if max_n < 1:
+        raise ValidationError(f"max_n must be >= 1, got {max_n}")
+    top = min(max_n, index.longest)
+    first_tokens = index.first_tokens
+    n_tokens = len(tokens)
+    hits = []
+    for start, form in enumerate(forms):
+        if form not in first_tokens:
+            continue
+        for length in range(1, min(top, n_tokens - start) + 1):
+            if length > 1:
+                form = form + " " + forms[start + length - 1]
+            if form in keys and not all(t in stopwords for t in tokens[start:start + length]):
+                hits.append((start, length, form))
+    # Starts ascend within each length, so a stable sort on length suffices.
+    hits.sort(key=itemgetter(1))
+    return hits
 
 
 @dataclass(frozen=True)

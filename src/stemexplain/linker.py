@@ -1,13 +1,21 @@
 """Gazetteer-based entity linking for text n-grams and formula concepts.
 
-One matcher serves both linkers: it slides n-gram windows (1..max_n)
-over a token list and looks each candidate up in an offline gazetteer
-by exact match on a normalized surface form; candidates consisting
-entirely of stopwords are never linked.  Text linking runs it over the
-document's text tokens, optionally on their lemmas (each token is
-lemmatized once).  Formula-concept linking runs it over a fixed token
-window before and after each formula and records a signed rank:
-positive distances sit before the formula, negative distances after.
+One matcher, ``encode.phrase_hits``, serves both linkers (and the
+concept-phrase checks of ``augment``).  A gazetteer keeps an
+``encode.PhraseIndex`` up to date as entries are added: the first tokens
+of its keys and the token length of its longest key.  The matcher skips
+every start position whose lookup form starts no key, tries n-grams of
+length 1..min(max_n, longest key) from the others, and looks each up by
+exact match on its space-joined forms.  N-grams made up entirely of
+stopwords are never linked.  Hits come out ordered by (length, start),
+the order of enumerating all 1-grams, then all 2-grams, and so on.
+
+Text linking runs the matcher over the document's text tokens,
+optionally on their lemmas; a caller that links one document against
+several gazetteers passes the tokens and lemmas it computed once.
+Formula-concept linking runs it over a fixed token window before and
+after each formula and records a signed rank: positive distances sit
+before the formula, negative distances after.
 
 Evaluation compares produced links against gold relevance judgments
 per mode, where a mode is a (gazetteer source, target field) pair.
@@ -20,22 +28,32 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .corpus import Document, GoldAnnotations
-from .encode import STOPWORDS, lemmatize, tokenize
+from .encode import STOPWORDS, PhraseIndex, lemmatize, phrase_hits, tokenize
 from .errors import DomainError, ParseError, ValidationError
 
 _QID_RE = re.compile(r"^Q[0-9]+$")
+# Lowercase ASCII tokens joined by single spaces: already a lookup form.
+_NORMAL_ASCII_RE = re.compile(r"[a-z0-9]+(?: [a-z0-9]+)*")
 
 
 def normalize_surface(surface: str) -> str:
-    """Canonical lookup form: underscores to spaces, tokenized, space-joined."""
-    return " ".join(tokenize(surface.replace("_", " ")))
+    """Canonical lookup form: the surface's tokens, space-joined.
+
+    The tokenizer splits on underscores like on any other punctuation,
+    so "Wave_function" and "wave function" share a form.  A surface
+    that is already in this form is returned as it is.
+    """
+    if _NORMAL_ASCII_RE.fullmatch(surface):
+        return surface
+    return " ".join(tokenize(surface))
 
 
-@dataclass(frozen=True)
-class GazetteerEntry:
+class GazetteerEntry(NamedTuple):
     title: str | None = None
     item_id: str | None = None
 
@@ -46,12 +64,14 @@ class Gazetteer:
 
     A target matching ``Q<digits>`` is an item id; anything else is a
     page title (doubling as a URL suffix).  Duplicate surface forms
-    keep the first entry; the number dropped is recorded.
+    keep the first entry; the number dropped is recorded.  Entries are
+    written only through ``add``, which keeps ``index`` up to date.
     """
 
     source: str
     entries: dict[str, GazetteerEntry] = field(default_factory=dict)
     duplicates_dropped: int = 0
+    index: PhraseIndex = field(default_factory=PhraseIndex, repr=False)
 
     @staticmethod
     def from_pairs(source: str, pairs) -> "Gazetteer":
@@ -64,17 +84,24 @@ class Gazetteer:
         key = normalize_surface(surface)
         if not key:
             raise ValidationError(f"surface form {surface!r} normalizes to nothing")
-        if key in self.entries:
+        entries = self.entries
+        if key in entries:
             self.duplicates_dropped += 1
             return
-        if _QID_RE.match(target):
-            self.entries[key] = GazetteerEntry(item_id=target)
-        else:
-            self.entries[key] = GazetteerEntry(title=target)
+        entries[key] = (GazetteerEntry(None, target) if _QID_RE.match(target)
+                        else GazetteerEntry(target))
+        self.index.add(key)
+
+    def hits(self, tokens: list[str], forms: list[str], max_n: int,
+             stopwords: Collection[str]) -> list[tuple[int, int, str, GazetteerEntry]]:
+        """``phrase_hits`` over this gazetteer, each hit with its entry."""
+        entries = self.entries
+        return [(start, length, form, entries[form]) for start, length, form
+                in phrase_hits(tokens, forms, entries, self.index, max_n, stopwords)]
 
 
 def load_gazetteer(path: str, source: str) -> Gazetteer:
-    """Load a ``surface_form<TAB>target`` file."""
+    """Load a ``surface_form<TAB>target`` file; blank lines are skipped."""
     gazetteer = Gazetteer(source)
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -87,15 +114,18 @@ def load_gazetteer(path: str, source: str) -> Gazetteer:
     return gazetteer
 
 
-def generate_ngrams(tokens: list[str], max_n: int) -> list[tuple[int, tuple[str, ...]]]:
-    """All (start, gram) pairs for n in 1..max_n, overlapping included."""
-    if max_n < 1:
-        raise ValidationError(f"max_n must be >= 1, got {max_n}")
-    out = []
-    for n in range(1, max_n + 1):
-        for start in range(len(tokens) - n + 1):
-            out.append((start, tuple(tokens[start:start + n])))
-    return out
+def lemma_forms(tokens: list[str], lemmas: dict[str, str]) -> list[str]:
+    """The lemma of each token, lemmatizing each distinct token once.
+
+    ``lemmas`` caches token -> lemma and may be shared across calls.
+    """
+    forms = []
+    for token in tokens:
+        lemma = lemmas.get(token)
+        if lemma is None:
+            lemma = lemmas[token] = lemmatize(token)
+        forms.append(lemma)
+    return forms
 
 
 @dataclass(frozen=True)
@@ -113,41 +143,29 @@ class EntityLink:
     lemmatized: bool
 
 
-def _gazetteer_hits(tokens: list[str], forms: list[str], gazetteer: Gazetteer, max_n: int,
-                    stopwords: frozenset[str]) -> list[tuple[int, int, str, GazetteerEntry]]:
-    """(start, length, form, entry) for every n-gram whose form is a gazetteer key.
-
-    ``forms[i]`` is the lookup form of ``tokens[i]``; an n-gram's form is
-    its token forms space-joined.  N-grams made up entirely of stopword
-    tokens are skipped.  Hits come in ``generate_ngrams`` order.
-    """
-    hits = []
-    for start, gram in generate_ngrams(tokens, max_n):
-        if all(t in stopwords for t in gram):
-            continue
-        form = " ".join(forms[start:start + len(gram)])
-        entry = gazetteer.entries.get(form)
-        if entry is not None:
-            hits.append((start, len(gram), form, entry))
-    return hits
-
-
 def link_text_entities(doc: Document, gazetteer: Gazetteer, max_n: int = 3,
                        lemmatized: bool = False,
-                       stopwords: frozenset[str] | None = None) -> list[EntityLink]:
+                       stopwords: frozenset[str] | None = None, *,
+                       tokens: list[str] | None = None,
+                       lemmas: list[str] | None = None) -> list[EntityLink]:
     """Exact-match n-grams of the document text against the gazetteer.
 
     With ``lemmatized`` each token is lemmatized before lookup; the
     link keeps the original surface.  N-grams made up entirely of
-    stopwords are never linked.
+    stopwords are never linked.  ``tokens`` (the document's text
+    tokens) and ``lemmas`` (their lemmas) may be passed by a caller
+    that already has them; otherwise they are computed here.
     """
     words = STOPWORDS if stopwords is None else stopwords
-    tokens = doc.text_tokens()
-    forms = [lemmatize(t) for t in tokens] if lemmatized else tokens
+    if tokens is None:
+        tokens = doc.text_tokens()
+    if lemmatized:
+        forms = lemma_forms(tokens, {}) if lemmas is None else lemmas
+    else:
+        forms = tokens
     return [EntityLink(doc.doc_id, start, length, " ".join(tokens[start:start + length]),
                        form, entry.title, entry.item_id, gazetteer.source, lemmatized)
-            for start, length, form, entry in _gazetteer_hits(tokens, forms, gazetteer,
-                                                              max_n, words)]
+            for start, length, form, entry in gazetteer.hits(tokens, forms, max_n, words)]
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +388,8 @@ def link_formula_concepts(doc: Document, gazetteer: Gazetteer, window: int = 10,
             (after, lambda start: -(start + 1)),
         )
         for side_tokens, rank_of in sides:
-            for start, length, form, entry in _gazetteer_hits(side_tokens, side_tokens,
-                                                              gazetteer, max_n, words):
+            for start, length, form, entry in gazetteer.hits(side_tokens, side_tokens,
+                                                             max_n, words):
                 rank: int | None = rank_of(start)
                 score = gold_scores.get(fid, {}).get(form) if gold else None
                 if score == 0:

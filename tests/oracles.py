@@ -5,7 +5,12 @@ library: mpmath arbitrary precision instead of numpy floats, plain dicts
 instead of sparse vectors, math.log instead of vectorized idf.  Expected
 values asserted elsewhere were frozen from these oracles, not from the
 implementation under test.  The two linkers are the per-n-gram loops the
-library used before both linkers shared one gazetteer matcher.
+library used before both linkers shared one gazetteer matcher, over
+``generate_ngrams``; ``load_gazetteer`` is the line-by-line loader the
+library used before its entries became named tuples, and
+``build_math_streams`` and ``concept_coverage_violations`` compare token
+slices of every concept phrase at every position (``_phrase_in_tokens``)
+where the library now uses a first-token phrase index.
 ``gradient_descent`` is the fixed-step solver the library used before
 L-BFGS, and ``expand_multilabel`` counts the (document, label) instances
 of the multi-label category prediction.
@@ -14,15 +19,18 @@ of the multi-label category prediction.
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import dataclass, field
 
 import mpmath
 import numpy as np
 
-from stemexplain.classify import LogRegModel, loss_and_gradient
+from stemexplain.augment import _name_tokens
+from stemexplain.classify import LogRegModel, labeled_documents, loss_and_gradient
 from stemexplain.corpus import axis_labels
-from stemexplain.encode import STOPWORDS, lemmatize
-from stemexplain.errors import TrainingError
-from stemexplain.linker import EntityLink, FormulaConceptLink, generate_ngrams, normalize_surface
+from stemexplain.encode import STOPWORDS, lemmatize, tokenize
+from stemexplain.errors import ParseError, TrainingError, ValidationError
+from stemexplain.linker import EntityLink, FormulaConceptLink, GazetteerEntry
 
 mpmath.mp.dps = 40
 
@@ -102,6 +110,55 @@ def argmax_predictions(weights, bias, classes, vectors) -> list[str]:
     return predictions
 
 
+def normalize_surface(surface):
+    """Underscores to spaces, tokenized, space-joined."""
+    return " ".join(tokenize(surface.replace("_", " ")))
+
+
+@dataclass
+class LoadedGazetteer:
+    source: str
+    entries: dict = field(default_factory=dict)
+    duplicates_dropped: int = 0
+
+
+_QID_RE = re.compile(r"^Q[0-9]+$")
+
+
+def load_gazetteer(path, source):
+    """A ``surface_form<TAB>target`` file read line by line; the first entry wins."""
+    gazetteer = LoadedGazetteer(source)
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != 2:
+                raise ParseError(f"expected 2 tab-separated fields, got {len(parts)}", line_no)
+            surface, target = parts
+            key = normalize_surface(surface)
+            if not key:
+                raise ValidationError(f"surface form {surface!r} normalizes to nothing")
+            if key in gazetteer.entries:
+                gazetteer.duplicates_dropped += 1
+            elif _QID_RE.match(target):
+                gazetteer.entries[key] = GazetteerEntry(item_id=target)
+            else:
+                gazetteer.entries[key] = GazetteerEntry(title=target)
+    return gazetteer
+
+
+def generate_ngrams(tokens, max_n):
+    """All (start, gram) pairs for n in 1..max_n, overlapping included."""
+    if max_n < 1:
+        raise ValidationError(f"max_n must be >= 1, got {max_n}")
+    out = []
+    for n in range(1, max_n + 1):
+        for start in range(len(tokens) - n + 1):
+            out.append((start, tuple(tokens[start:start + n])))
+    return out
+
+
 def link_text_entities(doc, gazetteer, max_n=3, lemmatized=False, stopwords=None):
     """Exact-match n-gram linking, lemmatizing every token of every n-gram."""
     words = STOPWORDS if stopwords is None else stopwords
@@ -152,6 +209,43 @@ def link_formula_concepts(doc, gazetteer, window=10, max_n=3, gold=None, stopwor
                                                 score, entry.title, entry.item_id,
                                                 gazetteer.source))
     return links
+
+
+def _phrase_in_tokens(phrase_tokens, tokens):
+    n = len(phrase_tokens)
+    if n == 0 or n > len(tokens):
+        return False
+    return any(tokens[i:i + n] == phrase_tokens for i in range(len(tokens) - n + 1))
+
+
+def build_math_streams(docs, source, top_k, concept_map):
+    """Symbol-name tokens plus the tokens of every concept phrase in the text."""
+    streams = {}
+    for doc in docs:
+        tokens = _name_tokens(doc, source, top_k)
+        if concept_map is not None:
+            text = doc.text_tokens()
+            for phrase in concept_map.phrases():
+                parts = tokenize(phrase)
+                if _phrase_in_tokens(parts, text):
+                    tokens.extend(parts)
+        streams[doc.doc_id] = tokens
+    return streams
+
+
+def concept_coverage_violations(documents, concept_map, class_axis="arxiv"):
+    """(phrase, class) pairs whose phrase no document of its class contains."""
+    docs, labels, _ = labeled_documents(documents, class_axis)
+    tokens_by_class = {}
+    for doc, label in zip(docs, labels):
+        tokens_by_class.setdefault(label, []).append(doc.text_tokens())
+    violations = []
+    for phrase in concept_map.phrases():
+        label = concept_map.phrase_to_class[phrase]
+        if not any(_phrase_in_tokens(tokenize(phrase), tokens)
+                   for tokens in tokens_by_class.get(label, [])):
+            violations.append((phrase, label))
+    return violations
 
 
 def gradient_descent(data, step=0.5, max_iterations=500, tolerance=1e-6, l2=1e-4):

@@ -397,6 +397,81 @@ class TestStages:
                 assert rows[mode, variant]["unjudged"] == "0"
 
 
+class TestLinkStagesAgainstReference:
+    """link and mathel share tokens and lemmas across gazetteers; the rows must
+    equal the per-n-gram reference linkers' under the stages' sort and merge."""
+
+    TEXTS = ["The wave functions of the metric tensors", "a wave function and field lines",
+             "the field line of a metric tensor", "waves of the wave function collapse",
+             "metric tensors"]
+    SHARED = ["wave function", "metric tensor", "metric tensors", "field lines",
+              "field line", "wave", "the field"]
+
+    def write_inputs(self, tmp_path):
+        records = []
+        for i, text in enumerate(self.TEXTS):
+            segments = []
+            for j, part in enumerate(text.split(" of ")):
+                segments.append({"kind": "text", "content": part + " of"})
+                segments.append({"kind": "formula", "fid": f"d{i}f{j}",
+                                 "content": "<math><mi>x</mi></math>"})
+            record = {"id": f"d{i}", "arxiv": ["math.AP"], "msc": [], "segments": segments}
+            if i == 0:
+                record["gold"] = {"concept_relevance": {"d0f0": {"wave function": 2,
+                                                                 "wave": 0}}}
+            records.append(json.dumps(record))
+        (tmp_path / "corpus.jsonl").write_text("\n".join(records) + "\n", encoding="utf-8")
+        absent = "".join(f"absent{k} form{k}\tQ{900000 + k}\n" for k in range(3000))
+        for tag, shared in (("wikidump", self.SHARED), ("item-name", self.SHARED[::2])):
+            targets = "".join(f"{s}\t{s.replace(' ', '_').title()}\n" if tag == "wikidump"
+                              else f"{s}\tQ{k + 1}\n" for k, s in enumerate(shared))
+            (tmp_path / f"{tag}.tsv").write_text(targets + absent, encoding="utf-8")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seed": 1, "corpus": "corpus.jsonl", "linker": {
+            "gazetteers": {tag: f"{tag}.tsv" for tag in ("wikidump", "item-name")}}}),
+            encoding="utf-8")
+        return path
+
+    def test_rows_equal_reference_linkers(self, capsys, tmp_path):
+        from stemexplain.corpus import load_corpus
+        from stemexplain.linker import merge_concept_links
+
+        from . import oracles
+
+        config, out_dir = self.write_inputs(tmp_path), tmp_path / "out"
+        for stage in ("link", "mathel"):
+            assert run(capsys, stage, "-c", str(config), "--out-dir", str(out_dir))[0] == 0
+        docs = load_corpus(str(tmp_path / "corpus.jsonl"))
+        gazetteers = [oracles.load_gazetteer(tmp_path / f"{tag}.tsv", tag)
+                      for tag in ("item-name", "wikidump")]  # sorted by tag
+
+        def cells(*values):  # as the stages format them
+            return ["" if v is None else str(v).lower() if isinstance(v, bool) else str(v)
+                    for v in values]
+
+        link_rows, mathel_rows = [], []
+        for doc in docs:
+            links = [link for g in gazetteers for lemmatized in (False, True)
+                     for link in oracles.link_text_entities(doc, g, lemmatized=lemmatized)]
+            links.sort(key=lambda l: (l.start, -l.length, l.source, l.lemmatized))
+            link_rows += [cells(l.doc_id, l.start, l.length, l.surface, l.match_form,
+                                l.target_title, l.target_item, l.source, l.lemmatized)
+                          for l in links]
+            gold = doc.gold if doc.gold is not None and doc.gold.concept_relevance else None
+            concepts = merge_concept_links(*[oracles.link_formula_concepts(doc, g, gold=gold)
+                                             for g in gazetteers])
+            concepts.sort(key=lambda l: (l.formula_id, l.rank is None, -(l.rank or 0),
+                                         l.phrase, l.source))
+            mathel_rows += [cells(l.doc_id, l.formula_id, l.phrase, l.length, l.score, l.rank,
+                                  l.target_title, l.target_item, l.source) for l in concepts]
+        for name, expected in (("links.tsv", link_rows), ("mathel.tsv", mathel_rows)):
+            lines = (out_dir / name).read_text(encoding="utf-8").splitlines()[1:]
+            assert [line.split("\t") for line in lines] == expected, name
+        assert {row[8] for row in link_rows} == {"true", "false"}
+        assert any(row[4] != row[3] for row in link_rows)  # a lemma-only match
+        assert any("+" in row[8] for row in mathel_rows)  # merged across gazetteers
+
+
 def _python(code: str, *argv: str) -> subprocess.CompletedProcess:
     src = str(Path(stemexplain.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
@@ -450,6 +525,22 @@ def test_light_stage_processes_leave_numpy_unloaded(capsys, tmp_path):
         else:  # a fitting stage; it only has to leave its outputs behind
             assert run(capsys, *argv, *common)[0] == 0, argv
     assert (out_dir / "manifest.json").is_file()
+
+
+def test_ingest_leaves_linker_and_stats_unloaded(tmp_path):
+    record = {"id": "d1", "arxiv": ["math.AP"], "msc": [],
+              "segments": [{"kind": "text", "content": "a wave"}]}
+    (tmp_path / "corpus.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+    probe = ("import sys\n"
+             "from stemexplain.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print(sorted(m for m in ('stemexplain.linker', 'stemexplain.stats')\n"
+             "             if m in sys.modules))\n"
+             "sys.exit(code)\n")
+    result = _python(probe, "ingest", "--corpus", str(tmp_path / "corpus.jsonl"),
+                     "--seed", "1", "--out-dir", str(tmp_path / "out"))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 class TestLazyPackage:

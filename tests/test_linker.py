@@ -1,15 +1,20 @@
 """Gazetteer lookup, text/formula linking, and confusion-table evaluation."""
 
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stemexplain.augment import (ConceptCategoryMap, SymbolNameSource, build_math_streams,
+                                 concept_coverage_violations)
 from stemexplain.corpus import GoldAnnotations, record_to_document
-from stemexplain.encode import lemmatize
+from stemexplain.encode import PhraseIndex, lemmatize, tokenize
 from stemexplain.errors import DomainError, ParseError, ValidationError
 from stemexplain.linker import (DEFAULT_EVAL_MODES, LEMMATIZED, UNLEMMATIZED,
                                 EntityLink, EvalMode, FormulaConceptLink,
-                                Gazetteer, evaluate_linking, generate_ngrams,
+                                Gazetteer, evaluate_linking,
                                 link_formula_concepts, link_text_entities,
                                 load_gazetteer, mathel_coverage_report,
                                 merge_concept_links, normalize_surface)
@@ -74,16 +79,26 @@ class TestGazetteer:
 
 class TestNgrams:
     def test_all_orders_up_to_max(self):
-        grams = generate_ngrams(["a", "b", "c"], 2)
+        grams = oracles.generate_ngrams(["a", "b", "c"], 2)
         assert grams == [(0, ("a",)), (1, ("b",)), (2, ("c",)),
                          (0, ("a", "b")), (1, ("b", "c"))]
 
     def test_max_n_longer_than_input(self):
-        assert generate_ngrams(["a"], 3) == [(0, ("a",))]
+        assert oracles.generate_ngrams(["a"], 3) == [(0, ("a",))]
 
     def test_bad_max_n(self):
         with pytest.raises(ValidationError):
-            generate_ngrams(["a"], 0)
+            oracles.generate_ngrams(["a"], 0)
+
+    def test_bad_max_n_rejected_by_both_linkers(self):
+        g = Gazetteer.from_pairs("src", [("wave", "Wave")])
+        d = record_to_document({"id": "d", "arxiv": [], "msc": [], "segments": [
+            {"kind": "text", "content": "the wave"},
+            {"kind": "formula", "fid": "f1", "content": "<math><mi>x</mi></math>"}]})
+        with pytest.raises(ValidationError, match="max_n"):
+            link_text_entities(d, g, max_n=0)
+        with pytest.raises(ValidationError, match="max_n"):
+            link_formula_concepts(d, g, max_n=0)
 
 
 class TestLinkText:
@@ -379,17 +394,30 @@ class TestCoverageReport:
 
 
 # ---------------------------------------------------------------------------
-# Equivalence with the per-n-gram reference loops
+# The phrase matcher against the per-n-gram reference loops
 
 WORDS = ["the", "of", "a", "is", "wave", "waves", "function", "functions",
-         "field", "fields", "matrix", "matrices"]
+         "field", "fields", "matrix", "matrices", "collapse", "beatles",
+         "thes", "ands", "does"]
 _words = st.sampled_from(WORDS)
 _phrases = st.lists(_words, min_size=1, max_size=4).map(" ".join)
+# Keys that share prefixes, keys longer than any max_n drawn below, a key
+# whose first token is a stopword, and stopword-only keys.  "thes" and
+# "ands" lemmatize to stopwords and the stopword "does" to "doe", so the
+# stopword rule must look at the tokens, not at their lookup forms.
+INDEX_KEYS = ["wave", "wave function", "wave function collapse",
+              "wave function collapse of the field matrix", "the beatles", "the of",
+              "field", "matrix of the field", "functions", "the", "and", "doe"]
+_keys = st.one_of(st.sampled_from(INDEX_KEYS),
+                  st.lists(_words, min_size=1, max_size=7).map(" ".join))
 
 
 @st.composite
 def linking_case(draw):
-    """A document of text and formula segments, a gazetteer, and formula gold."""
+    """A document of text and formula segments, a gazetteer, and formula gold.
+
+    Documents are often shorter than the gazetteer's longest key.
+    """
     segments, fids = [], []
     for text in draw(st.lists(st.one_of(st.none(), _phrases), max_size=8)):
         if text is None:
@@ -399,7 +427,7 @@ def linking_case(draw):
         else:
             segments.append({"kind": "text", "content": text})
     doc = record_to_document({"id": "d", "arxiv": [], "msc": [], "segments": segments})
-    surfaces = draw(st.lists(_phrases, max_size=8))
+    surfaces = draw(st.lists(_keys, max_size=8))
     # Stretches of the text itself, as written and lemmatized, make hits likely.
     tokens = doc.text_tokens()
     for start, length, lemmas in draw(st.lists(
@@ -409,22 +437,149 @@ def linking_case(draw):
             surfaces.append(" ".join(lemmatize(t) for t in gram) if lemmas else " ".join(gram))
     targets = st.sampled_from(["Q7", "Some_title"])
     gazetteer = Gazetteer.from_pairs("src", [(s, draw(targets)) for s in surfaces])
-    scores = st.dictionaries(_phrases, st.integers(0, 2), max_size=4)
+    scores = st.dictionaries(_keys, st.integers(0, 2), max_size=4)
     gold = GoldAnnotations(concept_relevance={fid: draw(scores) for fid in fids})
     return doc, gazetteer, gold
 
 
 class TestMatcherEquivalence:
-    @given(linking_case(), st.integers(1, 4), st.integers(1, 5))
+    @given(linking_case(), st.integers(1, 6), st.integers(1, 5))
     @settings(max_examples=300, deadline=None)
     def test_links_equal_reference_loops(self, case, max_n, window):
         doc, gazetteer, gold = case
+        tokens = doc.text_tokens()
+        lemmas = [lemmatize(t) for t in tokens]
         for lemmatized in (False, True):
-            assert (link_text_entities(doc, gazetteer, max_n=max_n, lemmatized=lemmatized)
-                    == oracles.link_text_entities(doc, gazetteer, max_n=max_n,
-                                                  lemmatized=lemmatized))
+            expected = oracles.link_text_entities(doc, gazetteer, max_n=max_n,
+                                                  lemmatized=lemmatized)
+            assert link_text_entities(doc, gazetteer, max_n=max_n,
+                                      lemmatized=lemmatized) == expected
+            # As the link stage calls it, with tokens and lemmas computed once.
+            assert link_text_entities(doc, gazetteer, max_n=max_n, lemmatized=lemmatized,
+                                      tokens=tokens, lemmas=lemmas) == expected
         for formula_gold in (None, gold):
             assert (link_formula_concepts(doc, gazetteer, window=window, max_n=max_n,
                                           gold=formula_gold)
                     == oracles.link_formula_concepts(doc, gazetteer, window=window,
                                                      max_n=max_n, gold=formula_gold))
+
+
+class TestPhraseIndex:
+    def test_index_holds_first_tokens_and_longest_key(self):
+        g = Gazetteer.from_pairs("src", [(k, "T") for k in INDEX_KEYS])
+        assert g.index == PhraseIndex({"wave", "the", "field", "matrix", "functions", "and",
+                                       "doe"}, 7)
+
+    def test_one_token_key_is_stored_as_itself(self):
+        g = Gazetteer.from_pairs("src", [("wave", "T")])
+        (key,) = g.entries
+        (first,) = g.index.first_tokens
+        assert first is key
+
+    def test_empty_gazetteer_links_nothing(self):
+        assert link_text_entities(text_doc("wave function"), Gazetteer("src")) == []
+
+
+@st.composite
+def concept_case(draw):
+    """Labeled documents with identifiers, and a concept map over their words."""
+    docs = []
+    for i, text in enumerate(draw(st.lists(st.lists(_words, max_size=9).map(" ".join),
+                                           min_size=1, max_size=6))):
+        docs.append(record_to_document({
+            "id": f"d{i}", "arxiv": [draw(st.sampled_from(["a.b", "c.d"]))], "msc": [],
+            "segments": [{"kind": "text", "content": text},
+                         {"kind": "formula", "content": "<math><mi>E</mi></math>"}]}))
+    # A phrase that tokenizes to nothing, and a stopword-only phrase.
+    phrases = draw(st.lists(_keys, max_size=8)) + ["!!!", "the of", "The-Beatles"]
+    labels = st.sampled_from(["a.b", "c.d", "e.f"])
+    concept_map = ConceptCategoryMap({phrase: draw(labels) for phrase in phrases})
+    return docs, concept_map
+
+
+class TestConceptPhraseIndex:
+    SOURCE = SymbolNameSource.from_counts("s", {"E": {"energy": 2.0, "error": 1.0}})
+
+    @given(concept_case())
+    @settings(max_examples=200, deadline=None)
+    def test_streams_and_violations_equal_reference_loops(self, case):
+        docs, concept_map = case
+        for top_k in (1, 2):
+            assert (build_math_streams(docs, self.SOURCE, top_k, concept_map)
+                    == oracles.build_math_streams(docs, self.SOURCE, top_k, concept_map))
+        assert (concept_coverage_violations(docs, concept_map)
+                == oracles.concept_coverage_violations(docs, concept_map))
+
+    def test_empty_and_stopword_only_phrases(self):
+        d = record_to_document({"id": "d", "arxiv": ["a.b"], "msc": [], "segments": [
+            {"kind": "text", "content": "the of wave"}]})
+        concept_map = ConceptCategoryMap({"!!!": "a.b", "the of": "a.b", "wave": "a.b"})
+        assert concept_map.keys_in(d.text_tokens()) == {"the of", "wave"}
+        assert concept_coverage_violations([d], concept_map) == [("!!!", "a.b")]
+        assert build_math_streams([d], self.SOURCE, 1, concept_map) == {
+            "d": ["the", "of", "wave"]}
+
+
+# ---------------------------------------------------------------------------
+# Loading against the line-by-line reference loader
+
+_surfaces = st.sampled_from(["wave function", "Wave_function", "WAVE  function!",
+                             "Émile—Borel", "émile borel", "x_y", "Ünïcode", "ǅemal",
+                             "ΣΑΣ", "Q1", "the", "a\u00a0b"])
+_targets = st.sampled_from(["Q1", "Q42", "Wave_function", "Q", "Q1x", "q7", "Title"])
+
+
+@st.composite
+def gazetteer_file(draw):
+    """Gazetteer file bytes: colliding surfaces, blank and CRLF lines, bad lines."""
+    lines = []
+    kinds = st.sampled_from(["pair"] * 20 + ["blank"] * 4 + ["empty", "three", "one"])
+    for kind in draw(st.lists(kinds, max_size=12)):
+        if kind == "pair":
+            line = f"{draw(_surfaces)}\t{draw(_targets)}"
+        elif kind == "empty":  # a surface that normalizes to nothing
+            line = f"{draw(st.sampled_from(['!!!', ' ', '_']))}\t{draw(_targets)}"
+        elif kind == "blank":
+            line = draw(st.sampled_from(["", "  ", "\t", " \t "]))
+        elif kind == "three":
+            line = f"{draw(_surfaces)}\t{draw(_targets)}\textra"
+        else:
+            line = draw(_surfaces)
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    return "".join(lines).encode("utf-8")
+
+
+def _load_outcome(load, path):
+    try:
+        g = load(path)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return g.entries, g.duplicates_dropped
+
+
+class TestLoadGazetteer:
+    @given(gazetteer_file())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_loader(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "gaz.tsv"
+            path.write_bytes(data)
+            loaded = _load_outcome(lambda p: load_gazetteer(str(p), "src"), path)
+            expected = _load_outcome(lambda p: oracles.load_gazetteer(p, "src"), path)
+        assert loaded == expected
+        if isinstance(loaded[0], dict):
+            assert list(loaded[0].items()) == list(expected[0].items())
+
+    def test_errors_carry_reference_line_numbers(self, tmp_path):
+        path = tmp_path / "gaz.tsv"
+        path.write_bytes(b"wave\tQ1\r\n\r\n  \r\nfield\tT\tx\r\n")
+        with pytest.raises(ParseError, match="line 4") as raised:
+            load_gazetteer(str(path), "src")
+        with pytest.raises(ParseError, match="line 4"):
+            oracles.load_gazetteer(path, "src")
+        assert raised.value.line == 4
+
+    @given(st.one_of(st.text(), st.text(alphabet="ab09 Z_-\u00c9")))
+    @settings(max_examples=500, deadline=None)
+    def test_normalize_surface_matches_reference(self, text):
+        assert normalize_surface(text) == " ".join(tokenize(text.replace("_", " ")))
