@@ -35,8 +35,8 @@ _HOMES = {
     **dict.fromkeys(("LogRegModel", "predict_categories", "train_logreg"), "classify"),
     **dict.fromkeys(("Gazetteer", "evaluate_linking", "link_formula_concepts",
                      "link_text_entities"), "linker"),
-    **dict.fromkeys(("build_entropy_report", "compute_rankings", "lime_explain"),
-                    "explain"),
+    **dict.fromkeys(("LimeSettings", "build_entropy_report", "compute_rankings",
+                     "lime_explain"), "explain"),
 }
 
 __all__ = ["__version__", *_HOMES]

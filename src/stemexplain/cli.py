@@ -41,6 +41,7 @@ import sys
 import warnings
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -698,6 +699,11 @@ def stage_link(config: dict, out_dir: Path) -> list[str]:
 
 
 def stage_mathel(config: dict, out_dir: Path) -> list[str]:
+    """Link the text around every formula and score the gold-judged ones.
+
+    Each document is tokenized once; every gazetteer links over that
+    token layout.
+    """
     from . import linker as linker_mod
 
     docs, corpus_digest = _resolve_corpus(config)
@@ -709,8 +715,9 @@ def stage_mathel(config: dict, out_dir: Path) -> list[str]:
     merged_relevance: dict[str, dict[str, int]] = {}
     for doc in docs:
         gold = doc.gold if doc.gold is not None and doc.gold.concept_relevance else None
+        layout = doc.token_layout()
         per_gazetteer = [linker_mod.link_formula_concepts(
-            doc, gazetteers[tag], window=window, max_n=max_n, gold=gold)
+            doc, gazetteers[tag], window=window, max_n=max_n, gold=gold, layout=layout)
             for tag in sorted(gazetteers)]
         links = linker_mod.merge_concept_links(*per_gazetteer)
         links.sort(key=lambda l: (l.formula_id, l.rank is None,
@@ -783,29 +790,36 @@ def stage_explain(config: dict, out_dir: Path) -> list[str]:
     math_encoder, _, math_model = fit_split_model(math_token_streams, labels, train_idx,
                                                   config["seed"], **config["logreg"])
 
+    # Every table document is explained once, in full; the table keeps the
+    # first lime.top_k features, and the MDisc Text ranking reuses the
+    # explanations when it samples with the same settings.
     lime_cfg = config["lime"]
-    explanation_rows = []
+    table_lime = explain_mod.LimeSettings(lime_cfg["num_samples"],
+                                          lime_cfg["kernel_width"], lime_cfg["ridge"])
+    explained: dict[str, explain_mod.Explanation] = {}
     for doc, label, stream in zip(kept, labels, text_streams):
         if not any(t in text_encoder.vocabulary for t in stream.tokens):
             continue  # nothing in vocabulary, nothing to explain
-        explanation = explain_mod.lime_explain(
+        explained[doc.doc_id] = explain_mod.lime_explain(
             text_model, text_encoder, doc.doc_id, list(stream.tokens), label,
-            num_samples=lime_cfg["num_samples"],
-            kernel_width=lime_cfg["kernel_width"], ridge=lime_cfg["ridge"],
-            top_k=lime_cfg["top_k"],
-            seed=derive_seed(config["seed"], "lime", doc.doc_id))
-        for position, (token, weight) in enumerate(explanation.features, start=1):
-            explanation_rows.append((doc.doc_id, label, explanation.fidelity,
-                                     position, token, weight))
+            top_k=None, seed=derive_seed(config["seed"], "lime", doc.doc_id),
+            **asdict(table_lime))
+    explanation_rows = []
+    for explanation in explained.values():
+        for position, (token, weight) in enumerate(
+                explanation.features[:lime_cfg["top_k"]], start=1):
+            explanation_rows.append((explanation.doc_id, explanation.target_class,
+                                     explanation.fidelity, position, token, weight))
     write_tsv(out_dir / "explanations.tsv",
               ["doc", "class", "fidelity", "position", "token", "weight"],
               explanation_rows)
 
+    rank_lime = replace(table_lime, num_samples=config["explain"]["num_samples"])
     rankings = explain_mod.compute_rankings(
         kept, text_model, text_encoder, math_model, math_encoder, math_streams,
-        budget=config["explain"]["budget"], seed=config["seed"],
-        num_samples=config["explain"]["num_samples"],
-        class_axis=config["class_axis"])
+        budget=config["explain"]["budget"], seed=config["seed"], lime=rank_lime,
+        class_axis=config["class_axis"],
+        text_explanations=explained if rank_lime == table_lime else None)
     top_m = config["explain"]["top_m"]
     ranking_rows = []
     for mode in (explain_mod.MDISC, explain_mod.MFREQ):
@@ -823,12 +837,21 @@ def stage_explain(config: dict, out_dir: Path) -> list[str]:
     report = explain_mod.build_entropy_report(rankings, top_m=top_m)
     write_tsv(out_dir / "entropy_report.tsv", ["row", "entropy_bits"],
               list(report.rows))
+    fidelities = [e.fidelity for e in explained.values()]
     write_json(out_dir / "explain.json", {
         "entropy_rows": {label: value for label, value in report.rows},
         "top_m": report.top_m,
         "budget": config["explain"]["budget"],
         "warnings": {f"{mode}_{kind}": list(rankings[(mode, kind)].warnings)
                      for mode, kind in rankings},
+        "lime": {
+            "documents_explained": len(explained),
+            "documents_skipped": len(kept) - len(explained),
+            "ranking_explanations_reused":
+                rankings[(explain_mod.MDISC, explain_mod.TEXT_KIND)].reused,
+            "fidelity_min": min(fidelities, default=None),
+            "fidelity_mean": sum(fidelities) / len(fidelities) if fidelities else None,
+        },
         "full_scale_reference": report.reference,
     })
     outputs = ["explanations.tsv", "rankings.tsv", "entropy_report.tsv",

@@ -5,7 +5,8 @@ distinct in-vocabulary tokens, queries the classifier on each masked
 variant, and fits a weighted ridge surrogate whose sample weights decay
 with cosine distance from the original vector through the kernel
 exp(-d^2 / width^2).  The surrogate coefficients are the token
-weights of the explanation.
+weights of the explanation.  ``LimeSettings`` holds the sample count,
+kernel width and ridge that every caller passes the same way.
 
 ``rank_entities`` aggregates either document frequencies (MFreq) or
 mean absolute surrogate weights (MDisc) into per-class entity rankings,
@@ -19,7 +20,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,6 +45,20 @@ FULL_SCALE_REFERENCE = {
     "MDiscMathClsEnt": 4.16, "MDiscMathEntCls": 0.33,
     "MFreqMathClsEnt": 7.22, "MFreqMathEntCls": 0.74,
 }
+
+
+@dataclass(frozen=True)
+class LimeSettings:
+    """Sampling and surrogate settings of a LIME explanation.
+
+    ``kernel_width`` None means 0.75 * sqrt(F) for F distinct tokens.
+    Two explanations of the same tokens, target, model and seed are
+    equal when their settings are.
+    """
+
+    num_samples: int = 1000
+    kernel_width: float | None = None
+    ridge: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -90,8 +106,12 @@ def lime_explain(model: LogRegModel, encoder: TfIdfModel, doc_id: str,
     class_index = model.classes.index(target_class)
     sub_weights = model.weights[:, indices]  # (C, F)
 
-    rng = np.random.default_rng(seed)
-    masks = rng.integers(0, 2, size=(num_samples, n_features)).astype(float)
+    # One design matrix per call: an intercept column, then the 0/1 masks
+    # (drawn as int64 and cast on assignment), read back through a view.
+    design = np.empty((num_samples, n_features + 1))
+    design[:, 0] = 1.0
+    design[:, 1:] = np.random.default_rng(seed).integers(0, 2, size=(num_samples, n_features))
+    masks = design[:, 1:]
 
     masked = masks * base  # unnormalized masked vectors, (S, F)
     norms = np.sqrt((masked ** 2).sum(axis=1))
@@ -105,7 +125,6 @@ def lime_explain(model: LogRegModel, encoder: TfIdfModel, doc_id: str,
     distances = 1.0 - norms / original_norm
     sample_weights = np.exp(-(distances ** 2) / (kernel_width ** 2))
 
-    design = np.hstack([np.ones((num_samples, 1)), masks])
     penalty = ridge * np.eye(n_features + 1)
     penalty[0, 0] = 0.0  # intercept is not shrunk
     weighted = design * sample_weights[:, None]
@@ -138,6 +157,7 @@ class EntityRanking:
     kind: str
     per_class: dict[str, tuple[tuple[str, float], ...]]
     warnings: tuple[str, ...] = ()
+    reused: int = 0  # MDisc explanations taken from ``explained``, not recomputed
 
 
 def _entity_stream(doc: Document, kind: str, math_streams: dict[str, list[str]] | None,
@@ -154,15 +174,19 @@ def _entity_stream(doc: Document, kind: str, math_streams: dict[str, list[str]] 
 def rank_entities(documents: list[Document], model: LogRegModel, encoder: TfIdfModel,
                   mode: str, kind: str, budget: int = 5, seed: int = 0,
                   math_streams: dict[str, list[str]] | None = None,
-                  class_axis: str = "arxiv", num_samples: int = 1000,
-                  stopwords: frozenset[str] | None = None) -> EntityRanking:
+                  class_axis: str = "arxiv", lime: LimeSettings = LimeSettings(),
+                  stopwords: frozenset[str] | None = None,
+                  explained: Mapping[str, Explanation] | None = None) -> EntityRanking:
     """Rank entities per class by frequency (MFreq) or surrogate weight (MDisc).
 
     MFreq strength is the number of the class's documents containing
     the entity.  MDisc samples up to ``budget`` documents per class
-    (seeded), explains each toward its class, and averages absolute
-    token weights.  Classes without usable documents are omitted and
-    reported in the warnings.
+    (seeded), explains each toward its class with ``lime`` and the seed
+    ``derive_seed(seed, "lime", doc_id)``, and averages absolute token
+    weights.  ``explained`` maps document ids to such explanations
+    (``top_k=None``, same stream and model) that a caller already has;
+    they are used instead of explaining the document again.  Classes
+    without usable documents are omitted and reported in the warnings.
     """
     if mode not in (MFREQ, MDISC):
         raise ValidationError(f"unknown ranking mode {mode!r}")
@@ -177,6 +201,7 @@ def rank_entities(documents: list[Document], model: LogRegModel, encoder: TfIdfM
 
     per_class = {}
     warnings = []
+    reused = 0
     for label in sorted(by_class):
         docs = sorted(by_class[label], key=lambda d: d.doc_id)
         strengths: dict[str, float] = {}
@@ -191,29 +216,37 @@ def rank_entities(documents: list[Document], model: LogRegModel, encoder: TfIdfM
             rng = random.Random(derive_seed(seed, "mdisc", label))
             chosen = docs if len(docs) <= budget else rng.sample(docs, budget)
             chosen = sorted(chosen, key=lambda d: d.doc_id)
-            explained = 0
+            n_explained = 0
             sums: dict[str, float] = {}
             for doc in chosen:
                 stream = _entity_stream(doc, kind, math_streams, words)
                 if not any(t in encoder.vocabulary for t in stream):
                     warnings.append(f"document {doc.doc_id!r} has no in-vocabulary tokens; skipped")
                     continue
-                explanation = lime_explain(model, encoder, doc.doc_id, stream, label,
-                                           num_samples=num_samples, top_k=None,
-                                           seed=derive_seed(seed, "lime", doc.doc_id))
-                explained += 1
+                doc_seed = derive_seed(seed, "lime", doc.doc_id)
+                explanation = explained.get(doc.doc_id) if explained else None
+                if explanation is None:
+                    explanation = lime_explain(model, encoder, doc.doc_id, stream, label,
+                                               top_k=None, seed=doc_seed, **asdict(lime))
+                elif ((explanation.target_class, explanation.seed, explanation.num_samples)
+                      != (label, doc_seed, lime.num_samples)):
+                    raise ValidationError(f"explanation of document {doc.doc_id!r} was not "
+                                          f"made toward {label!r} with these settings")
+                else:
+                    reused += 1
+                n_explained += 1
                 for token, weight in explanation.features:
                     sums[token] = sums.get(token, 0.0) + abs(weight)
-            if explained == 0:
+            if n_explained == 0:
                 warnings.append(f"class {label!r} has no explainable documents; omitted")
                 continue
-            strengths = {t: s / explained for t, s in sums.items()}
+            strengths = {t: s / n_explained for t, s in sums.items()}
         if not strengths:
             warnings.append(f"class {label!r} has no entities; omitted")
             continue
         ordered = sorted(strengths.items(), key=lambda kv: (-kv[1], kv[0]))
         per_class[label] = tuple(ordered)
-    return EntityRanking(mode, kind, per_class, tuple(warnings))
+    return EntityRanking(mode, kind, per_class, tuple(warnings), reused)
 
 
 def class_entity_entropy(ranking: EntityRanking, direction: str, top_m: int = 20) -> float:
@@ -278,10 +311,16 @@ def compute_rankings(documents: list[Document],
                      text_model: LogRegModel, text_encoder: TfIdfModel,
                      math_model: LogRegModel, math_encoder: TfIdfModel,
                      math_streams: dict[str, list[str]], budget: int = 5,
-                     seed: int = 0, num_samples: int = 1000,
+                     seed: int = 0, lime: LimeSettings = LimeSettings(),
                      class_axis: str = "arxiv",
-                     stopwords: frozenset[str] | None = None) -> dict[tuple[str, str], EntityRanking]:
-    """All four rankings over MDisc/MFreq x Text/Math."""
+                     stopwords: frozenset[str] | None = None,
+                     text_explanations: Mapping[str, Explanation] | None = None,
+                     ) -> dict[tuple[str, str], EntityRanking]:
+    """All four rankings over MDisc/MFreq x Text/Math.
+
+    ``text_explanations`` (see ``rank_entities``' ``explained``) feed
+    the MDisc Text ranking only.
+    """
     rankings = {}
     for mode in (MDISC, MFREQ):
         for kind in (TEXT_KIND, MATH_KIND):
@@ -289,8 +328,9 @@ def compute_rankings(documents: list[Document],
             encoder = text_encoder if kind == TEXT_KIND else math_encoder
             rankings[(mode, kind)] = rank_entities(
                 documents, model, encoder, mode, kind, budget=budget, seed=seed,
-                math_streams=math_streams, class_axis=class_axis,
-                num_samples=num_samples, stopwords=stopwords)
+                math_streams=math_streams, class_axis=class_axis, lime=lime,
+                stopwords=stopwords,
+                explained=text_explanations if kind == TEXT_KIND else None)
     return rankings
 
 

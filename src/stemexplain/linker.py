@@ -363,18 +363,22 @@ class FormulaConceptLink:
 
 def link_formula_concepts(doc: Document, gazetteer: Gazetteer, window: int = 10,
                           max_n: int = 3, gold: GoldAnnotations | None = None,
-                          stopwords: frozenset[str] | None = None) -> list[FormulaConceptLink]:
+                          stopwords: frozenset[str] | None = None, *,
+                          layout: tuple[list[str], list[tuple[str, int]]] | None = None,
+                          ) -> list[FormulaConceptLink]:
     """Match gazetteer phrases within +-window tokens of each formula.
 
     The window holds at most ``window`` text tokens on each side, so a
     phrase starting at distance ``window`` on the near side is included
     and distance ``window + 1`` is not.  When ``gold`` is given, scores
-    come from its formula-concept judgments.
+    come from its formula-concept judgments.  ``layout`` (the document's
+    ``token_layout()``) may be passed by a caller that already has it;
+    otherwise it is computed here.
     """
     if window < 1:
         raise ValidationError(f"window must be >= 1, got {window}")
     words = STOPWORDS if stopwords is None else stopwords
-    tokens, positions = doc.token_layout()
+    tokens, positions = doc.token_layout() if layout is None else layout
     gold_scores: dict[str, dict[str, int]] = {}
     if gold:
         gold_scores = {fid: {normalize_surface(p): s for p, s in phrases.items()}

@@ -13,7 +13,9 @@ slices of every concept phrase at every position (``_phrase_in_tokens``)
 where the library now uses a first-token phrase index.
 ``gradient_descent`` is the fixed-step solver the library used before
 L-BFGS, and ``expand_multilabel`` counts the (document, label) instances
-of the multi-label category prediction.
+of the multi-label category prediction.  ``lime_explain`` builds its
+sample matrix by casting the mask draw and stacking an intercept column,
+where the library draws the masks into one preallocated design matrix.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ import mpmath
 import numpy as np
 
 from stemexplain.augment import _name_tokens
-from stemexplain.classify import LogRegModel, labeled_documents, loss_and_gradient
+from stemexplain.classify import LogRegModel, labeled_documents, loss_and_gradient, softmax
 from stemexplain.corpus import axis_labels
 from stemexplain.encode import STOPWORDS, lemmatize, tokenize
 from stemexplain.errors import ParseError, TrainingError, ValidationError
+from stemexplain.explain import Explanation
 from stemexplain.linker import EntityLink, FormulaConceptLink, GazetteerEntry
 
 mpmath.mp.dps = 40
@@ -298,3 +301,64 @@ def expand_multilabel(documents, axis):
             continue
         pairs.extend((doc.doc_id, label) for label in labels)
     return pairs, skipped
+
+
+def lime_explain(model, encoder, doc_id, tokens, target_class, num_samples=1000,
+                 kernel_width=None, ridge=1.0, top_k=10, seed=0):
+    """The LIME explanation as the library computed it before its masks were
+    drawn straight into the design matrix: a float copy of the int64 draw,
+    then an intercept column stacked in front of it."""
+    if num_samples < 1:
+        raise ValidationError(f"num_samples must be >= 1, got {num_samples}")
+    if target_class not in model.classes:
+        raise ValidationError(f"unknown target class {target_class!r}")
+    features: list[str] = []
+    counts: dict[str, int] = {}
+    for token in tokens:
+        if token in encoder.vocabulary:
+            if token not in counts:
+                features.append(token)
+            counts[token] = counts.get(token, 0) + 1
+    if not features:
+        raise ValidationError("document has no in-vocabulary tokens to explain")
+    n_features = len(features)
+    if kernel_width is None:
+        kernel_width = 0.75 * math.sqrt(n_features)
+
+    indices = np.array([encoder.vocabulary[t] for t in features])
+    base = np.array([counts[t] * encoder.idf[encoder.vocabulary[t]] for t in features])
+    class_index = model.classes.index(target_class)
+    sub_weights = model.weights[:, indices]  # (C, F)
+
+    rng = np.random.default_rng(seed)
+    masks = rng.integers(0, 2, size=(num_samples, n_features)).astype(float)
+
+    masked = masks * base  # unnormalized masked vectors, (S, F)
+    norms = np.sqrt((masked ** 2).sum(axis=1))
+    safe = np.where(norms > 0, norms, 1.0)
+    scores = (masked / safe[:, None]) @ sub_weights.T + model.bias
+    probs = softmax(scores)
+    y = probs[:, class_index]
+    original_norm = float(np.sqrt((base ** 2).sum()))
+    distances = 1.0 - norms / original_norm
+    sample_weights = np.exp(-(distances ** 2) / (kernel_width ** 2))
+
+    design = np.hstack([np.ones((num_samples, 1)), masks])
+    penalty = ridge * np.eye(n_features + 1)
+    penalty[0, 0] = 0.0  # intercept is not shrunk
+    weighted = design * sample_weights[:, None]
+    coef = np.linalg.solve(weighted.T @ design + penalty, weighted.T @ y)
+    intercept = float(coef[0])
+    token_weights = coef[1:]
+
+    predicted = design @ coef
+    residual = float((sample_weights * (y - predicted) ** 2).sum())
+    mean_y = float((sample_weights * y).sum() / sample_weights.sum())
+    total = float((sample_weights * (y - mean_y) ** 2).sum())
+    fidelity = 1.0 if total == 0.0 else 1.0 - residual / total
+
+    ranked = sorted(zip(features, token_weights), key=lambda kv: (-abs(kv[1]), kv[0]))
+    if top_k is not None:
+        ranked = ranked[:top_k]
+    return Explanation(doc_id, target_class, tuple((t, float(w)) for t, w in ranked),
+                       intercept, fidelity, num_samples, kernel_width, seed)

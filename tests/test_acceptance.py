@@ -24,8 +24,8 @@ from stemexplain.cli import main
 from stemexplain.corpus import Document, GoldAnnotations, Segment, record_to_document
 from stemexplain.encode import (SparseVector, TfIdfModel, TokenStream,
                                 fit_tfidf, transform_all)
-from stemexplain.explain import (build_entropy_report, compute_rankings,
-                                 lime_explain)
+from stemexplain.explain import (LimeSettings, build_entropy_report,
+                                 compute_rankings, lime_explain)
 from stemexplain.linker import (DEFAULT_EVAL_MODES, LEMMATIZED, UNLEMMATIZED,
                                 Gazetteer, evaluate_linking,
                                 link_formula_concepts, link_text_entities,
@@ -512,7 +512,7 @@ def test_criterion_10_entropy_report_directions():
             fit_text_and_math(docs, labels, math_streams)
         rankings = compute_rankings(docs, text_model, text_encoder, math_model,
                                     math_encoder, math_streams, budget=5,
-                                    seed=7, num_samples=300)
+                                    seed=7, lime=LimeSettings(num_samples=300))
         report = build_entropy_report(rankings, top_m=20)
         assert report.value("MDiscTextEntCls") <= report.value("MFreqTextEntCls")
         assert report.value("MDiscMathEntCls") <= report.value("MFreqMathEntCls")

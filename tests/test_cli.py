@@ -471,6 +471,20 @@ class TestLinkStagesAgainstReference:
         assert any(row[4] != row[3] for row in link_rows)  # a lemma-only match
         assert any("+" in row[8] for row in mathel_rows)  # merged across gazetteers
 
+    def test_mathel_lays_out_each_document_once(self, capsys, tmp_path, monkeypatch):
+        from stemexplain.corpus import Document
+
+        calls, layout = [], Document.token_layout
+
+        def spy(doc):
+            calls.append(doc.doc_id)
+            return layout(doc)
+
+        monkeypatch.setattr(Document, "token_layout", spy)
+        config, out_dir = self.write_inputs(tmp_path), tmp_path / "out"
+        assert run(capsys, "mathel", "-c", str(config), "--out-dir", str(out_dir))[0] == 0
+        assert sorted(calls) == [f"d{i}" for i in range(len(self.TEXTS))]
+
 
 def _python(code: str, *argv: str) -> subprocess.CompletedProcess:
     src = str(Path(stemexplain.__file__).resolve().parents[1])

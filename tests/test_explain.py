@@ -1,16 +1,31 @@
 """Surrogate explanations and entity-ranking entropy summaries."""
 
+import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from stemexplain.classify import LabeledDataset, LogRegModel, train_logreg
-from stemexplain.corpus import record_to_document
-from stemexplain.encode import TokenStream, fit_tfidf, transform
+import stemexplain
+from stemexplain import cli
+from stemexplain import explain as explain_mod
+from stemexplain.classify import (LabeledDataset, LogRegModel, derive_seed,
+                                  train_logreg)
+from stemexplain.corpus import load_corpus, primary_label, record_to_document
+from stemexplain.encode import STOPWORDS, TfIdfModel, TokenStream, fit_tfidf, transform
 from stemexplain.errors import DomainError, ValidationError
 from stemexplain.explain import (CLS_ENT, ENT_CLS, MATH_KIND, MDISC, MFREQ,
-                                 REPORT_ROWS, TEXT_KIND, EntityRanking,
+                                 REPORT_ROWS, TEXT_KIND, EntityRanking, LimeSettings,
                                  build_entropy_report, class_entity_entropy,
                                  compute_rankings, lime_explain, rank_entities)
+
+from . import oracles
 
 
 def fit_two_class():
@@ -101,6 +116,71 @@ class TestLimeExplain:
         assert 0.0 < explanation.fidelity <= 1.0
 
 
+@st.composite
+def lime_cases(draw):
+    """A random model and encoder over up to 40 terms, a token sequence with
+    out-of-vocabulary tokens and repeats, and LIME settings."""
+    n_terms = draw(st.integers(1, 40))
+    terms = [f"t{i}" for i in range(n_terms)]
+    encoder = TfIdfModel({t: i for i, t in enumerate(terms)},
+                         draw(st.lists(st.floats(0.1, 5.0), min_size=n_terms,
+                                       max_size=n_terms)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_classes = draw(st.integers(2, 4))
+    scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    model = LogRegModel([f"c{k}" for k in range(n_classes)],
+                        rng.normal(size=(n_classes, n_terms)) * scale,
+                        rng.normal(size=n_classes))
+    tokens = draw(st.lists(st.sampled_from(terms + ["oov"]), min_size=1, max_size=80)
+                  .filter(lambda ts: any(t != "oov" for t in ts)))
+    return model, encoder, tokens, draw(st.sampled_from(model.classes))
+
+
+def _same_explanation(model, encoder, tokens, target, **kwargs):
+    """Both implementations give the same explanation, bit for bit, or the
+    same error."""
+    try:
+        expected = oracles.lime_explain(model, encoder, "d", tokens, target, **kwargs)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            lime_explain(model, encoder, "d", tokens, target, **kwargs)
+        return
+    got = lime_explain(model, encoder, "d", tokens, target, **kwargs)
+    # repr spells every float exactly (and nan, and the sign of zero)
+    assert repr(got) == repr(expected)
+
+
+class TestLimeReference:
+    """The design matrix built in place equals the cast-and-stack reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=lime_cases(),
+           num_samples=st.one_of(st.integers(1, 2), st.integers(3, 300)),
+           kernel_width=st.none() | st.floats(0.05, 5.0),
+           ridge=st.just(0.0) | st.floats(1e-3, 10.0),
+           top_k=st.none() | st.integers(1, 5),
+           seed=st.integers(0, 2 ** 64 - 1))
+    @example(case=(LogRegModel(["a", "b"], np.array([[1.0], [-1.0]]), np.zeros(2)),
+                   TfIdfModel({"w": 0}, [1.0]), ["w"], "a"),
+             num_samples=50, kernel_width=None, ridge=1.0, top_k=None, seed=0)
+    def test_equals_reference(self, case, num_samples, kernel_width, ridge, top_k, seed):
+        model, encoder, tokens, target = case
+        _same_explanation(model, encoder, tokens, target, num_samples=num_samples,
+                          kernel_width=kernel_width, ridge=ridge, top_k=top_k, seed=seed)
+
+    @pytest.mark.parametrize("n_features, num_samples", [(1, 1), (1, 2), (1, 50), (2, 40)])
+    def test_all_zero_mask_rows_equal_reference(self, n_features, num_samples):
+        terms = [f"t{i}" for i in range(n_features)]
+        encoder = TfIdfModel({t: i for i, t in enumerate(terms)}, [1.5] * n_features)
+        model = LogRegModel(["a", "b"], np.arange(2.0 * n_features).reshape(2, -1),
+                            np.array([0.5, -0.5]))
+        seed = next(s for s in range(100) if not np.random.default_rng(s).integers(
+            0, 2, size=(num_samples, n_features)).sum(axis=1).all())
+        for ridge in (0.0, 1.0):
+            _same_explanation(model, encoder, terms, "a", num_samples=num_samples,
+                              ridge=ridge, top_k=None, seed=seed)
+
+
 def labeled_docs():
     texts = {
         "quant-ph": ["wave packet dynamics", "wave collapse model",
@@ -141,7 +221,7 @@ class TestRankEntities:
         model, encoder = fit_on(docs, [TokenStream.of(d.doc_id, d.text_tokens())
                                        for d in docs])
         ranking = rank_entities(docs, model, encoder, MDISC, TEXT_KIND,
-                                num_samples=400, seed=2)
+                                lime=LimeSettings(num_samples=400), seed=2)
         assert ranking.per_class["quant-ph"][0][0] == "wave"
         assert ranking.per_class["astro-ph"][0][0] == "star"
         assert ranking.warnings == ()
@@ -151,7 +231,7 @@ class TestRankEntities:
         model, encoder = fit_on(docs, [TokenStream.of(d.doc_id, d.text_tokens())
                                        for d in docs])
         small = rank_entities(docs, model, encoder, MDISC, TEXT_KIND,
-                              budget=1, num_samples=200, seed=2)
+                              budget=1, lime=LimeSettings(num_samples=200), seed=2)
         # one document per class still yields a ranking
         assert set(small.per_class) == {"quant-ph", "astro-ph"}
 
@@ -187,9 +267,40 @@ class TestRankEntities:
             "id": "gr-0", "arxiv": ["gr-qc"], "msc": [],
             "segments": [{"kind": "text", "content": "metric tensor waves"}]})
         ranking = rank_entities(docs + [extra], model, encoder, MDISC, TEXT_KIND,
-                                num_samples=200, seed=2)
+                                lime=LimeSettings(num_samples=200), seed=2)
         assert "gr-qc" not in ranking.per_class
         assert any("gr-qc" in w for w in ranking.warnings)
+
+    def test_mdisc_reuses_given_explanations(self):
+        docs = labeled_docs()
+        model, encoder = fit_on(docs, [TokenStream.of(d.doc_id, d.text_tokens())
+                                       for d in docs])
+        lime = LimeSettings(num_samples=200, kernel_width=0.6, ridge=2.0)
+        known = {d.doc_id: lime_explain(model, encoder, d.doc_id,
+                                        [t for t in d.text_tokens() if t not in STOPWORDS],
+                                        d.arxiv_categories[0], top_k=None,
+                                        seed=derive_seed(2, "lime", d.doc_id),
+                                        num_samples=200, kernel_width=0.6, ridge=2.0)
+                 for d in docs[1:]}
+        fresh = rank_entities(docs, model, encoder, MDISC, TEXT_KIND, lime=lime, seed=2)
+        reused = rank_entities(docs, model, encoder, MDISC, TEXT_KIND, lime=lime, seed=2,
+                               explained=known)
+        assert (fresh.reused, reused.reused) == (0, len(docs) - 1)
+        assert reused.per_class == fresh.per_class
+
+    @pytest.mark.parametrize("change", [{"target_class": "astro-ph"}, {"num_samples": 100},
+                                        {"seed": 0}])
+    def test_explanation_made_otherwise_rejected(self, change):
+        docs = labeled_docs()
+        model, encoder = fit_on(docs, [TokenStream.of(d.doc_id, d.text_tokens())
+                                       for d in docs])
+        doc = docs[0]  # quant-ph
+        made = lime_explain(model, encoder, doc.doc_id, doc.text_tokens(), "quant-ph",
+                            num_samples=200, top_k=None, seed=derive_seed(2, "lime", doc.doc_id))
+        with pytest.raises(ValidationError, match=doc.doc_id):
+            rank_entities(docs, model, encoder, MDISC, TEXT_KIND, seed=2,
+                          lime=LimeSettings(num_samples=200),
+                          explained={doc.doc_id: replace(made, **change)})
 
 
 class TestClassEntityEntropy:
@@ -255,7 +366,7 @@ class TestEntropyReport:
             docs, [TokenStream.of(d.doc_id, math_streams[d.doc_id]) for d in docs])
         rankings = compute_rankings(docs, text_model, text_encoder,
                                     math_model, math_encoder, math_streams,
-                                    num_samples=200, seed=3)
+                                    lime=LimeSettings(num_samples=200), seed=3)
         report = build_entropy_report(rankings, top_m=10)
         labels = [label for label, _ in report.rows]
         assert labels == ["MDiscTextClsEnt", "MDiscTextEntCls",
@@ -268,3 +379,134 @@ class TestEntropyReport:
         assert report.value("MFreqMathClsEnt") > 0.0
         with pytest.raises(KeyError):
             report.value("NoSuchRow")
+
+
+@pytest.fixture(scope="module")
+def demo_fixtures(tmp_path_factory):
+    fixtures = tmp_path_factory.mktemp("fixtures")
+    assert cli.main(["synth", "--seed", "1", "--out-dir", str(fixtures)]) == 0
+    return fixtures
+
+
+def explain_config(fixtures, name, lime=None, logreg=None, **explain):
+    """A copy of the demo config, next to it, with other lime/logreg/explain
+    settings."""
+    config = json.loads((fixtures / "demo_config.json").read_text(encoding="utf-8"))
+    config["lime"].update(lime or {})
+    config["logreg"].update(logreg or {})
+    config["explain"].update(explain)
+    path = fixtures / f"{name}.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path, config
+
+
+def class_documents(fixtures):
+    docs = load_corpus(str(fixtures / "demo_corpus.jsonl"))
+    by_class = {}
+    for doc in docs:
+        by_class.setdefault(primary_label(doc, "arxiv"), []).append(doc)
+    return by_class
+
+
+class TestExplainStage:
+    """The explain stage explains each table document once and hands the
+    explanations to the MDisc Text ranking when the settings agree."""
+
+    @pytest.fixture
+    def spied(self, monkeypatch):
+        calls, rankings = [], []
+        lime, compute = explain_mod.lime_explain, explain_mod.compute_rankings
+
+        def spy_lime(*args, **kwargs):
+            calls.append((args, kwargs))
+            return lime(*args, **kwargs)
+
+        def spy_compute(*args, **kwargs):
+            rankings.append(compute(*args, **kwargs))
+            return rankings[-1]
+
+        monkeypatch.setattr(explain_mod, "lime_explain", spy_lime)
+        monkeypatch.setattr(explain_mod, "compute_rankings", spy_compute)
+        return calls, rankings
+
+    def run(self, config_path, out_dir):
+        assert cli.main(["explain", "-c", str(config_path), "--out-dir", str(out_dir)]) == 0
+        return json.loads((out_dir / "explain.json").read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("lime, ranking_samples, reused", [
+        ({"num_samples": 40}, 40, True),
+        ({"num_samples": 40, "kernel_width": 0.5, "ridge": 3.0}, 40, True),
+        ({"num_samples": 40, "kernel_width": 0.5, "ridge": 3.0}, 30, False),
+    ])
+    def test_lime_call_count(self, demo_fixtures, tmp_path, spied, lime,
+                             ranking_samples, reused):
+        calls, _ = spied
+        path, config = explain_config(demo_fixtures, tmp_path.name, lime,
+                                      num_samples=ranking_samples)
+        report = self.run(path, tmp_path / "out")
+        lines = (tmp_path / "out" / "explanations.tsv").read_text().splitlines()[1:]
+        explained = len({line.split("\t")[0] for line in lines})
+        budget = config["explain"]["budget"]
+        sampled = sum(min(budget, len(docs)) for docs in class_documents(demo_fixtures).values())
+        assert not any(report["warnings"].values())
+        assert explained == 120 and sampled == 50
+        assert report["lime"]["documents_explained"] == explained
+        assert report["lime"]["documents_skipped"] == 0
+        assert report["lime"]["ranking_explanations_reused"] == (sampled if reused else 0)
+        # the table's documents, the MDisc Math sample and, only when the
+        # settings differ, the MDisc Text sample again
+        assert len(calls) == explained + sampled + (0 if reused else sampled)
+        # no (document, model, settings) is explained twice
+        assert len({(args[2], id(args[0]), kwargs["num_samples"])
+                    for args, kwargs in calls}) == len(calls)
+
+    @pytest.mark.parametrize("ranking_samples", [40, 30])
+    def test_mdisc_text_uses_lime_settings(self, demo_fixtures, tmp_path, spied,
+                                           ranking_samples):
+        calls, rankings = spied
+        lime = {"num_samples": 40, "kernel_width": 0.5, "ridge": 3.0}
+        path, config = explain_config(demo_fixtures, tmp_path.name, lime,
+                                      num_samples=ranking_samples, budget=100)
+        self.run(path, tmp_path / "out")
+        model, encoder = calls[0][0][:2]  # the table's text model comes first
+        expected = {}
+        for label, docs in sorted(class_documents(demo_fixtures).items()):
+            sums, count = {}, 0
+            for doc in sorted(docs, key=lambda d: d.doc_id):
+                stream = [t for t in doc.text_tokens() if t not in STOPWORDS]
+                explanation = oracles.lime_explain(
+                    model, encoder, doc.doc_id, stream, label,
+                    num_samples=ranking_samples, kernel_width=0.5, ridge=3.0, top_k=None,
+                    seed=derive_seed(config["seed"], "lime", doc.doc_id))
+                count += 1
+                for token, weight in explanation.features:
+                    sums[token] = sums.get(token, 0.0) + abs(weight)
+            expected[label] = tuple(sorted(((t, s / count) for t, s in sums.items()),
+                                           key=lambda kv: (-kv[1], kv[0])))
+        (ranked,) = rankings
+        assert ranked[(MDISC, TEXT_KIND)].per_class == expected
+
+    def test_runs_in_one_process_equal_fresh_processes(self, demo_fixtures, tmp_path):
+        # two lime settings, then the first settings with another model
+        configs = [explain_config(demo_fixtures, "leak-a", {"num_samples": 40},
+                                  num_samples=40)[0],
+                   explain_config(demo_fixtures, "leak-b",
+                                  {"num_samples": 60, "kernel_width": 0.8, "ridge": 2.0,
+                                   "top_k": 3}, num_samples=50)[0],
+                   explain_config(demo_fixtures, "leak-c", {"num_samples": 40},
+                                  {"l2": 0.05}, num_samples=40)[0]]
+        for k, path in enumerate(configs):
+            self.run(path, tmp_path / f"in-process-{k}")
+        src = str(Path(stemexplain.__file__).resolve().parents[1])
+        for k, path in enumerate(configs):
+            fresh = tmp_path / f"fresh-{k}"
+            result = subprocess.run(
+                [sys.executable, "-m", "stemexplain", "explain", "-c", str(path),
+                 "--out-dir", str(fresh)], capture_output=True, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=src))
+            assert result.returncode == 0, result.stderr
+            names = sorted(p.name for p in fresh.iterdir())
+            assert names == sorted(p.name for p in (tmp_path / f"in-process-{k}").iterdir())
+            for name in names:
+                assert ((tmp_path / f"in-process-{k}" / name).read_bytes()
+                        == (fresh / name).read_bytes()), (k, name)
