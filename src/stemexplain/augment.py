@@ -102,8 +102,7 @@ class ConceptCategoryMap:
         phrase_tokens = {phrase: tokenize(phrase) for phrase in self.phrase_to_class}
         keys = frozenset(" ".join(parts) for parts in phrase_tokens.values() if parts)
         index = PhraseIndex()
-        for key in keys:
-            index.add(key)
+        index.update(keys)
         object.__setattr__(self, "phrase_tokens", phrase_tokens)
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "index", index)

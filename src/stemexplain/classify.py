@@ -381,17 +381,19 @@ def predict_categories(documents: list[Document], direction: str,
     The source-axis labels of a document are its token stream (one
     token per code), classified toward the target axis.  ``label_mode``
     "single" keeps the primary target label; "multi" makes one instance
-    per target label, each with the document's stream.  Instances are
-    split, and tf-idf and the classifier are fitted on the training
-    instances only, so a training document with k labels counts k times
-    in the document frequencies as in the loss.
+    per target label, each with the document's stream.  Documents are
+    split, stratified by their primary target label, and then expanded
+    into instances, so all instances of a document fall on the same
+    side.  Tf-idf and the classifier are fitted on the training instances
+    only, so a training document with k labels counts k times in the
+    document frequencies as in the loss.
     """
     source_axis, target_axis = direction_axes(direction)
     if label_mode not in ("single", "multi"):
         raise ValidationError(f"label_mode must be 'single' or 'multi', got {label_mode!r}")
 
-    streams = []
-    labels = []
+    doc_streams = []
+    doc_targets = []
     skipped = 0
     for doc in documents:
         source = [truncate_label(c, source_axis, granularity) for c in axis_labels(doc, source_axis)]
@@ -399,14 +401,20 @@ def predict_categories(documents: list[Document], direction: str,
         if not source or not target:
             skipped += 1
             continue
-        stream = TokenStream.of(doc.doc_id, source)
-        for label in (target[:1] if label_mode == "single" else target):
-            streams.append(stream)
-            labels.append(label)
-    if not streams:
+        doc_streams.append(TokenStream.of(doc.doc_id, source))
+        doc_targets.append(target[:1] if label_mode == "single" else target)
+    if not doc_streams:
         raise ValidationError("no document carries labels on both axes")
 
-    train_idx, test_idx = stratified_split(labels, test_fraction, derive_seed(seed, "categories", direction))
+    doc_train, _ = stratified_split([target[0] for target in doc_targets], test_fraction,
+                                    derive_seed(seed, "categories", direction))
+    in_train = set(doc_train)
+    streams, labels, train_idx, test_idx = [], [], [], []
+    for d, (stream, target) in enumerate(zip(doc_streams, doc_targets)):
+        for label in target:
+            (train_idx if d in in_train else test_idx).append(len(streams))
+            streams.append(stream)
+            labels.append(label)
     _, vectors, model = fit_split_model(streams, labels, train_idx, seed, **train_kwargs)
     accuracy, evaluated_on = held_out_accuracy(model, vectors, labels, train_idx, test_idx)
     return CategoryPredictionReport(direction, label_mode, granularity, accuracy,

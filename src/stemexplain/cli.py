@@ -259,26 +259,32 @@ def _check_settings(config: dict) -> None:
         raise ConfigError("augment.top_k must be a non-empty list of integers >= 1")
 
 
-def config_digest(config: dict) -> str:
+def config_digest(config: dict, known: dict[str, str] | None = None) -> str:
     """Digest of the effective config with file paths replaced by content.
 
     Two runs pointed at byte-identical inputs hash the same even when
     the files live at different paths; out_dir never participates.
+    ``known`` holds digests a stage already computed, keyed like a
+    manifest's inputs ("corpus", "gazetteer:<tag>", "source:<tag>",
+    "concept_map"); those files are not read again.
     """
     canon = copy.deepcopy(config)
     canon.pop("out_dir", None)
+    known = known or {}
 
-    def _content(path_value):
+    def _content(role, path_value):
         if path_value is None or path_value == "@demo":
             return path_value
-        return _digest_file(Path(path_value))
+        digest = known.get(role)
+        return _digest_file(Path(path_value)) if digest is None else digest
 
-    canon["corpus"] = _content(canon["corpus"])
+    canon["corpus"] = _content("corpus", canon["corpus"])
     canon["linker"]["gazetteers"] = {
-        tag: _content(p) for tag, p in canon["linker"]["gazetteers"].items()}
+        tag: _content(f"gazetteer:{tag}", p)
+        for tag, p in canon["linker"]["gazetteers"].items()}
     canon["augment"]["sources"] = {
-        tag: _content(p) for tag, p in canon["augment"]["sources"].items()}
-    canon["augment"]["concept_map"] = _content(canon["augment"]["concept_map"])
+        tag: _content(f"source:{tag}", p) for tag, p in canon["augment"]["sources"].items()}
+    canon["augment"]["concept_map"] = _content("concept_map", canon["augment"]["concept_map"])
     return _digest_bytes(json.dumps(canon, sort_keys=True).encode("utf-8"))
 
 
@@ -358,7 +364,7 @@ def _write_manifest(stage: str, config: dict, out_dir: Path,
         "version": __version__,
         "stage": stage,
         "seed": config["seed"],
-        "config_digest": config_digest(config),
+        "config_digest": config_digest(config, inputs),
         "inputs": dict(sorted(inputs.items())),
         "outputs": {name: _digest_file(out_dir / name) for name in sorted(outputs)},
     }
@@ -790,20 +796,25 @@ def stage_explain(config: dict, out_dir: Path) -> list[str]:
     math_encoder, _, math_model = fit_split_model(math_token_streams, labels, train_idx,
                                                   config["seed"], **config["logreg"])
 
-    # Every table document is explained once, in full; the table keeps the
-    # first lime.top_k features, and the MDisc Text ranking reuses the
-    # explanations when it samples with the same settings.
+    # Every table document is explained once; the table keeps the first
+    # lime.top_k features.  When the rankings sample with the same settings,
+    # the documents the MDisc Text ranking samples are explained in full and
+    # reused by it; the others keep only their table features.
     lime_cfg = config["lime"]
     table_lime = explain_mod.LimeSettings(lime_cfg["num_samples"],
                                           lime_cfg["kernel_width"], lime_cfg["ridge"])
+    rank_lime = replace(table_lime, num_samples=config["explain"]["num_samples"])
+    budget = config["explain"]["budget"]
+    reusable = (explain_mod.mdisc_documents(kept, budget, config["seed"], config["class_axis"])
+                if rank_lime == table_lime else set())
     explained: dict[str, explain_mod.Explanation] = {}
     for doc, label, stream in zip(kept, labels, text_streams):
         if not any(t in text_encoder.vocabulary for t in stream.tokens):
             continue  # nothing in vocabulary, nothing to explain
         explained[doc.doc_id] = explain_mod.lime_explain(
             text_model, text_encoder, doc.doc_id, list(stream.tokens), label,
-            top_k=None, seed=derive_seed(config["seed"], "lime", doc.doc_id),
-            **asdict(table_lime))
+            top_k=None if doc.doc_id in reusable else lime_cfg["top_k"],
+            seed=derive_seed(config["seed"], "lime", doc.doc_id), **asdict(table_lime))
     explanation_rows = []
     for explanation in explained.values():
         for position, (token, weight) in enumerate(
@@ -814,12 +825,12 @@ def stage_explain(config: dict, out_dir: Path) -> list[str]:
               ["doc", "class", "fidelity", "position", "token", "weight"],
               explanation_rows)
 
-    rank_lime = replace(table_lime, num_samples=config["explain"]["num_samples"])
     rankings = explain_mod.compute_rankings(
         kept, text_model, text_encoder, math_model, math_encoder, math_streams,
-        budget=config["explain"]["budget"], seed=config["seed"], lime=rank_lime,
+        budget=budget, seed=config["seed"], lime=rank_lime,
         class_axis=config["class_axis"],
-        text_explanations=explained if rank_lime == table_lime else None)
+        text_explanations={doc_id: explanation for doc_id, explanation in explained.items()
+                           if doc_id in reusable})
     top_m = config["explain"]["top_m"]
     ranking_rows = []
     for mode in (explain_mod.MDISC, explain_mod.MFREQ):
@@ -841,7 +852,7 @@ def stage_explain(config: dict, out_dir: Path) -> list[str]:
     write_json(out_dir / "explain.json", {
         "entropy_rows": {label: value for label, value in report.rows},
         "top_m": report.top_m,
-        "budget": config["explain"]["budget"],
+        "budget": budget,
         "warnings": {f"{mode}_{kind}": list(rankings[(mode, kind)].warnings)
                      for mode, kind in rankings},
         "lime": {
@@ -919,9 +930,10 @@ def stage_report(config: dict, out_dir: Path) -> list[str]:
     if missing:
         raise ParseError("missing stage outputs: " + ", ".join(missing)
                          + " (run the corresponding stages first)")
+    digest = config_digest(config)
     lines = [f"# {TOOL_NAME} pipeline report", "",
              f"- seed: {config['seed']}",
-             f"- config digest: `{config_digest(config)}`", ""]
+             f"- config digest: `{digest}`", ""]
     for title, name in REPORT_SECTIONS:
         lines.append(f"## {title}")
         lines.append("")
@@ -938,7 +950,7 @@ def stage_report(config: dict, out_dir: Path) -> list[str]:
         "version": __version__,
         "stage": "report",
         "seed": config["seed"],
-        "config_digest": config_digest(config),
+        "config_digest": digest,
         "files": {name: _digest_file(out_dir / name) for name in files},
     }
     write_json(out_dir / "manifest.json", manifest)

@@ -12,17 +12,28 @@ markup.  The optional ``gold`` object carries human annotations used by
 the statistics and evaluation layers: identifier names per formula,
 entity-linking relevance (with optional expected targets), and
 formula-concept relevance scores.
+
+Each document's input work is done once per process.  A formula segment
+parses its markup when it is made (loading a corpus validates every
+formula that way) and keeps the identifier symbols, so
+``document_identifiers`` never parses again.  A document tokenizes its
+text segments on the first ``token_layout`` or ``text_tokens`` call and
+keeps the layout together with the segments it was computed from; a
+later call recomputes it only when the segment list has changed since,
+so replacing a segment can never leave a stale layout behind.  Both
+accessors return fresh lists, which callers may modify.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 
 from .encode import tokenize
 from .errors import ParseError, ValidationError
-from .formulas import extract_identifiers, parse_formula
+from .formulas import extract_identifiers
 
 TEXT = "text"
 FORMULA = "formula"
@@ -33,11 +44,21 @@ _MSC_RE = re.compile(r"^[0-9]{2}[A-Za-z-][0-9]{2}$")
 
 @dataclass(frozen=True)
 class Segment:
-    """One stretch of a document: prose text or formula markup."""
+    """One stretch of a document: prose text or formula markup.
+
+    A formula segment parses its markup once, when it is made, and keeps
+    the identifier symbols in document order; malformed markup raises
+    ParseError.  ``identifiers`` is empty for text segments.
+    """
 
     kind: str
     content: str
     fid: str | None = None
+    identifiers: tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind == FORMULA:
+            object.__setattr__(self, "identifiers", tuple(extract_identifiers(self.content)))
 
 
 @dataclass
@@ -69,10 +90,15 @@ class Document:
     arxiv_categories: list[str]
     msc_codes: list[str]
     gold: GoldAnnotations | None = None
+    # The token layout and the segments it was computed from.
+    _layout: tuple[tuple[str, ...], tuple[tuple[str, int], ...]] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _layout_segments: tuple[Segment, ...] = field(
+        default=(), init=False, repr=False, compare=False)
 
     def text_tokens(self) -> list[str]:
         """All tokens of the text segments, in reading order."""
-        return self.token_layout()[0]
+        return list(self._token_layout()[0])
 
     def formula_segments(self) -> list[tuple[str, Segment]]:
         """(formula id, segment) pairs in document order.
@@ -97,14 +123,25 @@ class Document:
         p-1 and text token p; p equals the number of text tokens that
         precede the formula.
         """
-        tokens: list[str] = []
-        positions: list[tuple[str, int]] = []
-        for index, segment in enumerate(self.segments):
-            if segment.kind == TEXT:
-                tokens.extend(tokenize(segment.content))
-            else:
-                positions.append((segment.fid or f"seg{index}", len(tokens)))
-        return tokens, positions
+        tokens, positions = self._token_layout()
+        return list(tokens), list(positions)
+
+    def _token_layout(self) -> tuple[tuple[str, ...], tuple[tuple[str, int], ...]]:
+        segments = tuple(self.segments)
+        # Segments are immutable, so equal segments give an equal layout.
+        if self._layout is None or segments != self._layout_segments:
+            tokens: list[str] = []
+            positions: list[tuple[str, int]] = []
+            for index, segment in enumerate(segments):
+                if segment.kind == TEXT:
+                    # Interned, so the kept layouts of a corpus share one
+                    # string per distinct token.
+                    tokens.extend(map(sys.intern, tokenize(segment.content)))
+                else:
+                    positions.append((segment.fid or f"seg{index}", len(tokens)))
+            self._layout = (tuple(tokens), tuple(positions))
+            self._layout_segments = segments
+        return self._layout
 
 
 @dataclass(frozen=True)
@@ -118,12 +155,16 @@ class IdentifierOccurrence:
 
 
 def document_identifiers(doc: Document) -> list[IdentifierOccurrence]:
-    """Extract identifier occurrences, attaching gold names when present."""
+    """Identifier occurrences of every formula, with gold names when present.
+
+    The symbols are the ones each formula segment parsed when it was
+    made; nothing is parsed here.
+    """
     names = doc.gold.identifier_names if doc.gold else {}
     out = []
     for fid, segment in doc.formula_segments():
         formula_names = names.get(fid, {})
-        for symbol in extract_identifiers(segment.content):
+        for symbol in segment.identifiers:
             out.append(IdentifierOccurrence(doc.doc_id, fid, symbol, formula_names.get(symbol)))
     return out
 
@@ -197,12 +238,10 @@ def record_to_document(record: dict, line: int | None = None) -> Document:
             _require(isinstance(fid, str) and fid != "", "fid must be a non-empty string", line)
             _require(fid not in fids_seen, f"duplicate formula id {fid!r}", line)
             fids_seen.add(fid)
-        if kind == FORMULA:
-            try:
-                parse_formula(content)
-            except ParseError as exc:
-                raise ParseError(f"in document {doc_id!r}: {exc}", line) from exc
-        segments.append(Segment(kind, content, fid))
+        try:
+            segments.append(Segment(kind, content, fid))
+        except ParseError as exc:
+            raise ParseError(f"in document {doc_id!r}: {exc}", line) from exc
     gold = None
     if "gold" in record and record["gold"] is not None:
         gold = _parse_gold(record["gold"], line)

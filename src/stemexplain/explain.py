@@ -128,7 +128,11 @@ def lime_explain(model: LogRegModel, encoder: TfIdfModel, doc_id: str,
     penalty = ridge * np.eye(n_features + 1)
     penalty[0, 0] = 0.0  # intercept is not shrunk
     weighted = design * sample_weights[:, None]
-    coef = np.linalg.solve(weighted.T @ design + penalty, weighted.T @ y)
+    try:
+        coef = np.linalg.solve(weighted.T @ design + penalty, weighted.T @ y)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"LIME surrogate of document {doc_id!r} is singular ({num_samples} "
+                          f"samples, {n_features} features, ridge {ridge}): {exc}") from exc
     intercept = float(coef[0])
     token_weights = coef[1:]
 
@@ -171,6 +175,34 @@ def _entity_stream(doc: Document, kind: str, math_streams: dict[str, list[str]] 
     raise ValidationError(f"unknown feature kind {kind!r}")
 
 
+def _documents_by_class(documents: list[Document],
+                        class_axis: str) -> dict[str, list[Document]]:
+    """Documents per primary label, labels and documents in id order."""
+    by_class: dict[str, list[Document]] = {}
+    for doc in documents:
+        label = primary_label(doc, class_axis)
+        if label is not None:
+            by_class.setdefault(label, []).append(doc)
+    if not by_class:
+        raise ValidationError(f"no document carries a label on axis {class_axis!r}")
+    return {label: sorted(by_class[label], key=lambda d: d.doc_id)
+            for label in sorted(by_class)}
+
+
+def _mdisc_sample(docs: list[Document], label: str, budget: int, seed: int) -> list[Document]:
+    """Up to ``budget`` of a class's documents (seeded), in id order."""
+    rng = random.Random(derive_seed(seed, "mdisc", label))
+    chosen = docs if len(docs) <= budget else rng.sample(docs, budget)
+    return sorted(chosen, key=lambda d: d.doc_id)
+
+
+def mdisc_documents(documents: list[Document], budget: int = 5, seed: int = 0,
+                    class_axis: str = "arxiv") -> set[str]:
+    """Ids of the documents an MDisc ranking over ``documents`` may explain."""
+    return {doc.doc_id for label, docs in _documents_by_class(documents, class_axis).items()
+            for doc in _mdisc_sample(docs, label, budget, seed)}
+
+
 def rank_entities(documents: list[Document], model: LogRegModel, encoder: TfIdfModel,
                   mode: str, kind: str, budget: int = 5, seed: int = 0,
                   math_streams: dict[str, list[str]] | None = None,
@@ -191,19 +223,10 @@ def rank_entities(documents: list[Document], model: LogRegModel, encoder: TfIdfM
     if mode not in (MFREQ, MDISC):
         raise ValidationError(f"unknown ranking mode {mode!r}")
     words = STOPWORDS if stopwords is None else stopwords
-    by_class: dict[str, list[Document]] = {}
-    for doc in documents:
-        label = primary_label(doc, class_axis)
-        if label is not None:
-            by_class.setdefault(label, []).append(doc)
-    if not by_class:
-        raise ValidationError(f"no document carries a label on axis {class_axis!r}")
-
     per_class = {}
     warnings = []
     reused = 0
-    for label in sorted(by_class):
-        docs = sorted(by_class[label], key=lambda d: d.doc_id)
+    for label, docs in _documents_by_class(documents, class_axis).items():
         strengths: dict[str, float] = {}
         if mode == MFREQ:
             for doc in docs:
@@ -213,12 +236,9 @@ def rank_entities(documents: list[Document], model: LogRegModel, encoder: TfIdfM
             if label not in model.classes:
                 warnings.append(f"class {label!r} unknown to the classifier; omitted")
                 continue
-            rng = random.Random(derive_seed(seed, "mdisc", label))
-            chosen = docs if len(docs) <= budget else rng.sample(docs, budget)
-            chosen = sorted(chosen, key=lambda d: d.doc_id)
             n_explained = 0
             sums: dict[str, float] = {}
-            for doc in chosen:
+            for doc in _mdisc_sample(docs, label, budget, seed):
                 stream = _entity_stream(doc, kind, math_streams, words)
                 if not any(t in encoder.vocabulary for t in stream):
                     warnings.append(f"document {doc.doc_id!r} has no in-vocabulary tokens; skipped")

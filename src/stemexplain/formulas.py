@@ -70,22 +70,6 @@ def _classify(content: str) -> str | None:
     return text.lower()
 
 
-def _walk(element, out: list[str]):
-    tag = _local_tag(element.tag)
-    if tag in _SCRIPT_TAGS:
-        children = list(element)
-        if children:
-            _walk(children[0], out)
-        return
-    if tag == "mi":
-        symbol = _classify(element.text or "")
-        if symbol is not None:
-            out.append(symbol)
-        return
-    for child in element:
-        _walk(child, out)
-
-
 def parse_formula(markup: str) -> ET.Element:
     """Parse a formula markup fragment; raises ParseError when unbalanced."""
     try:
@@ -100,10 +84,22 @@ def extract_identifiers(markup: str) -> list[str]:
     Latin single letters keep their case ('t' and 'T' stay distinct),
     Greek code points go through GREEK_NAMES, and multi-letter element
     contents are lowercased verbatim.  Whitespace between elements does
-    not change the result.
+    not change the result.  The tree is walked with an explicit stack,
+    so nesting depth is not limited by the interpreter's recursion limit.
     """
-    root = parse_formula(markup)
     out: list[str] = []
-    for child in root:
-        _walk(child, out)
+    pending = list(parse_formula(markup))
+    pending.reverse()
+    while pending:
+        element = pending.pop()
+        tag = _local_tag(element.tag)
+        if tag in _SCRIPT_TAGS:
+            if len(element):
+                pending.append(element[0])
+        elif tag == "mi":
+            symbol = _classify(element.text or "")
+            if symbol is not None:
+                out.append(symbol)
+        else:
+            pending.extend(reversed(element))
     return out

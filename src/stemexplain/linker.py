@@ -65,7 +65,7 @@ class Gazetteer:
     A target matching ``Q<digits>`` is an item id; anything else is a
     page title (doubling as a URL suffix).  Duplicate surface forms
     keep the first entry; the number dropped is recorded.  Entries are
-    written only through ``add``, which keeps ``index`` up to date.
+    written only through ``update``, which keeps ``index`` up to date.
     """
 
     source: str
@@ -76,21 +76,33 @@ class Gazetteer:
     @staticmethod
     def from_pairs(source: str, pairs) -> "Gazetteer":
         gazetteer = Gazetteer(source)
-        for surface, target in pairs:
-            gazetteer.add(surface, target)
+        gazetteer.update(pairs)
         return gazetteer
 
-    def add(self, surface: str, target: str):
-        key = normalize_surface(surface)
-        if not key:
-            raise ValidationError(f"surface form {surface!r} normalizes to nothing")
+    def update(self, pairs) -> None:
+        """Add (surface, target) pairs in order, in one pass.
+
+        A surface that normalizes to nothing raises ValidationError; the
+        pairs before it stay added and indexed.
+        """
         entries = self.entries
-        if key in entries:
-            self.duplicates_dropped += 1
-            return
-        entries[key] = (GazetteerEntry(None, target) if _QID_RE.match(target)
-                        else GazetteerEntry(target))
-        self.index.add(key)
+        is_item = _QID_RE.match
+        added: list[str] = []
+        dropped = 0
+        try:
+            for surface, target in pairs:
+                key = normalize_surface(surface)
+                if not key:
+                    raise ValidationError(f"surface form {surface!r} normalizes to nothing")
+                if key in entries:
+                    dropped += 1
+                else:
+                    entries[key] = (GazetteerEntry(None, target) if is_item(target)
+                                    else GazetteerEntry(target))
+                    added.append(key)
+        finally:
+            self.duplicates_dropped += dropped
+            self.index.update(added)
 
     def hits(self, tokens: list[str], forms: list[str], max_n: int,
              stopwords: Collection[str]) -> list[tuple[int, int, str, GazetteerEntry]]:
@@ -100,17 +112,28 @@ class Gazetteer:
                 in phrase_hits(tokens, forms, entries, self.index, max_n, stopwords)]
 
 
+def _gazetteer_fields(lines: list[str]):
+    """The two fields of every non-blank line; ParseError names a bad line."""
+    for line_no, line in enumerate(lines, start=1):
+        if not line or line.isspace():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ParseError(f"expected 2 tab-separated fields, got {len(fields)}", line_no)
+        yield fields
+
+
 def load_gazetteer(path: str, source: str) -> Gazetteer:
-    """Load a ``surface_form<TAB>target`` file; blank lines are skipped."""
-    gazetteer = Gazetteer(source)
+    """Load a ``surface_form<TAB>target`` file; blank lines are skipped.
+
+    The file is read whole and its lines go through ``Gazetteer.update``
+    in one pass.  Lines are split on newlines only, as iterating over the
+    file would split them.
+    """
     with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"expected 2 tab-separated fields, got {len(parts)}", line_no)
-            gazetteer.add(parts[0], parts[1])
+        lines = handle.read().split("\n")
+    gazetteer = Gazetteer(source)
+    gazetteer.update(_gazetteer_fields(lines))
     return gazetteer
 
 

@@ -11,6 +11,12 @@ library used before its entries became named tuples, and
 ``build_math_streams`` and ``concept_coverage_violations`` compare token
 slices of every concept phrase at every position (``_phrase_in_tokens``)
 where the library now uses a first-token phrase index.
+``tokenize`` is the Unicode-pattern tokenizer for all text,
+``token_layout`` tokenizes a document's segments on every call,
+``extract_identifiers`` walks the formula tree recursively and
+``document_identifiers`` parses every formula again (the library parses
+each formula once, when its segment is made, and keeps the layout per
+document).  ``check_tokens`` checks a token stream token by token.
 ``gradient_descent`` is the fixed-step solver the library used before
 L-BFGS, and ``expand_multilabel`` counts the (document, label) instances
 of the multi-label category prediction.  ``lime_explain`` builds its
@@ -29,10 +35,11 @@ import numpy as np
 
 from stemexplain.augment import _name_tokens
 from stemexplain.classify import LogRegModel, labeled_documents, loss_and_gradient, softmax
-from stemexplain.corpus import axis_labels
-from stemexplain.encode import STOPWORDS, lemmatize, tokenize
+from stemexplain.corpus import TEXT, IdentifierOccurrence, axis_labels
+from stemexplain.encode import STOPWORDS, lemmatize
 from stemexplain.errors import ParseError, TrainingError, ValidationError
 from stemexplain.explain import Explanation
+from stemexplain.formulas import _SCRIPT_TAGS, _classify, _local_tag, parse_formula
 from stemexplain.linker import EntityLink, FormulaConceptLink, GazetteerEntry
 
 mpmath.mp.dps = 40
@@ -111,6 +118,69 @@ def argmax_predictions(weights, bias, classes, vectors) -> list[str]:
                 best, best_score = c, score
         predictions.append(classes[best])
     return predictions
+
+
+_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+_SPACE_RE = re.compile(r"\s")
+
+
+def tokenize(text):
+    """Lowercase, then every run of Unicode letters and digits."""
+    return _TOKEN_RE.findall(text.lower())
+
+
+def check_tokens(doc_id, tokens):
+    """Raise ValidationError at the first empty token or token with whitespace."""
+    for tok in tokens:
+        if not tok or _SPACE_RE.search(tok):
+            raise ValidationError(f"bad token {tok!r} in stream for {doc_id!r}")
+
+
+def token_layout(doc):
+    """Text tokens and formula positions, tokenized afresh from the segments."""
+    tokens = []
+    positions = []
+    for index, segment in enumerate(doc.segments):
+        if segment.kind == TEXT:
+            tokens.extend(tokenize(segment.content))
+        else:
+            positions.append((segment.fid or f"seg{index}", len(tokens)))
+    return tokens, positions
+
+
+def _walk(element, out):
+    tag = _local_tag(element.tag)
+    if tag in _SCRIPT_TAGS:
+        children = list(element)
+        if children:
+            _walk(children[0], out)
+        return
+    if tag == "mi":
+        symbol = _classify(element.text or "")
+        if symbol is not None:
+            out.append(symbol)
+        return
+    for child in element:
+        _walk(child, out)
+
+
+def extract_identifiers(markup):
+    """Identifier symbols of the markup, by a recursive walk of its tree."""
+    out = []
+    for child in parse_formula(markup):
+        _walk(child, out)
+    return out
+
+
+def document_identifiers(doc):
+    """Identifier occurrences, parsing every formula of the document again."""
+    names = doc.gold.identifier_names if doc.gold else {}
+    out = []
+    for fid, segment in doc.formula_segments():
+        formula_names = names.get(fid, {})
+        for symbol in extract_identifiers(segment.content):
+            out.append(IdentifierOccurrence(doc.doc_id, fid, symbol, formula_names.get(symbol)))
+    return out
 
 
 def normalize_surface(surface):

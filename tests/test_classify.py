@@ -332,6 +332,29 @@ class TestPredictCategories:
         assert report.n_train + report.n_test == len(docs) + extra_instances
         assert fitted == [report.n_train]
 
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_multi_label_documents_fall_on_one_side(self, monkeypatch, seed):
+        records = [{"id": f"two-{j}", "arxiv": ["c-a", "c-b"], "msc": ["20A01"],
+                    "segments": [{"kind": "text", "content": "stub"}]} for j in range(4)]
+        docs = fanout_docs() + [record_to_document(r) for r in records]
+        fitted = []
+        fit_unspied = classify.fit_split_model
+
+        def spy(streams, labels, train_idx, *args, **kwargs):
+            fitted.append((streams, labels, train_idx))
+            return fit_unspied(streams, labels, train_idx, *args, **kwargs)
+
+        monkeypatch.setattr(classify, "fit_split_model", spy)
+        report = predict_categories(docs, "arxiv-from-msc", label_mode="multi", seed=seed)
+        ((streams, labels, train_idx),) = fitted
+        train = set(train_idx)
+        train_docs = {streams[i].doc_id for i in train}
+        test_docs = {s.doc_id for i, s in enumerate(streams) if i not in train}
+        assert train_docs.isdisjoint(test_docs)
+        assert train_docs | test_docs == {d.doc_id for d in docs}
+        assert report.n_train + report.n_test == len(docs) + 4
+        assert [labels[i] for i, s in enumerate(streams) if s.doc_id == "two-0"] == ["c-a", "c-b"]
+
 
 class TestClassifierLabelMap:
     def test_fanout_mapping(self):

@@ -197,6 +197,31 @@ class TestConfigDigest:
         b = load_config(None, {"seed": 1, "corpus": str(tmp_path / "y.jsonl")})
         assert config_digest(a) == config_digest(b)
 
+    @pytest.mark.parametrize("stage", ["ingest", "link", "explain", "report"])
+    def test_each_file_hashed_once_per_stage(self, capsys, tmp_path, monkeypatch, stage):
+        from stemexplain import cli
+
+        fixtures = tmp_path / "fixtures"
+        assert run(capsys, "synth", "--seed", "1", "--out-dir", str(fixtures))[0] == 0
+        config, out_dir = fixtures / "demo_config.json", tmp_path / "out"
+        for earlier in ("ingest", "stats", "correspond", "classify", "augment", "ablate",
+                        "link", "mathel", "explain"):
+            if earlier == stage:
+                break
+            assert run(capsys, earlier, "-c", str(config), "--out-dir", str(out_dir))[0] == 0
+        hashed, digest_file = [], cli._digest_file
+
+        def spy(path):
+            hashed.append(Path(path).resolve())
+            return digest_file(path)
+
+        monkeypatch.setattr(cli, "_digest_file", spy)
+        assert run(capsys, stage, "-c", str(config), "--out-dir", str(out_dir))[0] == 0
+        assert len(hashed) == len(set(hashed))
+        # the config digest hashes every input file, loaded by the stage or not
+        assert {(fixtures / name).resolve() for name in (
+            "demo_corpus.jsonl", "concept_map.tsv", "gazetteer_wikidump.tsv")} <= set(hashed)
+
 
 class TestMainErrors:
     def test_missing_seed_exits_2(self, capsys):

@@ -3,15 +3,22 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stemexplain.corpus import (Document, GoldAnnotations, Segment,
+from stemexplain import synth
+from stemexplain.corpus import (FORMULA, TEXT, Document, GoldAnnotations, Segment,
                                 corpus_to_text, document_identifiers,
                                 document_to_record, load_corpus,
                                 parse_corpus_text, primary_label,
                                 record_to_document, save_corpus)
 from stemexplain.errors import ParseError, ValidationError
+from stemexplain.formulas import parse_formula
 from stemexplain.synth import (DEMO_CONFIG, SynthConfig, demo_corpus,
                                generate_synthetic_corpus)
+
+from . import oracles
+from .test_formulas import formula_markup
 
 
 def make_record(**overrides):
@@ -223,3 +230,96 @@ class TestSyntheticGeneration:
         # every demo document survives the strict parser
         for doc in demo_corpus():
             assert record_to_document(document_to_record(doc)) == doc
+
+
+@st.composite
+def segment_lists(draw):
+    """Interleaved text and formula segments; formulas may be malformed."""
+    segments = []
+    for index, kind in enumerate(draw(st.lists(st.sampled_from([TEXT, FORMULA]), max_size=6))):
+        if kind == TEXT:
+            content = draw(st.text(alphabet="ab Z9_.-\u212a\u00e9\u00a0\u03a3", max_size=12))
+            segments.append({"kind": TEXT, "content": content})
+        else:
+            segment = {"kind": FORMULA, "content": draw(formula_markup())}
+            if draw(st.booleans()):
+                segment["fid"] = f"f{index}"
+            segments.append(segment)
+    return segments
+
+
+class TestOncePerDocument:
+    """One parse per formula and one layout per document, equal to the
+    references that parse and tokenize again on every call."""
+
+    @given(segment_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_load_equals_references(self, segments):
+        names = {f"f{i}": {"x": "position", "T": "temperature"} for i in range(6)}
+        record = make_record(segments=segments, gold={"identifier_names": names})
+        expected_error = None
+        for segment in segments:
+            if segment["kind"] == FORMULA:
+                try:
+                    parse_formula(segment["content"])
+                except ParseError as exc:
+                    expected_error = f"line 7: in document 'doc1': {exc}"
+                    break
+        if expected_error is not None:
+            with pytest.raises(ParseError) as raised:
+                record_to_document(record, 7)
+            assert str(raised.value) == expected_error
+            assert raised.value.line == 7
+            return
+        doc = record_to_document(record, 7)
+        expected = oracles.token_layout(doc)
+        assert doc.token_layout() == expected
+        assert doc.token_layout() == expected
+        assert doc.text_tokens() == expected[0]
+        assert document_identifiers(doc) == oracles.document_identifiers(doc)
+
+    def test_returned_lists_are_fresh(self):
+        doc = record_to_document(make_record())
+        doc.text_tokens().append("extra")
+        tokens, positions = doc.token_layout()
+        tokens.clear()
+        positions.clear()
+        assert doc.token_layout() == (["energy", "balance", "of"], [("f1", 3)])
+
+    def test_segment_changes_reach_the_layout(self):
+        doc = record_to_document(make_record())
+        assert doc.text_tokens() == ["energy", "balance", "of"]
+        doc.segments[0] = Segment(TEXT, "mass of")
+        assert doc.token_layout() == (["mass", "of"], [("f1", 2)])
+        doc.segments.append(Segment(TEXT, "light"))
+        assert doc.text_tokens() == ["mass", "of", "light"]
+        doc.segments = [Segment(FORMULA, "<mi>c</mi>", "f2")]
+        assert doc.token_layout() == ([], [("f2", 0)])
+        assert [o.symbol for o in document_identifiers(doc)] == ["c"]
+
+    def test_demo_segment_replacement_leaves_no_stale_layout(self, monkeypatch):
+        # demo_corpus replaces a text segment of documents it has already
+        # built; lay every document out as soon as it is built, so that the
+        # replacement meets a cached layout.
+        generate = synth.generate_synthetic_corpus
+        before = {}
+
+        def laid_out(config):
+            documents = generate(config)
+            for doc in documents:
+                before[doc.doc_id] = doc.token_layout()
+            return documents
+
+        monkeypatch.setattr(synth, "generate_synthetic_corpus", laid_out)
+        docs = synth.demo_corpus()
+        for doc in docs:
+            assert doc.token_layout() == oracles.token_layout(doc)
+        changed = [doc for doc in docs if doc.token_layout() != before[doc.doc_id]]
+        assert len(changed) == len(DEMO_CONFIG.classes)
+
+    def test_formula_segments_parse_when_made(self):
+        assert Segment(FORMULA, "<mi>E</mi><msup><mi>c</mi><mn>2</mn></msup>").identifiers == (
+            "E", "c")
+        assert Segment(TEXT, "<mi>E</mi>").identifiers == ()
+        with pytest.raises(ParseError, match="malformed formula markup"):
+            Segment(FORMULA, "<mi>E</mi><mo>=")

@@ -18,7 +18,15 @@ from stemexplain.encode import (LEMMA_EXCEPTIONS, STOPWORDS, SparseVector,
                                 transform, transform_all)
 from stemexplain.errors import ValidationError
 
+from . import oracles
 from .oracles import tfidf_vectors
+
+# Characters that tell the two tokenizer patterns apart or trip them up:
+# ASCII letters, digits, underscore and punctuation; whitespace of both
+# kinds; the Kelvin and Ohm signs and dotted capital I, whose lowercase
+# forms are ASCII or longer; Latin, Greek and CJK letters; combining marks;
+# non-ASCII digits.
+_TRICKY = "aZz09_-=. \t\n\u00a0\u212a\u2126\u0130\u00df\u00e9\u00c9\u03a3\u03c2\u4e2d\u0301\u0663\uff11\u2028"
 
 
 class TestTokenize:
@@ -42,6 +50,14 @@ class TestTokenize:
 
     def test_accented_letters_kept_whole(self):
         assert tokenize("Schrödinger") == ["schrödinger"]
+
+    def test_kelvin_sign_lowercases_to_ascii(self):
+        assert tokenize("5\u212a") == ["5k"]
+
+    @given(st.one_of(st.text(alphabet=_TRICKY), st.text()))
+    @settings(max_examples=500, deadline=None)
+    def test_equals_unicode_pattern_reference(self, text):
+        assert tokenize(text) == oracles.tokenize(text)
 
 
 class TestStopwords:
@@ -135,6 +151,19 @@ class TestTokenStream:
     def test_rejects_unicode_whitespace_token(self, token):
         with pytest.raises(ValidationError):
             TokenStream.of("d", ["ok", token])
+
+    @given(st.lists(st.one_of(st.text(alphabet=_TRICKY, max_size=4),
+                              st.sampled_from(["", " ", "ok", "a\x1cb"])), max_size=8))
+    @settings(max_examples=500, deadline=None)
+    def test_check_equals_per_token_reference(self, tokens):
+        try:
+            oracles.check_tokens("d", tokens)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as raised:
+                TokenStream.of("d", tokens)
+            assert str(raised.value) == str(exc)
+        else:
+            assert TokenStream.of("d", tokens).tokens == tuple(tokens)
 
 
 class TestSparseVector:

@@ -137,12 +137,13 @@ def lime_cases(draw):
 
 
 def _same_explanation(model, encoder, tokens, target, **kwargs):
-    """Both implementations give the same explanation, bit for bit, or the
-    same error."""
+    """Both implementations give the same explanation, bit for bit, or fail
+    together: where the reference's solve raises LinAlgError, the library
+    raises DomainError."""
     try:
         expected = oracles.lime_explain(model, encoder, "d", tokens, target, **kwargs)
     except np.linalg.LinAlgError:
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(DomainError, match="singular"):
             lime_explain(model, encoder, "d", tokens, target, **kwargs)
         return
     got = lime_explain(model, encoder, "d", tokens, target, **kwargs)
@@ -459,6 +460,31 @@ class TestExplainStage:
         # no (document, model, settings) is explained twice
         assert len({(args[2], id(args[0]), kwargs["num_samples"])
                     for args, kwargs in calls}) == len(calls)
+
+    @pytest.mark.parametrize("ranking_samples", [40, 30])
+    def test_only_the_mdisc_text_sample_keeps_all_features(self, demo_fixtures, tmp_path,
+                                                            spied, ranking_samples):
+        calls, _ = spied
+        path, config = explain_config(demo_fixtures, tmp_path.name, {"num_samples": 40},
+                                      num_samples=ranking_samples)
+        report = self.run(path, tmp_path / "out")
+        table_calls = calls[:report["lime"]["documents_explained"]]
+        full = {args[2] for args, kwargs in table_calls if kwargs["top_k"] is None}
+        assert all(kwargs["top_k"] in (None, config["lime"]["top_k"])
+                   for _, kwargs in table_calls)
+        docs = [doc for docs in class_documents(demo_fixtures).values() for doc in docs]
+        sample = explain_mod.mdisc_documents(docs, config["explain"]["budget"],
+                                             config["seed"])
+        assert full == (sample if ranking_samples == 40 else set())
+        assert report["lime"]["ranking_explanations_reused"] == len(full)
+
+    def test_singular_surrogate_exits_4(self, demo_fixtures, tmp_path, capsys):
+        path, _ = explain_config(demo_fixtures, tmp_path.name, {"ridge": 0, "num_samples": 5})
+        code = cli.main(["explain", "-c", str(path), "--out-dir", str(tmp_path / "out")])
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 4
+        assert record["error"] == "DomainError"
+        assert "singular" in record["message"]
 
     @pytest.mark.parametrize("ranking_samples", [40, 30])
     def test_mdisc_text_uses_lime_settings(self, demo_fixtures, tmp_path, spied,

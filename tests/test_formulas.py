@@ -1,9 +1,30 @@
 """Identifier extraction from formula markup."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stemexplain.errors import ParseError
 from stemexplain.formulas import GREEK_NAMES, extract_identifiers
+
+from . import oracles
+
+# Formula markup: trees of nesting and script elements over identifiers
+# that extract and ones that do not, mixed with pieces that leave the
+# markup malformed (unbalanced tags, an undefined entity, a bare "<").
+_LEAVES = st.sampled_from(["<mi>x</mi>", "<mi>T</mi>", "<mi>\u03c4</mi>", "<mi>Re</mi>",
+                           "<mi>2</mi>", "<mi> </mi>", "<mn>4</mn>", "<mo>=</mo>",
+                           "&amp;", "text", " "])
+_TREES = st.recursive(_LEAVES, lambda children: st.tuples(
+    st.sampled_from(["mrow", "mrow", "mfrac", "msub", "msup", "munderover"]),
+    st.lists(children, max_size=4)).map(lambda t: f"<{t[0]}>{''.join(t[1])}</{t[0]}>"),
+    max_leaves=12)
+_BROKEN = st.sampled_from(["<mi>", "</mrow>", "&bad;", "<"])
+
+
+def formula_markup():
+    """Markup strings, mostly well-formed."""
+    return st.lists(st.one_of(_TREES, _TREES, _TREES, _BROKEN), max_size=5).map("".join)
 
 
 MASS_ENERGY = ("<mi>E</mi><mo>=</mo><mi>m</mi>"
@@ -88,6 +109,24 @@ class TestRobustness:
     def test_namespaced_tags_accepted(self):
         markup = ('<m:mi xmlns:m="http://www.w3.org/1998/Math/MathML">E</m:mi>')
         assert extract_identifiers(markup) == ["E"]
+
+    def test_nesting_deeper_than_the_recursion_limit(self):
+        depth = 5000
+        markup = "<mrow>" * depth + "<msub><mi>x</mi><mi>i</mi></msub>" + "</mrow>" * depth
+        assert extract_identifiers(markup) == ["x"]
+
+    @given(formula_markup())
+    @example("<mrow><mi>x</mi><msub><mi>T</mi><mi>i</mi></msub></mrow><mi>y</mi>")
+    @settings(max_examples=400, deadline=None)
+    def test_equals_recursive_reference(self, markup):
+        try:
+            expected = oracles.extract_identifiers(markup)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as raised:
+                extract_identifiers(markup)
+            assert str(raised.value) == str(exc)
+        else:
+            assert extract_identifiers(markup) == expected
 
 
 class TestGreekTable:

@@ -470,6 +470,13 @@ class TestPhraseIndex:
         assert g.index == PhraseIndex({"wave", "the", "field", "matrix", "functions", "and",
                                        "doe"}, 7)
 
+    def test_updates_accumulate(self):
+        g = Gazetteer.from_pairs("src", [("wave packet spread", "T")])
+        g.update([("Field", "Q1"), ("wave packet", "T"), ("Field", "Q2")])
+        assert g.index == PhraseIndex({"wave", "field"}, 3)
+        assert list(g.entries) == ["wave packet spread", "field", "wave packet"]
+        assert g.duplicates_dropped == 1
+
     def test_one_token_key_is_stored_as_itself(self):
         g = Gazetteer.from_pairs("src", [("wave", "T")])
         (key,) = g.entries
@@ -525,7 +532,8 @@ class TestConceptPhraseIndex:
 
 _surfaces = st.sampled_from(["wave function", "Wave_function", "WAVE  function!",
                              "Émile—Borel", "émile borel", "x_y", "Ünïcode", "ǅemal",
-                             "ΣΑΣ", "Q1", "the", "a\u00a0b"])
+                             "ΣΑΣ", "Q1", "the", "a\u00a0b", "a\x0cb", "a\u2028b",
+                             "\u212avin", "kvin", "wave function  ", "a b c d"])
 _targets = st.sampled_from(["Q1", "Q42", "Wave_function", "Q", "Q1x", "q7", "Title"])
 
 
@@ -540,21 +548,29 @@ def gazetteer_file(draw):
         elif kind == "empty":  # a surface that normalizes to nothing
             line = f"{draw(st.sampled_from(['!!!', ' ', '_']))}\t{draw(_targets)}"
         elif kind == "blank":
-            line = draw(st.sampled_from(["", "  ", "\t", " \t "]))
+            line = draw(st.sampled_from(["", "  ", "\t", " \t ", "\u00a0", "\x0c", "\u3000"]))
         elif kind == "three":
             line = f"{draw(_surfaces)}\t{draw(_targets)}\textra"
         else:
             line = draw(_surfaces)
-        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n", "\r"])))
     return "".join(lines).encode("utf-8")
 
 
 def _load_outcome(load, path):
+    """Entries, duplicates and phrase index of a loaded file, or its error.
+
+    The reference loader keeps no index; one is built from its entries.
+    """
     try:
         g = load(path)
     except (ParseError, ValidationError) as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
-    return g.entries, g.duplicates_dropped
+    index = getattr(g, "index", None)
+    if index is None:
+        index = PhraseIndex({key.split(" ")[0] for key in g.entries},
+                            max((key.count(" ") + 1 for key in g.entries), default=0))
+    return g.entries, g.duplicates_dropped, index
 
 
 class TestLoadGazetteer:
