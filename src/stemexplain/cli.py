@@ -1,11 +1,18 @@
 """Command-line pipeline over corpus files.
 
-Each subcommand runs one stage, writes its tables into the output directory
-and drops a stage manifest next to them.  ``report`` stitches the stage
-tables into one markdown report plus an overall manifest.  All outputs are
-plain TSV, JSON, JSONL, or markdown, and are byte-identical across runs with
-the same config and input bytes, regardless of where the output directory
-lives: manifests record content digests and relative names, never paths.
+Each subcommand runs one stage: it resolves its inputs, makes one library
+call and writes its tables into the output directory, then a stage
+manifest.  ``report`` stitches the stage tables into one markdown report plus
+an overall manifest.  All outputs are plain TSV, JSON, JSONL, or markdown,
+and are byte-identical across runs with the same config and input bytes,
+regardless of where the output directory lives: manifests record content
+digests and relative names, never paths.
+
+Every file goes through one ``StageWriter``: it is written to
+``.<name>.partial`` next to its target and moved over it with
+``os.replace``.  A stage removes its old manifest before its first write and
+writes the new one last, so a manifest on disk always matches its files.  A
+stage killed mid-write can leave a ``.partial`` file, which a rerun replaces.
 
 Exit codes: 0 success, 2 config error (bad JSON, unknown keys, missing
 seed, mistyped or out-of-range settings), 3 input error (missing
@@ -19,36 +26,30 @@ Relative file paths inside a config file resolve against the config file's
 directory; paths given on the command line resolve against the working
 directory.
 
-Each stage runs in its own process, so imports are part of every stage's
-cost.  This module imports only corpus, encode and errors at its top; every
-other module is imported inside the stages that use it.  The five stages that
-fit models (correspond, classify, augment, ablate, explain) import classify,
-augment and explain, and with them numpy; stats is imported by stats,
-correspond and plotdata, linker by link and mathel, and synth by the synth
-stage and for the ``@demo`` corpus.  So ingest, stats, link, mathel, plotdata
-and report never load numpy, and ingest and report load neither stats nor
-linker.
+Each stage runs in its own process, so this module imports only corpus,
+encode and errors at its top; every other module (numpy with classify,
+augment and explain) is imported inside the stages that use it.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import math
+import os
 import sys
 import warnings
-from collections import Counter
+from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import asdict, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .corpus import (Document, GoldAnnotations, corpus_to_text,
-                     document_identifiers, load_corpus, save_corpus)
-from .encode import STOPWORDS, TokenStream, lemmatize_stream, remove_stopwords
+from .corpus import Document, corpus_summary, corpus_to_text, load_corpus, save_corpus
+from .encode import TokenStream, lemmatize_stream, remove_stopwords
 from .errors import ConvergenceWarning, ParseError, ToolkitError, ValidationError
 
 if TYPE_CHECKING:
@@ -170,13 +171,14 @@ def _check_paths(config: dict) -> None:
         raise ConfigError("augment.concept_map must be null or a string")
 
 
-def _anchor_paths(config: dict, base: Path) -> None:
-    config["corpus"] = _anchor(config["corpus"], base)
-    config["linker"]["gazetteers"] = {
-        tag: _anchor(p, base) for tag, p in config["linker"]["gazetteers"].items()}
-    config["augment"]["sources"] = {
-        tag: _anchor(p, base) for tag, p in config["augment"]["sources"].items()}
-    config["augment"]["concept_map"] = _anchor(config["augment"]["concept_map"], base)
+def _map_files(config: dict, fn) -> None:
+    """Replace each file setting by ``fn(role, value)``, roles named as in manifests."""
+    config["corpus"] = fn("corpus", config["corpus"])
+    for section, key, role in (("linker", "gazetteers", "gazetteer"),
+                               ("augment", "sources", "source")):
+        config[section][key] = {tag: fn(f"{role}:{tag}", value)
+                                for tag, value in config[section][key].items()}
+    config["augment"]["concept_map"] = fn("concept_map", config["augment"]["concept_map"])
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
@@ -194,7 +196,8 @@ def load_config(path: str | None, overrides: dict) -> dict:
             raise ConfigError("config root must be a JSON object")
         config = _merge_config(config, loaded)
         _check_paths(config)
-        _anchor_paths(config, source.resolve().parent)
+        base = source.resolve().parent
+        _map_files(config, lambda role, value: _anchor(value, base))
     for key, value in overrides.items():
         if value is None:
             continue
@@ -264,9 +267,9 @@ def config_digest(config: dict, known: dict[str, str] | None = None) -> str:
 
     Two runs pointed at byte-identical inputs hash the same even when
     the files live at different paths; out_dir never participates.
-    ``known`` holds digests a stage already computed, keyed like a
-    manifest's inputs ("corpus", "gazetteer:<tag>", "source:<tag>",
-    "concept_map"); those files are not read again.
+    ``known`` holds digests a stage already computed, keyed by role
+    ("corpus", "gazetteer:<tag>", "source:<tag>", "concept_map"); those
+    files are not read again.
     """
     canon = copy.deepcopy(config)
     canon.pop("out_dir", None)
@@ -278,105 +281,158 @@ def config_digest(config: dict, known: dict[str, str] | None = None) -> str:
         digest = known.get(role)
         return _digest_file(Path(path_value)) if digest is None else digest
 
-    canon["corpus"] = _content("corpus", canon["corpus"])
-    canon["linker"]["gazetteers"] = {
-        tag: _content(f"gazetteer:{tag}", p)
-        for tag, p in canon["linker"]["gazetteers"].items()}
-    canon["augment"]["sources"] = {
-        tag: _content(f"source:{tag}", p) for tag, p in canon["augment"]["sources"].items()}
-    canon["augment"]["concept_map"] = _content("concept_map", canon["augment"]["concept_map"])
+    _map_files(canon, _content)
     return _digest_bytes(json.dumps(canon, sort_keys=True).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
-# Shared input loading
+# Stage inputs and outputs
 
 
-def _load_input(ref: str, what: str, load):
-    """``load(path)`` and the file's digest; a missing file is an input error."""
+def _load_input(out: StageWriter, role: str, ref: str, what: str, load):
+    """``load(path)``, its digest recorded as input ``role``; a missing file is an input error."""
     path = Path(ref)
     if not path.is_file():
         raise ParseError(f"{what} file not found: {ref}")
-    return load(path), _digest_file(path)
+    out.inputs[role] = _digest_file(path)
+    return load(path)
 
 
-def _resolve_corpus(config: dict) -> tuple[list[Document], str]:
+def _resolve_corpus(config: dict, out: StageWriter) -> list[Document]:
     ref = config["corpus"]
     if ref == "@demo":
         from .synth import demo_corpus
 
         docs = demo_corpus()
-        return docs, _digest_bytes(corpus_to_text(docs).encode("utf-8"))
-    return _load_input(ref, "corpus", load_corpus)
+        out.inputs["corpus"] = _digest_bytes(corpus_to_text(docs).encode("utf-8"))
+        return docs
+    return _load_input(out, "corpus", ref, "corpus", load_corpus)
 
 
-def _encoded_stream(doc: Document, config: dict) -> TokenStream:
-    stream = TokenStream.of(doc.doc_id, doc.text_tokens())
+def _encoded_streams(docs: list[Document], config: dict) -> list[TokenStream]:
+    streams = [TokenStream.of(doc.doc_id, doc.text_tokens()) for doc in docs]
     if config["encode"]["remove_stopwords"]:
-        stream = remove_stopwords(stream)
+        streams = [remove_stopwords(stream) for stream in streams]
     if config["encode"]["lemmatize"]:
-        stream = lemmatize_stream(stream)
-    return stream
+        streams = [lemmatize_stream(stream) for stream in streams]
+    return streams
 
 
-def _load_gazetteers(config: dict) -> tuple[dict[str, Gazetteer], dict[str, str]]:
+def _load_gazetteers(config: dict, out: StageWriter) -> dict[str, Gazetteer]:
     from .linker import load_gazetteer
 
-    gazetteers, digests = {}, {}
-    for tag, ref in sorted(config["linker"]["gazetteers"].items()):
-        gazetteers[tag], digests[f"gazetteer:{tag}"] = _load_input(
-            ref, "gazetteer", lambda path: load_gazetteer(path, tag))
+    gazetteers = {tag: _load_input(out, f"gazetteer:{tag}", ref, "gazetteer",
+                                   lambda path: load_gazetteer(path, tag))
+                  for tag, ref in sorted(config["linker"]["gazetteers"].items())}
     if not gazetteers:
         raise ConfigError("linker.gazetteers is empty; nothing to link against")
-    return gazetteers, digests
+    return gazetteers
 
 
-def _load_source(config: dict, tag: str) -> tuple[SymbolNameSource, str]:
+def _load_source(config: dict, tag: str, out: StageWriter) -> SymbolNameSource:
     from .augment import load_symbol_source
 
     ref = config["augment"]["sources"].get(tag)
     if ref is None:
         raise ConfigError(f"augment.sources has no entry {tag!r}")
-    return _load_input(ref, "symbol source", lambda path: load_symbol_source(path, tag))
+    return _load_input(out, f"source:{tag}", ref, "symbol source",
+                       lambda path: load_symbol_source(path, tag))
 
 
-def _load_concept_map(config: dict) -> tuple[ConceptCategoryMap, str]:
+def _load_concept_map(config: dict, out: StageWriter) -> ConceptCategoryMap:
     from .augment import load_concept_map
 
     ref = config["augment"]["concept_map"]
     if ref is None:
         raise ConfigError("augment.concept_map is required for this stage")
-    return _load_input(ref, "concept map", load_concept_map)
+    return _load_input(out, "concept_map", ref, "concept map", load_concept_map)
 
 
-def build_math_streams(docs: list[Document], source: SymbolNameSource, top_k: int,
-                       concept_map: ConceptCategoryMap | None) -> dict[str, list[str]]:
-    """``augment.build_math_streams``, imported only when a stage calls it."""
+def build_math_streams(*args) -> dict[str, list[str]]:
+    """``augment.build_math_streams``; no stage calls it, bench/tracing.py spans this name."""
     from .augment import build_math_streams
 
-    return build_math_streams(docs, source, top_k, concept_map)
+    return build_math_streams(*args)
 
 
-def _write_manifest(stage: str, config: dict, out_dir: Path,
-                    inputs: dict[str, str], outputs: list[str]) -> None:
+class StageWriter:
+    """One stage run's inputs (role -> digest) and the files it writes into ``out_dir``.
+
+    Each file is written to ``.<name>.partial`` and renamed over its
+    target.  The stage's manifest is removed before the first file and
+    written last, so a manifest on disk always matches its files.
+    """
+
+    def __init__(self, out_dir: Path, manifest: str | None):
+        self.out_dir = out_dir
+        self.manifest = manifest
+        self.inputs: dict[str, str] = {}
+        self.outputs: list[str] = []
+
+    def file(self, name: str, write) -> None:
+        """``write(path)`` writes the file; the path it gets is the temp file."""
+        if not self.outputs and self.manifest is not None:
+            (self.out_dir / self.manifest).unlink(missing_ok=True)
+        partial = self.out_dir / f".{name}.partial"
+        try:
+            write(partial)
+            os.replace(partial, self.out_dir / name)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
+        self.outputs.append(name)
+
+    def tsv(self, name: str, header, rows) -> None:
+        self.file(name, lambda path: write_tsv(path, header, rows))
+
+    def json(self, name: str, payload) -> None:
+        self.file(name, lambda path: write_json(path, payload))
+
+
+def _write_manifest(out: StageWriter, stage: str, config: dict) -> None:
     manifest = {
         "tool": TOOL_NAME,
         "version": __version__,
         "stage": stage,
         "seed": config["seed"],
-        "config_digest": config_digest(config, inputs),
-        "inputs": dict(sorted(inputs.items())),
-        "outputs": {name: _digest_file(out_dir / name) for name in sorted(outputs)},
+        "config_digest": config_digest(config, out.inputs),
+        "inputs": dict(sorted(out.inputs.items())),
+        "outputs": {name: _digest_file(out.out_dir / name) for name in sorted(out.outputs)},
     }
-    write_json(out_dir / f"{stage}_manifest.json", manifest)
+    out.json(out.manifest, manifest)
 
 
 # ---------------------------------------------------------------------------
 # Stages
 
+STAGES: dict[str, Callable[[dict, Path], list[str]]] = {}
+"""Stage name -> ``run(config, out_dir)``, which returns the files it wrote."""
 
-def stage_synth(config: dict, out_dir: Path) -> list[str]:
-    """Write the demo corpus, its fixture files, and a ready config.
+
+def _stage(manifest: bool = True):
+    """Register ``stage_<name>(config, out: StageWriter)``; help is its docstring's first line.
+
+    With ``manifest``, ``<name>_manifest.json`` is written after its files.
+    """
+    def register(body):
+        name = body.__name__.removeprefix("stage_")
+
+        @functools.wraps(body)
+        def run(config: dict, out_dir: Path) -> list[str]:
+            out = StageWriter(out_dir, f"{name}_manifest.json" if manifest else None)
+            body(config, out)
+            if manifest:
+                _write_manifest(out, name, config)
+            return out.outputs
+
+        STAGES[name] = run
+        return run
+    return register
+
+
+@_stage(manifest=False)
+def stage_synth(config: dict, out: StageWriter) -> None:
+    """write the demo corpus and its fixture files
 
     A fixture generator rather than a pipeline stage, so it writes no
     manifest; the emitted config uses paths relative to the output
@@ -385,91 +441,67 @@ def stage_synth(config: dict, out_dir: Path) -> list[str]:
     from . import synth as synth_mod
 
     docs = synth_mod.demo_corpus()
-    save_corpus(docs, out_dir / "demo_corpus.jsonl")
-    outputs = ["demo_corpus.jsonl"]
+    out.file("demo_corpus.jsonl", lambda path: save_corpus(docs, path))
     sources = synth_mod.demo_symbol_sources()
     for source in sources:
-        name = f"source_{source.name}.tsv"
-        synth_mod.write_symbol_source(source, out_dir / name)
-        outputs.append(name)
-    synth_mod.write_concept_map(synth_mod.demo_concept_map(),
-                                out_dir / "concept_map.tsv")
-    outputs.append("concept_map.tsv")
-    for tag, gazetteer in sorted(synth_mod.demo_gazetteers().items()):
-        name = f"gazetteer_{tag}.tsv"
-        synth_mod.write_gazetteer(gazetteer, out_dir / name)
-        outputs.append(name)
+        out.file(f"source_{source.name}.tsv",
+                 lambda path: synth_mod.write_symbol_source(source, path))
+    out.file("concept_map.tsv",
+             lambda path: synth_mod.write_concept_map(synth_mod.demo_concept_map(), path))
+    gazetteers = synth_mod.demo_gazetteers()
+    for tag, gazetteer in sorted(gazetteers.items()):
+        out.file(f"gazetteer_{tag}.tsv", lambda path: synth_mod.write_gazetteer(gazetteer, path))
     demo_config = copy.deepcopy(DEFAULT_CONFIG)
     demo_config["corpus"] = "demo_corpus.jsonl"
     demo_config["seed"] = synth_mod.DEMO_CONFIG.seed
     demo_config["linker"]["gazetteers"] = {
-        tag: f"gazetteer_{tag}.tsv" for tag in sorted(synth_mod.demo_gazetteers())}
+        tag: f"gazetteer_{tag}.tsv" for tag in sorted(gazetteers)}
     demo_config["augment"]["sources"] = {
         source.name: f"source_{source.name}.tsv" for source in sources}
     demo_config["augment"]["concept_map"] = "concept_map.tsv"
     demo_config["explain"]["source"] = "arxiv"
-    write_json(out_dir / "demo_config.json", demo_config)
-    outputs.append("demo_config.json")
-    return outputs
+    out.json("demo_config.json", demo_config)
 
 
-def stage_ingest(config: dict, out_dir: Path) -> list[str]:
-    docs, corpus_digest = _resolve_corpus(config)
-    arxiv = {label for doc in docs for label in doc.arxiv_categories}
-    msc = {label for doc in docs for label in doc.msc_codes}
-    n_text = sum(sum(1 for s in doc.segments if s.kind == "text") for doc in docs)
-    n_formula = sum(len(doc.formula_segments()) for doc in docs)
-    n_occurrences = sum(len(document_identifiers(doc)) for doc in docs)
-    n_gold = sum(1 for doc in docs if doc.gold is not None and not doc.gold.is_empty())
-    rows = [
-        ("documents", len(docs)),
-        ("arxiv_classes", len(arxiv)),
-        ("msc_codes", len(msc)),
-        ("text_segments", n_text),
-        ("formula_segments", n_formula),
-        ("identifier_occurrences", n_occurrences),
-        ("documents_with_gold", n_gold),
-    ]
-    write_tsv(out_dir / "ingest_summary.tsv", ["metric", "value"], rows)
-    _write_manifest("ingest", config, out_dir, {"corpus": corpus_digest},
-                    ["ingest_summary.tsv"])
-    return ["ingest_summary.tsv"]
+@_stage()
+def stage_ingest(config: dict, out: StageWriter) -> None:
+    """validate the corpus and summarize its contents"""
+    out.tsv("ingest_summary.tsv", ["metric", "value"],
+            corpus_summary(_resolve_corpus(config, out)))
 
 
-def stage_stats(config: dict, out_dir: Path) -> list[str]:
+@_stage()
+def stage_stats(config: dict, out: StageWriter) -> None:
+    """identifier/name/class distributions and their entropies"""
     from .stats import build_distribution_library, entropy_summary
 
-    docs, corpus_digest = _resolve_corpus(config)
+    docs = _resolve_corpus(config, out)
     library = build_distribution_library(docs, class_axis=config["class_axis"])
-    (out_dir / "library.jsonl").write_text(
-        "".join(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
-                for record in library.to_records()), encoding="utf-8")
+    text = "".join(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+                   for record in library.to_records())
+    out.file("library.jsonl", lambda path: path.write_text(text, encoding="utf-8"))
     summary_rows, key_rows = [], []
     for keyed in ("identifier", "name"):
         summary = entropy_summary(library, keyed=keyed)
         summary_rows.append((keyed, summary.minimum, summary.mean, summary.maximum))
         for key, value in sorted(summary.per_key.items()):
             key_rows.append((keyed, key, value))
-    write_tsv(out_dir / "entropy_summary.tsv",
-              ["keyed_by", "min_entropy", "mean_entropy", "max_entropy"],
-              summary_rows)
-    write_tsv(out_dir / "key_entropies.tsv", ["keyed_by", "key", "entropy"], key_rows)
-    outputs = ["library.jsonl", "entropy_summary.tsv", "key_entropies.tsv"]
-    _write_manifest("stats", config, out_dir, {"corpus": corpus_digest}, outputs)
-    return outputs
+    out.tsv("entropy_summary.tsv",
+            ["keyed_by", "min_entropy", "mean_entropy", "max_entropy"], summary_rows)
+    out.tsv("key_entropies.tsv", ["keyed_by", "key", "entropy"], key_rows)
 
 
-def stage_correspond(config: dict, out_dir: Path) -> list[str]:
+@_stage()
+def stage_correspond(config: dict, out: StageWriter) -> None:
+    """arXiv/MSC co-occurrence, uncertainty, and cross prediction"""
     from .classify import classifier_label_map, predict_categories
     from .stats import (argmax_predict, build_cooccurrence, compare_predictions,
                         uncertainty_report)
 
-    docs, corpus_digest = _resolve_corpus(config)
+    docs = _resolve_corpus(config, out)
     matrix = build_cooccurrence(docs)
-    header = ["arxiv\\msc"] + list(matrix.col_labels)
-    rows = [(label,) + tuple(matrix.counts[i])
-            for i, label in enumerate(matrix.row_labels)]
-    write_tsv(out_dir / "cooccurrence.tsv", header, rows)
+    out.tsv("cooccurrence.tsv", ["arxiv\\msc"] + list(matrix.col_labels),
+            [(label,) + tuple(matrix.counts[i]) for i, label in enumerate(matrix.row_labels)])
 
     uncertainty_rows, summary_rows = [], []
     for direction in ("rows", "columns"):
@@ -478,11 +510,10 @@ def stage_correspond(config: dict, out_dir: Path) -> list[str]:
             uncertainty_rows.append((direction, label, entropy, margin))
         summary_rows.append((direction, report.entropy_mean, report.entropy_max,
                              report.margin_mean, report.margin_max))
-    write_tsv(out_dir / "uncertainty.tsv",
-              ["direction", "label", "entropy", "margin"], uncertainty_rows)
-    write_tsv(out_dir / "uncertainty_summary.tsv",
-              ["direction", "entropy_mean", "entropy_max", "margin_mean",
-               "margin_max"], summary_rows)
+    out.tsv("uncertainty.tsv", ["direction", "label", "entropy", "margin"], uncertainty_rows)
+    out.tsv("uncertainty_summary.tsv",
+            ["direction", "entropy_mean", "entropy_max", "margin_mean", "margin_max"],
+            summary_rows)
 
     # Dual route: count-table argmax next to a trained classifier.
     agreement_rows = []
@@ -492,8 +523,8 @@ def stage_correspond(config: dict, out_dir: Path) -> list[str]:
                                        **config["logreg"])
         matches, mismatches = compare_predictions(counting, learned)
         agreement_rows.append((direction, matches, mismatches))
-    write_tsv(out_dir / "argmax_vs_classifier.tsv",
-              ["direction", "matches", "mismatches"], agreement_rows)
+    out.tsv("argmax_vs_classifier.tsv", ["direction", "matches", "mismatches"],
+            agreement_rows)
 
     accuracy_rows = []
     for direction in ("arxiv-from-msc", "msc-from-arxiv"):
@@ -508,30 +539,27 @@ def stage_correspond(config: dict, out_dir: Path) -> list[str]:
                                       report.accuracy, report.train_accuracy,
                                       report.n_train, report.n_test,
                                       report.evaluated_on))
-    write_tsv(out_dir / "category_accuracy.tsv",
-              ["direction", "label_mode", "granularity", "accuracy",
-               "train_accuracy", "n_train", "n_test", "evaluated_on"],
-              accuracy_rows)
-    outputs = ["cooccurrence.tsv", "uncertainty.tsv", "uncertainty_summary.tsv",
-               "argmax_vs_classifier.tsv", "category_accuracy.tsv"]
-    _write_manifest("correspond", config, out_dir, {"corpus": corpus_digest}, outputs)
-    return outputs
+    out.tsv("category_accuracy.tsv",
+            ["direction", "label_mode", "granularity", "accuracy", "train_accuracy",
+             "n_train", "n_test", "evaluated_on"], accuracy_rows)
 
 
-def stage_classify(config: dict, out_dir: Path) -> list[str]:
+@_stage()
+def stage_classify(config: dict, out: StageWriter) -> None:
+    """train and score the text classifier"""
     from .classify import (derive_seed, fit_split_model, held_out_accuracy, labeled_documents,
                            predict_labels, stratified_split, subset_accuracy)
 
-    docs, corpus_digest = _resolve_corpus(config)
+    docs = _resolve_corpus(config, out)
     kept, labels, skipped = labeled_documents(docs, config["class_axis"])
-    streams = [_encoded_stream(doc, config) for doc in kept]
+    streams = _encoded_streams(kept, config)
     train_idx, test_idx = stratified_split(labels, config["split"]["test_fraction"],
                                            derive_seed(config["seed"], "classify"))
     encoder, vectors, model = fit_split_model(streams, labels, train_idx, config["seed"],
                                               **config["logreg"])
     train_accuracy = subset_accuracy(model, vectors, labels, train_idx)
     accuracy, evaluated_on = held_out_accuracy(model, vectors, labels, train_idx, test_idx)
-    rows = [
+    out.tsv("classify.tsv", ["metric", "value"], [
         ("accuracy", accuracy),
         ("train_accuracy", train_accuracy),
         ("evaluated_on", evaluated_on),
@@ -545,30 +573,20 @@ def stage_classify(config: dict, out_dir: Path) -> list[str]:
         ("final_loss", model.metadata["final_loss"]),
         ("grad_norm", model.metadata["grad_norm"]),
         ("converged", model.metadata["converged"]),
-    ]
-    write_tsv(out_dir / "classify.tsv", ["metric", "value"], rows)
-    write_json(out_dir / "classify_model.json",
-               {"tfidf": encoder.to_record(), "logreg": model.to_record()})
+    ])
+    out.json("classify_model.json", {"tfidf": encoder.to_record(), "logreg": model.to_record()})
     predicted = predict_labels(model, [vectors[i] for i in test_idx])
-    predictions = [(kept[i].doc_id, labels[i], guess)
-                   for i, guess in zip(test_idx, predicted)]
-    write_tsv(out_dir / "classify_predictions.tsv",
-              ["doc", "label", "predicted"], predictions)
-    outputs = ["classify.tsv", "classify_model.json", "classify_predictions.tsv"]
-    _write_manifest("classify", config, out_dir, {"corpus": corpus_digest}, outputs)
-    return outputs
+    out.tsv("classify_predictions.tsv", ["doc", "label", "predicted"],
+            [(kept[i].doc_id, labels[i], guess) for i, guess in zip(test_idx, predicted)])
 
 
-def stage_augment(config: dict, out_dir: Path) -> list[str]:
+@_stage()
+def stage_augment(config: dict, out: StageWriter) -> None:
+    """identifier-name augmentation experiment"""
     from . import augment as augment_mod
 
-    docs, corpus_digest = _resolve_corpus(config)
-    inputs = {"corpus": corpus_digest}
-    sources = []
-    for tag in sorted(config["augment"]["sources"]):
-        source, digest = _load_source(config, tag)
-        sources.append(source)
-        inputs[f"source:{tag}"] = digest
+    docs = _resolve_corpus(config, out)
+    sources = [_load_source(config, tag, out) for tag in sorted(config["augment"]["sources"])]
     if not sources:
         raise ConfigError("augment.sources is empty")
     report = augment_mod.run_augmentation_experiment(
@@ -578,11 +596,9 @@ def stage_augment(config: dict, out_dir: Path) -> list[str]:
     rows = [("baseline", "text_only", "", report.text_only),
             ("baseline", "symbols_only", "", report.symbols_only),
             ("baseline", "text_plus_symbols", "", report.text_plus_symbols)]
-    for cell in report.cells:
-        rows.append(("augmented", cell.source, cell.top_k, cell.accuracy))
-    write_tsv(out_dir / "augment.tsv",
-              ["row_kind", "source", "top_k", "accuracy"], rows)
-    write_json(out_dir / "augment.json", {
+    rows += [("augmented", cell.source, cell.top_k, cell.accuracy) for cell in report.cells]
+    out.tsv("augment.tsv", ["row_kind", "source", "top_k", "accuracy"], rows)
+    out.json("augment.json", {
         "class_axis": report.class_axis,
         "n_train": report.n_train,
         "n_test": report.n_test,
@@ -593,24 +609,23 @@ def stage_augment(config: dict, out_dir: Path) -> list[str]:
                   for c in report.cells],
         "full_scale_reference": report.reference,
     })
-    outputs = ["augment.tsv", "augment.json"]
-    _write_manifest("augment", config, out_dir, inputs, outputs)
-    return outputs
 
 
-def stage_ablate(config: dict, out_dir: Path) -> list[str]:
+@_stage()
+def stage_ablate(config: dict, out: StageWriter) -> None:
+    """text/math input ablation experiment"""
     from . import augment as augment_mod
 
-    docs, corpus_digest = _resolve_corpus(config)
-    concept_map, map_digest = _load_concept_map(config)
+    docs = _resolve_corpus(config, out)
+    concept_map = _load_concept_map(config, out)
     report = augment_mod.run_ablation_experiment(
         docs, concept_map, seed=config["seed"], class_axis=config["class_axis"],
         test_fraction=config["split"]["test_fraction"], **config["logreg"])
-    write_tsv(out_dir / "ablate.tsv", ["mode", "accuracy", "relative_cost"],
-              [(row.mode, row.accuracy, row.relative_cost) for row in report.rows])
-    write_tsv(out_dir / "ablate_coverage.tsv", ["phrase", "missing_class"],
-              list(report.coverage_violations))
-    write_json(out_dir / "ablate.json", {
+    out.tsv("ablate.tsv", ["mode", "accuracy", "relative_cost"],
+            [(row.mode, row.accuracy, row.relative_cost) for row in report.rows])
+    out.tsv("ablate_coverage.tsv", ["phrase", "missing_class"],
+            list(report.coverage_violations))
+    out.json("ablate.json", {
         "class_axis": report.class_axis,
         "rows": [{"mode": r.mode, "accuracy": r.accuracy,
                   "relative_cost": r.relative_cost} for r in report.rows],
@@ -619,264 +634,84 @@ def stage_ablate(config: dict, out_dir: Path) -> list[str]:
         "n_test": report.n_test,
         "full_scale_reference": report.reference,
     })
-    inputs = {"corpus": corpus_digest, "concept_map": map_digest}
-    outputs = ["ablate.tsv", "ablate_coverage.tsv", "ablate.json"]
-    _write_manifest("ablate", config, out_dir, inputs, outputs)
-    return outputs
 
 
-def stage_link(config: dict, out_dir: Path) -> list[str]:
-    """Link every document's text and score the gold-judged documents.
-
-    Links whose surface a gold document leaves unjudged are counted per
-    mode in the ``unjudged`` column instead of being evaluated.  Each
-    document is tokenized once and each distinct token lemmatized once;
-    every gazetteer and variant links over those tokens and lemmas.
-    """
+@_stage()
+def stage_link(config: dict, out: StageWriter) -> None:
+    """gazetteer entity linking and its evaluation"""
     from . import linker as linker_mod
 
-    docs, corpus_digest = _resolve_corpus(config)
-    gazetteers, digests = _load_gazetteers(config)
-    max_n = config["linker"]["max_n"]
-    modes = linker_mod.DEFAULT_EVAL_MODES
-    mode_names = [mode.name for mode in modes]
-
-    link_rows, tuple_rows = [], []
-    marks: dict[tuple[str, str], list[str]] = {}
-    unjudged: Counter = Counter()  # (source, lemmatized) -> links
-    lemma_of: dict[str, str] = {}
-    for doc in docs:
-        tokens = doc.text_tokens()
-        lemmas = linker_mod.lemma_forms(tokens, lemma_of)
-        links = []
-        for tag in sorted(gazetteers):
-            for lemmatized in (False, True):
-                links.extend(linker_mod.link_text_entities(
-                    doc, gazetteers[tag], max_n=max_n, lemmatized=lemmatized,
-                    tokens=tokens, lemmas=lemmas))
-        links.sort(key=lambda l: (l.start, -l.length, l.source, l.lemmatized))
-        for link in links:
-            link_rows.append((link.doc_id, link.start, link.length, link.surface,
-                              link.match_form, link.target_title or "",
-                              link.target_item or "", link.source,
-                              link.lemmatized))
-        if doc.gold is None or not doc.gold.entity_relevance:
-            continue
-        normalized = {raw: linker_mod.normalize_surface(raw)
-                      for raw in doc.gold.entity_relevance}
-        judged_forms = set(normalized.values())
-        # A link's surface is space-joined tokenizer output, hence already
-        # in normalized form.
-        judged = [l for l in links if l.surface in judged_forms]
-        unjudged.update((l.source, l.lemmatized) for l in links
-                        if l.surface not in judged_forms)
-        evaluation = linker_mod.evaluate_linking(judged, doc.gold)
-        for mode in mode_names:
-            for variant in linker_mod.VARIANTS:
-                marks.setdefault((mode, variant), []).extend(
-                    evaluation.assignments[mode][variant].values())
-        for raw in sorted(doc.gold.entity_relevance):
-            row_marks = [evaluation.assignments[mode][variant][normalized[raw]]
-                         for variant in linker_mod.VARIANTS for mode in mode_names]
-            tuple_rows.append((doc.doc_id, raw, doc.gold.entity_relevance[raw])
-                              + tuple(row_marks))
-    write_tsv(out_dir / "links.tsv",
-              ["doc", "start", "length", "surface", "match_form", "title",
-               "item", "source", "lemmatized"], link_rows)
-    eval_rows = []
-    for variant in linker_mod.VARIANTS:
-        for mode in modes:
-            counts = linker_mod.ModeCounts.from_marks(marks.get((mode.name, variant), ()))
-            eval_rows.append((mode.name, variant, counts.tp, counts.fp, counts.fn,
-                              counts.tn, counts.excluded, counts.precision(),
-                              counts.recall(), counts.f1(),
-                              unjudged[mode.source, variant == linker_mod.LEMMATIZED]))
-    write_tsv(out_dir / "link_eval.tsv",
-              ["mode", "variant", "tp", "fp", "fn", "tn", "excluded",
-               "precision", "recall", "f1", "unjudged"], eval_rows)
-    mark_header = [f"{mode}_{variant}" for variant in linker_mod.VARIANTS
-                   for mode in mode_names]
-    write_tsv(out_dir / "link_tuples.tsv",
-              ["doc", "ngram", "relevance"] + mark_header, tuple_rows)
-    inputs = {"corpus": corpus_digest, **digests}
-    outputs = ["links.tsv", "link_eval.tsv", "link_tuples.tsv"]
-    _write_manifest("link", config, out_dir, inputs, outputs)
-    return outputs
+    docs = _resolve_corpus(config, out)
+    gazetteers = _load_gazetteers(config, out)
+    links, evaluation, tuples = linker_mod.link_corpus(docs, gazetteers,
+                                                       max_n=config["linker"]["max_n"])
+    out.tsv("links.tsv", linker_mod.LINK_COLUMNS, links)
+    out.tsv("link_eval.tsv", linker_mod.LINK_EVAL_COLUMNS, evaluation)
+    out.tsv("link_tuples.tsv", linker_mod.LINK_TUPLE_COLUMNS, tuples)
 
 
-def stage_mathel(config: dict, out_dir: Path) -> list[str]:
-    """Link the text around every formula and score the gold-judged ones.
-
-    Each document is tokenized once; every gazetteer links over that
-    token layout.
-    """
+@_stage()
+def stage_mathel(config: dict, out: StageWriter) -> None:
+    """formula-concept linking and coverage"""
     from . import linker as linker_mod
 
-    docs, corpus_digest = _resolve_corpus(config)
-    gazetteers, digests = _load_gazetteers(config)
-    window = config["linker"]["window"]
-    max_n = config["linker"]["max_n"]
-
-    rows, all_links = [], []
-    merged_relevance: dict[str, dict[str, int]] = {}
-    for doc in docs:
-        gold = doc.gold if doc.gold is not None and doc.gold.concept_relevance else None
-        layout = doc.token_layout()
-        per_gazetteer = [linker_mod.link_formula_concepts(
-            doc, gazetteers[tag], window=window, max_n=max_n, gold=gold, layout=layout)
-            for tag in sorted(gazetteers)]
-        links = linker_mod.merge_concept_links(*per_gazetteer)
-        links.sort(key=lambda l: (l.formula_id, l.rank is None,
-                                  -(l.rank or 0), l.phrase, l.source))
-        all_links.extend(links)
-        for link in links:
-            rows.append((link.doc_id, link.formula_id, link.phrase, link.length,
-                         "" if link.score is None else link.score,
-                         "" if link.rank is None else link.rank,
-                         link.target_title or "", link.target_item or "",
-                         link.source))
-        if gold is not None:
-            merged_relevance.update(gold.concept_relevance)
-    write_tsv(out_dir / "mathel.tsv",
-              ["doc", "formula", "phrase", "tokens", "score", "rank", "title",
-               "item", "source"], rows)
-    outputs = ["mathel.tsv"]
-    if merged_relevance:
-        # Formula ids are unique corpus-wide (document-scoped names), so the
-        # per-document gold tables merge into one coverage evaluation.
-        coverage = linker_mod.mathel_coverage_report(
-            all_links, GoldAnnotations(concept_relevance=merged_relevance))
-        write_tsv(out_dir / "mathel_coverage.tsv", ["metric", "value"], [
+    docs = _resolve_corpus(config, out)
+    gazetteers = _load_gazetteers(config, out)
+    rows, coverage = linker_mod.link_corpus_concepts(
+        docs, gazetteers, window=config["linker"]["window"], max_n=config["linker"]["max_n"])
+    out.tsv("mathel.tsv", linker_mod.MATHEL_COLUMNS, rows)
+    if coverage is not None:
+        out.tsv("mathel_coverage.tsv", ["metric", "value"], [
             ("gold_concepts", coverage.n_concepts),
             ("fraction_with_article", coverage.fraction_with_article),
             ("fraction_with_item", coverage.fraction_with_item),
             ("fraction_name_in_window", coverage.fraction_name_in_window),
             ("highly_relevant_found", coverage.highly_relevant_found),
         ])
-        outputs.append("mathel_coverage.tsv")
-    inputs = {"corpus": corpus_digest, **digests}
-    _write_manifest("mathel", config, out_dir, inputs, outputs)
-    return outputs
 
 
-def stage_explain(config: dict, out_dir: Path) -> list[str]:
-    """Surrogate explanations, entity rankings, and the entropy table.
-
-    The text model here trains on stopword-filtered raw tokens (the
-    same streams the ranker explains) rather than the encode settings,
-    so surrogate features always line up with the model vocabulary.
-    """
+@_stage()
+def stage_explain(config: dict, out: StageWriter) -> None:
+    """surrogate explanations, entity rankings, entropy table"""
     from . import explain as explain_mod
-    from .classify import derive_seed, fit_split_model, labeled_documents, stratified_split
 
-    docs, corpus_digest = _resolve_corpus(config)
-    inputs = {"corpus": corpus_digest}
+    docs = _resolve_corpus(config, out)
     source_tag = config["explain"]["source"]
     if source_tag is None:
         raise ConfigError("explain.source must name one of augment.sources")
-    source, digest = _load_source(config, source_tag)
-    inputs[f"source:{source_tag}"] = digest
-    concept_map = None
-    if config["augment"]["concept_map"] is not None:
-        concept_map, map_digest = _load_concept_map(config)
-        inputs["concept_map"] = map_digest
-
-    kept, labels, _ = labeled_documents(docs, config["class_axis"])
-    math_streams = build_math_streams(kept, source,
-                                      config["explain"]["source_top_k"], concept_map)
-    text_streams = [TokenStream.of(d.doc_id,
-                                   [t for t in d.text_tokens() if t not in STOPWORDS])
-                    for d in kept]
-    math_token_streams = [TokenStream.of(d.doc_id, math_streams[d.doc_id])
-                          for d in kept]
-    train_idx, _ = stratified_split(labels, config["split"]["test_fraction"],
-                                    derive_seed(config["seed"], "classify"))
-    text_encoder, _, text_model = fit_split_model(text_streams, labels, train_idx,
-                                                  config["seed"], **config["logreg"])
-    math_encoder, _, math_model = fit_split_model(math_token_streams, labels, train_idx,
-                                                  config["seed"], **config["logreg"])
-
-    # Every table document is explained once; the table keeps the first
-    # lime.top_k features.  When the rankings sample with the same settings,
-    # the documents the MDisc Text ranking samples are explained in full and
-    # reused by it; the others keep only their table features.
-    lime_cfg = config["lime"]
-    table_lime = explain_mod.LimeSettings(lime_cfg["num_samples"],
-                                          lime_cfg["kernel_width"], lime_cfg["ridge"])
-    rank_lime = replace(table_lime, num_samples=config["explain"]["num_samples"])
-    budget = config["explain"]["budget"]
-    reusable = (explain_mod.mdisc_documents(kept, budget, config["seed"], config["class_axis"])
-                if rank_lime == table_lime else set())
-    explained: dict[str, explain_mod.Explanation] = {}
-    for doc, label, stream in zip(kept, labels, text_streams):
-        if not any(t in text_encoder.vocabulary for t in stream.tokens):
-            continue  # nothing in vocabulary, nothing to explain
-        explained[doc.doc_id] = explain_mod.lime_explain(
-            text_model, text_encoder, doc.doc_id, list(stream.tokens), label,
-            top_k=None if doc.doc_id in reusable else lime_cfg["top_k"],
-            seed=derive_seed(config["seed"], "lime", doc.doc_id), **asdict(table_lime))
-    explanation_rows = []
-    for explanation in explained.values():
-        for position, (token, weight) in enumerate(
-                explanation.features[:lime_cfg["top_k"]], start=1):
-            explanation_rows.append((explanation.doc_id, explanation.target_class,
-                                     explanation.fidelity, position, token, weight))
-    write_tsv(out_dir / "explanations.tsv",
-              ["doc", "class", "fidelity", "position", "token", "weight"],
-              explanation_rows)
-
-    rankings = explain_mod.compute_rankings(
-        kept, text_model, text_encoder, math_model, math_encoder, math_streams,
-        budget=budget, seed=config["seed"], lime=rank_lime,
-        class_axis=config["class_axis"],
-        text_explanations={doc_id: explanation for doc_id, explanation in explained.items()
-                           if doc_id in reusable})
-    top_m = config["explain"]["top_m"]
-    ranking_rows = []
-    for mode in (explain_mod.MDISC, explain_mod.MFREQ):
-        for kind in (explain_mod.TEXT_KIND, explain_mod.MATH_KIND):
-            ranking = rankings[(mode, kind)]
-            for label in sorted(ranking.per_class):
-                for position, (entity, strength) in enumerate(
-                        ranking.per_class[label][:top_m], start=1):
-                    ranking_rows.append((mode, kind, label, position, entity,
-                                         strength))
-    write_tsv(out_dir / "rankings.tsv",
-              ["mode", "kind", "class", "position", "entity", "strength"],
-              ranking_rows)
-
-    report = explain_mod.build_entropy_report(rankings, top_m=top_m)
-    write_tsv(out_dir / "entropy_report.tsv", ["row", "entropy_bits"],
-              list(report.rows))
-    fidelities = [e.fidelity for e in explained.values()]
-    write_json(out_dir / "explain.json", {
-        "entropy_rows": {label: value for label, value in report.rows},
-        "top_m": report.top_m,
-        "budget": budget,
-        "warnings": {f"{mode}_{kind}": list(rankings[(mode, kind)].warnings)
-                     for mode, kind in rankings},
-        "lime": {
-            "documents_explained": len(explained),
-            "documents_skipped": len(kept) - len(explained),
-            "ranking_explanations_reused":
-                rankings[(explain_mod.MDISC, explain_mod.TEXT_KIND)].reused,
-            "fidelity_min": min(fidelities, default=None),
-            "fidelity_mean": sum(fidelities) / len(fidelities) if fidelities else None,
-        },
-        "full_scale_reference": report.reference,
+    source = _load_source(config, source_tag, out)
+    concept_map = (None if config["augment"]["concept_map"] is None
+                   else _load_concept_map(config, out))
+    lime, settings = config["lime"], config["explain"]
+    report = explain_mod.run_explain(
+        docs, source, concept_map, seed=config["seed"], class_axis=config["class_axis"],
+        test_fraction=config["split"]["test_fraction"],
+        lime=explain_mod.LimeSettings(lime["num_samples"], lime["kernel_width"], lime["ridge"]),
+        top_k=lime["top_k"], rank_samples=settings["num_samples"], budget=settings["budget"],
+        top_m=settings["top_m"], source_top_k=settings["source_top_k"], **config["logreg"])
+    out.tsv("explanations.tsv", ["doc", "class", "fidelity", "position", "token", "weight"],
+            report.explanation_rows)
+    out.tsv("rankings.tsv", ["mode", "kind", "class", "position", "entity", "strength"],
+            report.ranking_rows)
+    out.tsv("entropy_report.tsv", ["row", "entropy_bits"], report.entropy.rows)
+    out.json("explain.json", {
+        "entropy_rows": dict(report.entropy.rows),
+        "top_m": report.entropy.top_m,
+        "budget": settings["budget"],
+        "warnings": report.warnings,
+        "lime": report.lime,
+        "full_scale_reference": report.entropy.reference,
     })
-    outputs = ["explanations.tsv", "rankings.tsv", "entropy_report.tsv",
-               "explain.json"]
-    _write_manifest("explain", config, out_dir, inputs, outputs)
-    return outputs
 
 
-def stage_plotdata(config: dict, out_dir: Path) -> list[str]:
+@_stage()
+def stage_plotdata(config: dict, out: StageWriter) -> None:
+    """plot-ready tables derived from stage outputs"""
     which = config["plot"]["which"]
     if which == "symbol-name-distribution":
-        from .stats import build_distribution_library
+        from .stats import CountDistribution, build_distribution_library
 
-        docs, corpus_digest = _resolve_corpus(config)
+        docs = _resolve_corpus(config, out)
         library = build_distribution_library(docs, class_axis=config["class_axis"])
         if not library.identifier_class:
             raise ValidationError("corpus contains no identifiers to plot")
@@ -894,38 +729,46 @@ def stage_plotdata(config: dict, out_dir: Path) -> list[str]:
             name = min(by_name, key=lambda n: (-by_name[n], n))
         if name not in library.name_class:
             raise ValidationError(f"name {name!r} does not occur in the corpus")
-        rows = []
-        for series, table in ((f"identifier:{symbol}", library.identifier_class[symbol]),
-                              (f"name:{name}", library.name_class[name])):
-            total = sum(table.values())
-            for label in sorted(table):
-                rows.append((series, label, table[label] / total))
-        write_tsv(out_dir / "plot_symbol_name.tsv",
-                  ["series", "class", "fraction"], rows)
-        outputs = ["plot_symbol_name.tsv"]
-        _write_manifest("plotdata", config, out_dir, {"corpus": corpus_digest}, outputs)
-        return outputs
-    if which == "entropy-table":
-        source = out_dir / "entropy_report.tsv"
+        out.tsv("plot_symbol_name.tsv", ["series", "class", "fraction"], [
+            (series, label, fraction)
+            for series, table in ((f"identifier:{symbol}", library.identifier_class[symbol]),
+                                  (f"name:{name}", library.name_class[name]))
+            for label, fraction in sorted(CountDistribution(table).normalized().items())])
+    elif which == "entropy-table":
+        source = out.out_dir / "entropy_report.tsv"
         if not source.is_file():
             raise ParseError("entropy_report.tsv not found; run the explain stage first")
-        lines = source.read_text(encoding="utf-8").splitlines()[1:]
-        parsed = [(line.split("\t")[0], float(line.split("\t")[1])) for line in lines]
+        parsed = []
+        for line_no, line in enumerate(source.read_text(encoding="utf-8").splitlines()[1:],
+                                       start=2):
+            label, _, value = line.partition("\t")
+            try:
+                entropy = float(value)
+            except ValueError:
+                entropy = math.nan
+            if not math.isfinite(entropy):
+                raise ParseError(f"entropy_report.tsv: expected a row name, a tab and a "
+                                 f"finite entropy, got {line!r}", line_no)
+            parsed.append((label, entropy))
         total = sum(value for _, value in parsed)
         if total <= 0:
             raise ValidationError("entropy table sums to zero; nothing to normalize")
-        rows = [(label, value, value / total) for label, value in parsed]
-        write_tsv(out_dir / "plot_entropy_table.tsv",
-                  ["row", "entropy_bits", "normalized"], rows)
-        outputs = ["plot_entropy_table.tsv"]
-        _write_manifest("plotdata", config, out_dir,
-                        {"entropy_report.tsv": _digest_file(source)}, outputs)
-        return outputs
-    raise ConfigError(f"plot.which must be 'symbol-name-distribution' or "
-                      f"'entropy-table', got {which!r}")
+        out.tsv("plot_entropy_table.tsv", ["row", "entropy_bits", "normalized"],
+                [(label, value, value / total) for label, value in parsed])
+        out.inputs["entropy_report.tsv"] = _digest_file(source)
+    else:
+        raise ConfigError(f"plot.which must be 'symbol-name-distribution' or "
+                          f"'entropy-table', got {which!r}")
 
 
-def stage_report(config: dict, out_dir: Path) -> list[str]:
+@_stage(manifest=False)
+def stage_report(config: dict, out: StageWriter) -> None:
+    """assemble stage tables into report.md and manifest.json
+
+    ``manifest.json`` lists every other file but temp files with its digest;
+    like a stage manifest, it is removed before the first write and written last.
+    """
+    out_dir = out.out_dir
     missing = [name for _, name in REPORT_SECTIONS if not (out_dir / name).is_file()]
     if missing:
         raise ParseError("missing stage outputs: " + ", ".join(missing)
@@ -935,57 +778,20 @@ def stage_report(config: dict, out_dir: Path) -> list[str]:
              f"- seed: {config['seed']}",
              f"- config digest: `{digest}`", ""]
     for title, name in REPORT_SECTIONS:
-        lines.append(f"## {title}")
-        lines.append("")
-        lines.append("```")
-        lines.append((out_dir / name).read_text(encoding="utf-8").rstrip("\n"))
-        lines.append("```")
-        lines.append("")
-    (out_dir / "report.md").write_text("\n".join(lines), encoding="utf-8")
-
+        text = (out_dir / name).read_text(encoding="utf-8").rstrip("\n")
+        lines += [f"## {title}", "", "```", text, "```", ""]
+    (out_dir / "manifest.json").unlink(missing_ok=True)
+    out.file("report.md", lambda path: path.write_text("\n".join(lines), encoding="utf-8"))
     files = sorted(p.name for p in out_dir.iterdir()
-                   if p.is_file() and p.name != "manifest.json")
-    manifest = {
+                   if p.is_file() and not p.name.endswith(".partial"))
+    out.json("manifest.json", {
         "tool": TOOL_NAME,
         "version": __version__,
         "stage": "report",
         "seed": config["seed"],
         "config_digest": digest,
         "files": {name: _digest_file(out_dir / name) for name in files},
-    }
-    write_json(out_dir / "manifest.json", manifest)
-    return ["report.md", "manifest.json"]
-
-
-STAGES = {
-    "synth": stage_synth,
-    "ingest": stage_ingest,
-    "stats": stage_stats,
-    "correspond": stage_correspond,
-    "classify": stage_classify,
-    "augment": stage_augment,
-    "ablate": stage_ablate,
-    "link": stage_link,
-    "mathel": stage_mathel,
-    "explain": stage_explain,
-    "plotdata": stage_plotdata,
-    "report": stage_report,
-}
-
-_STAGE_HELP = {
-    "synth": "write the demo corpus and its fixture files",
-    "ingest": "validate the corpus and summarize its contents",
-    "stats": "identifier/name/class distributions and their entropies",
-    "correspond": "arXiv/MSC co-occurrence, uncertainty, and cross prediction",
-    "classify": "train and score the text classifier",
-    "augment": "identifier-name augmentation experiment",
-    "ablate": "text/math input ablation experiment",
-    "link": "gazetteer entity linking and its evaluation",
-    "mathel": "formula-concept linking and coverage",
-    "explain": "surrogate explanations, entity rankings, entropy table",
-    "plotdata": "plot-ready tables derived from stage outputs",
-    "report": "assemble stage tables into report.md and manifest.json",
-}
+    })
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1008,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="print the effective configuration and exit")
     for name in STAGES:
         stage_parser = subparsers.add_parser(name, parents=[common],
-                                             help=_STAGE_HELP[name])
+                                             help=STAGES[name].__doc__.splitlines()[0])
         if name == "plotdata":
             stage_parser.add_argument(
                 "--which", choices=("symbol-name-distribution", "entropy-table"),
@@ -1050,11 +856,8 @@ def _convergence_warnings(stage: str):
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {"corpus": args.corpus, "out_dir": args.out_dir, "seed": args.seed}
-    if args.command == "plotdata":
-        overrides["plot.which"] = args.which
-        overrides["plot.symbol"] = args.symbol
-        overrides["plot.name"] = args.name
+    overrides = {"corpus": args.corpus, "out_dir": args.out_dir, "seed": args.seed,
+                 **{f"plot.{key}": getattr(args, key, None) for key in ("which", "symbol", "name")}}
     try:
         config = load_config(args.config, overrides)
         if args.command == "print-config":

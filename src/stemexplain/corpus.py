@@ -169,34 +169,53 @@ def document_identifiers(doc: Document) -> list[IdentifierOccurrence]:
     return out
 
 
+def corpus_summary(docs: list[Document]) -> list[tuple[str, int]]:
+    """(metric, count) rows: documents, label sets, segments, identifiers, gold."""
+    return [
+        ("documents", len(docs)),
+        ("arxiv_classes", len({label for doc in docs for label in doc.arxiv_categories})),
+        ("msc_codes", len({label for doc in docs for label in doc.msc_codes})),
+        ("text_segments", sum(s.kind == TEXT for doc in docs for s in doc.segments)),
+        ("formula_segments", sum(len(doc.formula_segments()) for doc in docs)),
+        ("identifier_occurrences", sum(len(document_identifiers(doc)) for doc in docs)),
+        ("documents_with_gold",
+         sum(doc.gold is not None and not doc.gold.is_empty() for doc in docs)),
+    ]
+
+
 def _require(condition: bool, message: str, line: int | None):
     if not condition:
         raise ParseError(message, line)
 
 
 def _parse_gold(raw: dict, line: int | None) -> GoldAnnotations:
+    """Gold annotations; a mistyped value (a boolean is no number) is a ParseError."""
     _require(isinstance(raw, dict), "gold must be an object", line)
     known = {"identifier_names", "entity_relevance", "entity_targets", "concept_relevance"}
     unknown = set(raw) - known
     _require(not unknown, f"unknown gold keys: {sorted(unknown)}", line)
+    for key in sorted(known):
+        _require(isinstance(raw.get(key, {}), dict), f"gold {key} must be an object", line)
     gold = GoldAnnotations()
     for fid, names in raw.get("identifier_names", {}).items():
+        _require(isinstance(names, dict), "identifier names must be an object", line)
         gold.identifier_names[str(fid)] = {str(k): str(v) for k, v in names.items()}
     for ngram, rel in raw.get("entity_relevance", {}).items():
-        rel = float(rel)
-        _require(rel in (0.0, 0.5, 1.0), f"entity relevance must be 0, 0.5 or 1, got {rel}", line)
-        gold.entity_relevance[str(ngram)] = rel
+        _require(type(rel) in (int, float) and rel in (0, 0.5, 1),
+                 f"entity relevance must be 0, 0.5 or 1, got {rel!r}", line)
+        gold.entity_relevance[str(ngram)] = float(rel)
     for ngram, target in raw.get("entity_targets", {}).items():
         _require(isinstance(target, dict), "entity target must be an object", line)
         unknown = set(target) - {"title", "qid"}
         _require(not unknown, f"unknown entity target keys: {sorted(unknown)}", line)
         gold.entity_targets[str(ngram)] = {str(k): str(v) for k, v in target.items()}
     for fid, phrases in raw.get("concept_relevance", {}).items():
+        _require(isinstance(phrases, dict), "concept scores must be an object", line)
         scores = {}
         for phrase, score in phrases.items():
-            score = int(score)
-            _require(score in (0, 1, 2), f"concept score must be 0, 1 or 2, got {score}", line)
-            scores[str(phrase)] = score
+            _require(type(score) in (int, float) and score in (0, 1, 2),
+                     f"concept score must be 0, 1 or 2, got {score!r}", line)
+            scores[str(phrase)] = int(score)
         gold.concept_relevance[str(fid)] = scores
     return gold
 

@@ -14,6 +14,10 @@ and ``class_entity_entropy`` condenses a ranking into a single entropy
 in one of two directions: ClsEnt averages the class-distribution
 entropy of the top entities, EntCls averages the entropy of each
 class's top entity strengths.
+
+``run_explain`` is the explain stage's computation: it fits a text and a
+math model, explains the text model on every document, ranks entities
+four ways and returns the rows of the stage's tables.
 """
 
 from __future__ import annotations
@@ -21,11 +25,13 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .classify import LogRegModel, derive_seed, softmax
+from .augment import ConceptCategoryMap, SymbolNameSource, build_math_streams
+from .classify import (LogRegModel, derive_seed, fit_split_model, labeled_documents, softmax,
+                       stratified_split)
 from .corpus import Document, primary_label
 from .encode import STOPWORDS, TfIdfModel, TokenStream, tokenize
 from .errors import DomainError, ValidationError
@@ -336,7 +342,7 @@ def compute_rankings(documents: list[Document],
                      stopwords: frozenset[str] | None = None,
                      text_explanations: Mapping[str, Explanation] | None = None,
                      ) -> dict[tuple[str, str], EntityRanking]:
-    """All four rankings over MDisc/MFreq x Text/Math.
+    """All four rankings, keyed and ordered MDisc Text, MDisc Math, MFreq Text, MFreq Math.
 
     ``text_explanations`` (see ``rank_entities``' ``explained``) feed
     the MDisc Text ranking only.
@@ -362,3 +368,72 @@ def build_entropy_report(rankings: dict[tuple[str, str], EntityRanking],
         value = class_entity_entropy(rankings[(mode, kind)], direction, top_m)
         rows.append((f"{mode}{kind}{direction}", value))
     return EntropyReport(tuple(rows), top_m)
+
+
+@dataclass(frozen=True)
+class ExplainReport:
+    """The tables of ``run_explain``; ``lime`` counts documents and fidelities."""
+
+    explanation_rows: list[tuple]  # (doc, class, fidelity, position, token, weight)
+    ranking_rows: list[tuple]  # (mode, kind, class, position, entity, strength)
+    entropy: EntropyReport
+    warnings: dict[str, list[str]]  # "<mode>_<kind>" -> the ranking's warnings
+    lime: dict
+
+
+def run_explain(documents: list[Document], source: SymbolNameSource,
+                concept_map: ConceptCategoryMap | None, seed: int = 0,
+                class_axis: str = "arxiv", test_fraction: float = 0.2,
+                lime: LimeSettings = LimeSettings(), top_k: int | None = 10,
+                rank_samples: int = 1000, budget: int = 5, top_m: int = 20,
+                source_top_k: int = 3, **train_kwargs) -> ExplainReport:
+    """Fit a text and a math model on the ``classify`` split, explain and rank them.
+
+    The text model sees the stopword-filtered tokens the ranker explains.
+    Each document with an in-vocabulary token is explained once with
+    ``lime`` (the table keeps ``top_k`` features).  With ``rank_samples``
+    equal to ``lime``'s, MDisc Text reuses the explanations of its sample.
+    """
+    kept, labels, _ = labeled_documents(documents, class_axis)
+    math_streams = build_math_streams(kept, source, source_top_k, concept_map)
+    text_streams = [TokenStream.of(d.doc_id, [t for t in d.text_tokens() if t not in STOPWORDS])
+                    for d in kept]
+    math_token_streams = [TokenStream.of(d.doc_id, math_streams[d.doc_id]) for d in kept]
+    train_idx, _ = stratified_split(labels, test_fraction, derive_seed(seed, "classify"))
+    text_encoder, _, text_model = fit_split_model(text_streams, labels, train_idx, seed,
+                                                  **train_kwargs)
+    math_encoder, _, math_model = fit_split_model(math_token_streams, labels, train_idx, seed,
+                                                  **train_kwargs)
+
+    rank_lime = replace(lime, num_samples=rank_samples)
+    reusable = mdisc_documents(kept, budget, seed, class_axis) if rank_lime == lime else set()
+    explained: dict[str, Explanation] = {}
+    for doc, label, stream in zip(kept, labels, text_streams):
+        if not any(t in text_encoder.vocabulary for t in stream.tokens):
+            continue  # nothing in vocabulary, nothing to explain
+        explained[doc.doc_id] = lime_explain(
+            text_model, text_encoder, doc.doc_id, list(stream.tokens), label,
+            top_k=None if doc.doc_id in reusable else top_k,
+            seed=derive_seed(seed, "lime", doc.doc_id), **asdict(lime))
+    explanation_rows = [(e.doc_id, e.target_class, e.fidelity, position, token, weight)
+                        for e in explained.values()
+                        for position, (token, weight) in enumerate(e.features[:top_k], start=1)]
+
+    rankings = compute_rankings(
+        kept, text_model, text_encoder, math_model, math_encoder, math_streams,
+        budget=budget, seed=seed, lime=rank_lime, class_axis=class_axis,
+        text_explanations={doc_id: e for doc_id, e in explained.items() if doc_id in reusable})
+    ranking_rows = [(mode, kind, label, position, entity, strength)
+                    for (mode, kind), ranking in rankings.items()
+                    for label in sorted(ranking.per_class)
+                    for position, (entity, strength)
+                    in enumerate(ranking.per_class[label][:top_m], start=1)]
+    fidelities = [e.fidelity for e in explained.values()]
+    return ExplainReport(
+        explanation_rows, ranking_rows, build_entropy_report(rankings, top_m=top_m),
+        {f"{mode}_{kind}": list(ranking.warnings) for (mode, kind), ranking in rankings.items()},
+        {"documents_explained": len(explained),
+         "documents_skipped": len(kept) - len(explained),
+         "ranking_explanations_reused": rankings[(MDISC, TEXT_KIND)].reused,
+         "fidelity_min": min(fidelities, default=None),
+         "fidelity_mean": sum(fidelities) / len(fidelities) if fidelities else None})

@@ -11,11 +11,12 @@ stopwords are never linked.  Hits come out ordered by (length, start),
 the order of enumerating all 1-grams, then all 2-grams, and so on.
 
 Text linking runs the matcher over the document's text tokens,
-optionally on their lemmas; a caller that links one document against
-several gazetteers passes the tokens and lemmas it computed once.
-Formula-concept linking runs it over a fixed token window before and
-after each formula and records a signed rank: positive distances sit
-before the formula, negative distances after.
+optionally on their lemmas.  Formula-concept linking runs it over a
+fixed token window before and after each formula and records a signed
+rank: positive distances sit before the formula, negative distances
+after.  ``link_corpus`` and ``link_corpus_concepts`` link a whole corpus
+against every gazetteer, laying each document out once, and return the
+rows of the link and mathel tables.
 
 Evaluation compares produced links against gold relevance judgments
 per mode, where a mode is a (gazetteer source, target field) pair.
@@ -359,6 +360,69 @@ def _half_covered(ngram: str, mode_links: list[EntityLink], field_name: str,
     return False
 
 
+LINK_COLUMNS = ("doc", "start", "length", "surface", "match_form", "title", "item",
+                "source", "lemmatized")
+LINK_EVAL_COLUMNS = ("mode", "variant", "tp", "fp", "fn", "tn", "excluded", "precision",
+                     "recall", "f1", "unjudged")
+LINK_TUPLE_COLUMNS = ("doc", "ngram", "relevance") + tuple(
+    f"{mode.name}_{variant}" for variant in VARIANTS for mode in DEFAULT_EVAL_MODES)
+
+
+def link_corpus(docs: list[Document], gazetteers: dict[str, Gazetteer], max_n: int = 3,
+                ) -> tuple[list[tuple], list[tuple], list[tuple]]:
+    """Link every document's text and score the gold-judged documents.
+
+    Returns the rows of ``LINK_COLUMNS`` (a document's links by start,
+    longest first, source, lemmatized; None for an empty cell),
+    ``LINK_EVAL_COLUMNS`` and ``LINK_TUPLE_COLUMNS``.  Each distinct token
+    is lemmatized once.  Only the links whose surface a gold document
+    judges are evaluated; the others count as unjudged.
+    """
+    link_rows, tuple_rows = [], []
+    marks: dict[tuple[str, str], list[str]] = {}
+    unjudged: Counter = Counter()  # (source, lemmatized) -> links
+    lemma_of: dict[str, str] = {}
+    for doc in docs:
+        tokens = doc.text_tokens()
+        lemmas = lemma_forms(tokens, lemma_of)
+        links = []
+        for tag in sorted(gazetteers):
+            for lemmatized in (False, True):
+                links.extend(link_text_entities(doc, gazetteers[tag], max_n=max_n,
+                                                lemmatized=lemmatized, tokens=tokens,
+                                                lemmas=lemmas))
+        links.sort(key=lambda l: (l.start, -l.length, l.source, l.lemmatized))
+        link_rows.extend((l.doc_id, l.start, l.length, l.surface, l.match_form, l.target_title,
+                          l.target_item, l.source, l.lemmatized) for l in links)
+        if doc.gold is None or not doc.gold.entity_relevance:
+            continue
+        normalized = {raw: normalize_surface(raw) for raw in doc.gold.entity_relevance}
+        judged_forms = set(normalized.values())
+        # A link's surface is space-joined tokenizer output, hence already
+        # in normalized form.
+        judged = [l for l in links if l.surface in judged_forms]
+        unjudged.update((l.source, l.lemmatized) for l in links
+                        if l.surface not in judged_forms)
+        evaluation = evaluate_linking(judged, doc.gold)
+        assignments = evaluation.assignments
+        for mode in DEFAULT_EVAL_MODES:
+            for variant in VARIANTS:
+                marks.setdefault((mode.name, variant), []).extend(
+                    assignments[mode.name][variant].values())
+        for raw, relevance in sorted(doc.gold.entity_relevance.items()):
+            tuple_rows.append((doc.doc_id, raw, relevance) + tuple(
+                assignments[mode.name][variant][normalized[raw]]
+                for variant in VARIANTS for mode in DEFAULT_EVAL_MODES))
+    eval_rows = []
+    for variant in VARIANTS:
+        for mode in DEFAULT_EVAL_MODES:
+            counts = ModeCounts.from_marks(marks.get((mode.name, variant), ()))
+            eval_rows.append((mode.name, variant, counts.tp, counts.fp, counts.fn, counts.tn,
+                              counts.excluded, counts.precision(), counts.recall(),
+                              counts.f1(), unjudged[mode.source, variant == LEMMATIZED]))
+    return link_rows, eval_rows, tuple_rows
+
+
 # ---------------------------------------------------------------------------
 # Formula-concept linking
 
@@ -494,3 +558,39 @@ def mathel_coverage_report(links: list[FormulaConceptLink], gold: GoldAnnotation
             if gold.concept_relevance[fid][raw_phrase] == 2:
                 highly += 1
     return CoverageReport(n, with_article / n, with_item / n, found / n, highly)
+
+
+MATHEL_COLUMNS = ("doc", "formula", "phrase", "tokens", "score", "rank", "title", "item",
+                  "source")
+
+
+def link_corpus_concepts(docs: list[Document], gazetteers: dict[str, Gazetteer],
+                         window: int = 10, max_n: int = 3,
+                         ) -> tuple[list[tuple], CoverageReport | None]:
+    """Link the text around every formula; the rows and the gold coverage.
+
+    The rows follow ``MATHEL_COLUMNS`` (None for an empty cell): a
+    document's links merged across gazetteers, by formula, ranked first,
+    rank descending, phrase and source.  The coverage is None without gold.
+    """
+    rows, all_links = [], []
+    merged_relevance: dict[str, dict[str, int]] = {}
+    for doc in docs:
+        gold = doc.gold if doc.gold is not None and doc.gold.concept_relevance else None
+        layout = doc.token_layout()
+        links = merge_concept_links(*[link_formula_concepts(
+            doc, gazetteers[tag], window=window, max_n=max_n, gold=gold, layout=layout)
+            for tag in sorted(gazetteers)])
+        links.sort(key=lambda l: (l.formula_id, l.rank is None, -(l.rank or 0),
+                                  l.phrase, l.source))
+        all_links.extend(links)
+        rows.extend((l.doc_id, l.formula_id, l.phrase, l.length, l.score, l.rank,
+                     l.target_title, l.target_item, l.source) for l in links)
+        if gold is not None:
+            merged_relevance.update(gold.concept_relevance)
+    if not merged_relevance:
+        return rows, None
+    # Formula ids are unique corpus-wide (document-scoped names), so the
+    # per-document gold tables merge into one coverage evaluation.
+    return rows, mathel_coverage_report(
+        all_links, GoldAnnotations(concept_relevance=merged_relevance))

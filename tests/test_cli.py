@@ -1,5 +1,6 @@
 """Command-line behavior: config handling, exit codes, stage outputs."""
 
+import argparse
 import importlib
 import json
 import os
@@ -262,6 +263,173 @@ class TestMainErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
+
+
+class TestMalformedInputs:
+    """Bad input bytes exit 3 with one JSON record naming the line, never a traceback."""
+
+    @pytest.mark.parametrize("row", ["MDiscTextClsEnt 1.5", "MDiscTextClsEnt\tabc",
+                                     "MDiscTextClsEnt\tnan"])
+    def test_bad_entropy_report_row(self, capsys, tmp_path, row):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "entropy_report.tsv").write_text(
+            f"row\tentropy_bits\nMFreqTextClsEnt\t2.0\n{row}\n", encoding="utf-8")
+        code, _, err = run(capsys, "plotdata", "--seed", "1", "--out-dir", str(out_dir),
+                           "--which", "entropy-table")
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+        record = stderr_record(err)
+        assert record["error"] == "ParseError"
+        assert record["message"].startswith("line 3: ")
+        assert sorted(p.name for p in out_dir.iterdir()) == ["entropy_report.tsv"]
+
+    @pytest.mark.parametrize("gold", [
+        {"entity_relevance": {"wave function": "x"}},
+        {"entity_relevance": {"wave function": [1]}},
+        {"entity_relevance": {"wave function": True}},
+        {"entity_relevance": None},
+        {"concept_relevance": {"f1": {"wave function": None}}},
+        {"concept_relevance": {"f1": {"wave function": 1.7}}},
+        {"concept_relevance": {"f1": {"wave function": False}}},
+        {"concept_relevance": {"f1": ["wave function"]}},
+        {"identifier_names": ["x"]},
+        {"identifier_names": {"f1": "energy"}},
+    ])
+    def test_bad_gold_value(self, capsys, tmp_path, gold):
+        good = {"id": "d1", "arxiv": ["math.AP"], "msc": [],
+                "segments": [{"kind": "text", "content": "a wave function"}],
+                "gold": {"entity_relevance": {"wave function": 1.0},
+                         "concept_relevance": {"f1": {"wave function": 2}}}}
+        bad = dict(good, id="d2", gold=gold)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "ingest", "--seed", "1", "--corpus", str(corpus),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+        record = stderr_record(err)
+        assert record["error"] == "ParseError"
+        assert record["message"].startswith("line 2: ")
+
+
+# The help text of every subcommand, as the parser offers them.
+SUBCOMMAND_HELP = {
+    "print-config": "print the effective configuration and exit",
+    "synth": "write the demo corpus and its fixture files",
+    "ingest": "validate the corpus and summarize its contents",
+    "stats": "identifier/name/class distributions and their entropies",
+    "correspond": "arXiv/MSC co-occurrence, uncertainty, and cross prediction",
+    "classify": "train and score the text classifier",
+    "augment": "identifier-name augmentation experiment",
+    "ablate": "text/math input ablation experiment",
+    "link": "gazetteer entity linking and its evaluation",
+    "mathel": "formula-concept linking and coverage",
+    "explain": "surrogate explanations, entity rankings, entropy table",
+    "plotdata": "plot-ready tables derived from stage outputs",
+    "report": "assemble stage tables into report.md and manifest.json",
+}
+
+
+def test_parser_offers_every_stage_with_its_help():
+    from stemexplain.cli import STAGES, build_parser
+
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    offered = {choice.dest: choice.help for choice in subparsers._choices_actions}
+    assert offered == SUBCOMMAND_HELP
+    assert list(offered) == ["print-config", *STAGES]
+    assert len(STAGES) == 12
+
+
+def _snapshot(directory: Path) -> dict[str, tuple[int, bytes, int]]:
+    """Each file's inode, bytes and mode."""
+    return {p.name: (p.stat().st_ino, p.read_bytes(), p.stat().st_mode)
+            for p in directory.iterdir()}
+
+
+class TestWriteContract:
+    """Files are replaced atomically; a stage manifest is removed at the first write
+    and written last, so a manifest on disk always matches its files."""
+
+    def test_failure_after_the_first_file_leaves_no_manifest_and_no_temp_file(
+            self, capsys, tmp_path, monkeypatch):
+        out_dir = tmp_path / "out"
+        assert run(capsys, "stats", "--seed", "1", "--out-dir", str(out_dir))[0] == 0
+        old_library = (out_dir / "library.jsonl").stat().st_ino
+        replaced, real_replace = [], os.replace
+
+        def replace_then_fail(source, target):
+            replaced.append(Path(target).name)
+            if len(replaced) == 2:
+                raise OSError("no space left on device")
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "replace", replace_then_fail)
+        code, _, err = run(capsys, "stats", "--seed", "1", "--out-dir", str(out_dir))
+        assert code == 3
+        assert stderr_record(err) == {"error": "OSError",
+                                      "message": "no space left on device"}
+        assert replaced == ["library.jsonl", "entropy_summary.tsv"]
+        names = sorted(p.name for p in out_dir.iterdir())
+        assert names == ["entropy_summary.tsv", "key_entropies.tsv", "library.jsonl"]
+        assert (out_dir / "library.jsonl").stat().st_ino != old_library
+
+    def test_failure_before_the_first_write_leaves_out_dir_untouched(self, capsys, tmp_path):
+        fixtures, out_dir = tmp_path / "fixtures", tmp_path / "out"
+        assert run(capsys, "synth", "--seed", "1", "--out-dir", str(fixtures))[0] == 0
+        assert run(capsys, "link", "-c", str(fixtures / "demo_config.json"),
+                   "--out-dir", str(out_dir))[0] == 0
+        before = _snapshot(out_dir)
+        assert "link_manifest.json" in before
+        code, _, err = run(capsys, "link", "--seed", "1", "--out-dir", str(out_dir))
+        assert code == 2
+        assert stderr_record(err)["error"] == "ConfigError"
+        assert _snapshot(out_dir) == before
+
+    def test_rerun_removes_a_leftover_temp_file(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / ".ingest_summary.tsv.partial").write_text("metric\tval", encoding="utf-8")
+        assert run(capsys, "ingest", "--seed", "1", "--out-dir", str(out_dir))[0] == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "ingest_manifest.json", "ingest_summary.tsv"]
+
+    def test_report_manifest_skips_a_leftover_temp_file(self, capsys, tmp_path):
+        from stemexplain.cli import REPORT_SECTIONS
+
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        for _, name in REPORT_SECTIONS:
+            (out_dir / name).write_text("metric\tvalue\n", encoding="utf-8")
+        (out_dir / ".explain.json.partial").write_text("{", encoding="utf-8")
+        assert run(capsys, "report", "--seed", "1", "--out-dir", str(out_dir))[0] == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert set(manifest["files"]) == {name for _, name in REPORT_SECTIONS} | {"report.md"}
+
+    def test_each_manifest_lists_exactly_the_files_its_stage_wrote(self, capsys, tmp_path):
+        fixtures, out_dir = tmp_path / "fixtures", tmp_path / "out"
+        assert run(capsys, "synth", "--seed", "1", "--out-dir", str(fixtures))[0] == 0
+        common = ("-c", str(fixtures / "demo_config.json"), "--out-dir", str(out_dir))
+        out_dir.mkdir()
+        for argv in (("ingest",), ("stats",), ("correspond",), ("classify",), ("augment",),
+                     ("ablate",), ("link",), ("mathel",), ("explain",),
+                     ("plotdata", "--which", "symbol-name-distribution"),
+                     ("plotdata", "--which", "entropy-table"), ("report",)):
+            before = {name: ino for name, (ino, _, _) in _snapshot(out_dir).items()}
+            code, out, _ = run(capsys, *argv, *common)
+            assert code == 0, argv
+            after = {name: ino for name, (ino, _, _) in _snapshot(out_dir).items()}
+            written = {name for name, ino in after.items() if before.get(name) != ino}
+            assert set(out.strip().split(": wrote ")[1].split(", ")) == written, argv
+            if argv[0] == "report":
+                manifest = json.loads((out_dir / "manifest.json").read_text())
+                assert set(manifest["files"]) == set(after) - {"manifest.json"}
+            else:
+                name = f"{argv[0]}_manifest.json"
+                manifest = json.loads((out_dir / name).read_text())
+                assert set(manifest["outputs"]) == written - {name}, argv
+            assert not [p for p in after if p.startswith(".")], argv
 
 
 class TestPrintConfig:

@@ -12,11 +12,12 @@ from stemexplain.augment import (ConceptCategoryMap, SymbolNameSource, build_mat
 from stemexplain.corpus import GoldAnnotations, record_to_document
 from stemexplain.encode import PhraseIndex, lemmatize, tokenize
 from stemexplain.errors import DomainError, ParseError, ValidationError
-from stemexplain.linker import (DEFAULT_EVAL_MODES, LEMMATIZED, UNLEMMATIZED,
-                                EntityLink, EvalMode, FormulaConceptLink,
-                                Gazetteer, evaluate_linking,
-                                link_formula_concepts, link_text_entities,
-                                load_gazetteer, mathel_coverage_report,
+from stemexplain.linker import (DEFAULT_EVAL_MODES, LEMMATIZED, LINK_COLUMNS,
+                                LINK_EVAL_COLUMNS, LINK_TUPLE_COLUMNS, UNLEMMATIZED,
+                                CoverageReport, EntityLink, EvalMode, FormulaConceptLink,
+                                Gazetteer, evaluate_linking, link_corpus,
+                                link_corpus_concepts, link_formula_concepts,
+                                link_text_entities, load_gazetteer, mathel_coverage_report,
                                 merge_concept_links, normalize_surface)
 
 from . import oracles
@@ -440,6 +441,78 @@ def linking_case(draw):
     scores = st.dictionaries(_keys, st.integers(0, 2), max_size=4)
     gold = GoldAnnotations(concept_relevance={fid: draw(scores) for fid in fids})
     return doc, gazetteer, gold
+
+
+class TestLinkCorpus:
+    """The corpus-level linkers against the per-n-gram reference linkers."""
+
+    GAZETTEERS = {
+        "wikidump": Gazetteer.from_pairs("wikidump", [("wave function", "Wave_function"),
+                                                      ("metric tensor", "Metric_tensor")]),
+        "item-name": Gazetteer.from_pairs("item-name", [("wave function", "Q1")]),
+    }
+
+    def corpus(self):
+        gold = {"entity_relevance": {"wave function": 1, "the metric": 0},
+                "entity_targets": {"wave function": {"title": "Wave_function", "qid": "Q1"}},
+                "concept_relevance": {"g-f": {"metric tensor": 2, "wave function": 0}}}
+        records = [
+            {"id": "a", "segments": [{"kind": "text", "content": "waves of the wave functions"}]},
+            {"id": "g", "gold": gold, "segments": [
+                {"kind": "text", "content": "the wave function and the"},
+                {"kind": "formula", "fid": "g-f", "content": "<math><mi>g</mi></math>"},
+                {"kind": "text", "content": "metric tensor"}]},
+        ]
+        return [record_to_document({"arxiv": [], "msc": [], **r}) for r in records]
+
+    def test_text_links_equal_reference_and_judge_only_gold_ngrams(self):
+        docs = self.corpus()
+        links, evaluation, tuples = link_corpus(docs, self.GAZETTEERS, max_n=3)
+        expected = []
+        for doc in docs:
+            doc_links = [link for tag in sorted(self.GAZETTEERS) for lemmatized in (False, True)
+                         for link in oracles.link_text_entities(doc, self.GAZETTEERS[tag],
+                                                                lemmatized=lemmatized)]
+            doc_links.sort(key=lambda l: (l.start, -l.length, l.source, l.lemmatized))
+            expected += [(l.doc_id, l.start, l.length, l.surface, l.match_form, l.target_title,
+                          l.target_item, l.source, l.lemmatized) for l in doc_links]
+        assert links == expected
+        assert ("a", 3, 2, "wave functions", "wave function", None, "Q1", "item-name",
+                True) in links
+        # "metric tensor" links in the gold document but is not judged: unjudged, once
+        # per variant, under the two wikidump modes.  Only "wave function" (relevance
+        # 1) and "the metric" (relevance 0) are evaluated.
+        found, missed = (1, 0, 0, 1, 0, 1.0, 1.0, 1.0), (0, 0, 1, 1, 0, 0.0, 0.0, 0.0)
+        assert evaluation == [
+            (mode.name, variant) + (found if mode.source != "sparql-export" else missed)
+            + (int(mode.source == "wikidump"),)
+            for variant in (UNLEMMATIZED, LEMMATIZED) for mode in DEFAULT_EVAL_MODES]
+        assert tuples == [("g", "the metric", 0.0) + ("TN",) * 12,
+                          ("g", "wave function", 1.0) + ("TP",) * 4 + ("FN",) * 2
+                          + ("TP",) * 4 + ("FN",) * 2]
+        assert {len(LINK_COLUMNS)} == {len(row) for row in links}
+        assert {len(LINK_EVAL_COLUMNS)} == {len(row) for row in evaluation}
+        assert {len(LINK_TUPLE_COLUMNS)} == {len(row) for row in tuples}
+
+    def test_concept_links_equal_reference_with_gold_coverage(self):
+        docs = self.corpus()
+        rows, coverage = link_corpus_concepts(docs, self.GAZETTEERS, window=10, max_n=3)
+        expected = []
+        for doc in docs:
+            gold = doc.gold if doc.gold is not None and doc.gold.concept_relevance else None
+            links = merge_concept_links(*[oracles.link_formula_concepts(
+                doc, self.GAZETTEERS[tag], gold=gold) for tag in sorted(self.GAZETTEERS)])
+            links.sort(key=lambda l: (l.formula_id, l.rank is None, -(l.rank or 0),
+                                      l.phrase, l.source))
+            expected += [(l.doc_id, l.formula_id, l.phrase, l.length, l.score, l.rank,
+                          l.target_title, l.target_item, l.source) for l in links]
+        assert rows == expected
+        assert rows == [("g", "g-f", "metric tensor", 2, 2, -1, "Metric_tensor", None,
+                         "wikidump"),
+                        ("g", "g-f", "wave function", 2, 0, None, "Wave_function", "Q1",
+                         "item-name+wikidump")]
+        assert coverage == CoverageReport(2, 1.0, 0.5, 1.0, 1)
+        assert link_corpus_concepts(docs[:1], self.GAZETTEERS) == ([], None)
 
 
 class TestMatcherEquivalence:
