@@ -12,13 +12,14 @@ measures how classification accuracy reacts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 # train_logreg is re-exported: bench/tracing.py patches the trainer under
 # this module's name too.
 from .classify import (derive_seed, fit_split_model, held_out_accuracy,  # noqa: F401
                        labeled_documents, stratified_split, train_logreg)
-from .corpus import Document, document_identifiers
+from .corpus import Document, document_identifiers, tsv_fields
 from .encode import PhraseIndex, TokenStream, phrase_hits, tokenize
 from .errors import ParseError, ValidationError
 
@@ -66,21 +67,18 @@ class SymbolNameSource:
 
 
 def load_symbol_source(path: str, name: str) -> SymbolNameSource:
-    """Load a ``symbol<TAB>name<TAB>frequency`` file."""
+    """Load a ``symbol<TAB>name<TAB>frequency`` file; a frequency must be a finite number."""
     counts: dict[str, dict[str, float]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}", line_no)
-            symbol, candidate, frequency = parts
-            try:
-                value = float(frequency)
-            except ValueError as exc:
-                raise ParseError(f"bad frequency {frequency!r}", line_no) from exc
-            counts.setdefault(symbol, {})[candidate] = counts.get(symbol, {}).get(candidate, 0.0) + value
+    rows = tsv_fields(path, 3)
+    for symbol, candidate, frequency in rows:
+        try:
+            value = float(frequency)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            rows.throw(ParseError(f"bad frequency {frequency!r}"))  # raises, naming the line
+        names = counts.setdefault(symbol, {})
+        names[candidate] = names.get(candidate, 0.0) + value
     return SymbolNameSource.from_counts(name, counts)
 
 
@@ -127,17 +125,8 @@ class ConceptCategoryMap:
 
 
 def load_concept_map(path: str) -> ConceptCategoryMap:
-    """Load a ``phrase<TAB>class`` file."""
-    mapping = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"expected 2 tab-separated fields, got {len(parts)}", line_no)
-            mapping[parts[0]] = parts[1]
-    return ConceptCategoryMap(mapping)
+    """Load a ``phrase<TAB>class`` file; a repeated phrase keeps its last class."""
+    return ConceptCategoryMap(dict(tsv_fields(path, 2)))
 
 
 def distinct_symbols(doc: Document) -> list[str]:

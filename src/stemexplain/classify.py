@@ -219,15 +219,14 @@ def train_logreg(data: LabeledDataset, l2: float = 1e-4, max_iterations: int = 5
     return LogRegModel(classes, weights, bias, metadata)
 
 
+def _scores(model: LogRegModel, vectors: list[SparseVector]) -> np.ndarray:
+    """One row of class scores per vector, from one dense product."""
+    return _dense(vectors, model.weights.shape[1]) @ model.weights.T + model.bias
+
+
 def predict_proba(model: LogRegModel, vector: SparseVector) -> np.ndarray:
     """Class probabilities for one vector; probabilities sum to 1."""
-    dim = model.weights.shape[1]
-    scores = model.bias.copy()
-    for index, value in zip(vector.indices, vector.values):
-        if index >= dim:
-            raise ValidationError(f"vector index {index} exceeds model dimension {dim}")
-        scores += model.weights[:, index] * value
-    return softmax(scores)
+    return softmax(_scores(model, [vector])[0])
 
 
 def predict_label(model: LogRegModel, vector: SparseVector) -> str:
@@ -243,9 +242,7 @@ def predict_labels(model: LogRegModel, vectors: list[SparseVector]) -> list[str]
     """
     if not vectors:
         return []
-    x = _dense(vectors, model.weights.shape[1])
-    scores = x @ model.weights.T + model.bias
-    return [model.classes[i] for i in np.argmax(scores, axis=1)]
+    return [model.classes[i] for i in np.argmax(_scores(model, vectors), axis=1)]
 
 
 def evaluate_accuracy(model: LogRegModel, data: LabeledDataset) -> float:

@@ -1,4 +1,4 @@
-"""Document model and corpus file IO.
+"""Document model, corpus file IO and the tab-separated field reader.
 
 A corpus file is UTF-8 text with one JSON record per line:
 
@@ -315,6 +315,30 @@ def load_corpus(path: str) -> list[Document]:
     """Load a corpus file; raises ParseError/ValidationError on bad input."""
     with open(path, encoding="utf-8") as handle:
         return parse_corpus_text(handle.read())
+
+
+def tsv_fields(path: str, n_fields: int):
+    """The ``n_fields`` tab-separated fields of every non-blank line of a UTF-8 file.
+
+    The file is read whole and split on newlines only, so line numbers
+    are those of iterating over the file.  Empty and whitespace-only
+    lines are skipped; another field count raises ParseError naming the
+    line.  A ParseError thrown into the generator (``throw``) while it
+    holds a line's fields is raised again with that line's number.
+    """
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().split("\n")
+    for line_no, line in enumerate(lines, start=1):
+        if not line or line.isspace():
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise ParseError(f"expected {n_fields} tab-separated fields, got {len(fields)}",
+                             line_no)
+        try:
+            yield fields
+        except ParseError as exc:
+            raise ParseError(str(exc), line_no) from None
 
 
 def corpus_to_text(documents: list[Document]) -> str:

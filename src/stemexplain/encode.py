@@ -53,28 +53,15 @@ def _load_wordlist(name: str) -> list[str]:
     return path.read_text(encoding="utf-8").splitlines()
 
 
-def load_stopwords(path: str | None = None) -> frozenset[str]:
-    """Load the stopword set, one entry per line, UTF-8.
-
-    Without ``path`` the fixed list shipped with the package is used.
-    """
-    if path is None:
-        lines = _load_wordlist("stopwords.txt")
-    else:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    return frozenset(w.strip() for w in lines if w.strip())
+def load_stopwords() -> frozenset[str]:
+    """The stopword set shipped with the package, one entry per line, UTF-8."""
+    return frozenset(w.strip() for w in _load_wordlist("stopwords.txt") if w.strip())
 
 
-def load_lemma_exceptions(path: str | None = None) -> dict[str, str]:
-    """Load the irregular-plural exception table (``form<TAB>lemma``)."""
-    if path is None:
-        lines = _load_wordlist("lemma_exceptions.txt")
-    else:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+def load_lemma_exceptions() -> dict[str, str]:
+    """The shipped irregular-plural exception table (``form<TAB>lemma``)."""
     table = {}
-    for line in lines:
+    for line in _load_wordlist("lemma_exceptions.txt"):
         if not line.strip():
             continue
         form, _, lemma = line.partition("\t")
@@ -86,7 +73,7 @@ STOPWORDS = load_stopwords()
 LEMMA_EXCEPTIONS = load_lemma_exceptions()
 
 
-def lemmatize(token: str, exceptions: dict[str, str] | None = None) -> str:
+def lemmatize(token: str) -> str:
     """Reduce an English plural to its lemma.
 
     Rule order: exception table, -ies -> -y, sibilant -es stripping,
@@ -96,15 +83,14 @@ def lemmatize(token: str, exceptions: dict[str, str] | None = None) -> str:
     "atla" and, with exception values that are lemmas themselves, the
     map is idempotent: lemmatize(lemmatize(w)) == lemmatize(w).
     """
-    table = LEMMA_EXCEPTIONS if exceptions is None else exceptions
-    if token in table:
-        return table[token]
+    if token in LEMMA_EXCEPTIONS:
+        return LEMMA_EXCEPTIONS[token]
     if token.endswith("ies") and len(token) >= 5:
-        return lemmatize(token[:-3] + "y", table)
+        return lemmatize(token[:-3] + "y")
     if token.endswith("es") and len(token) >= 4 and token[:-2].endswith(("s", "x", "z", "ch", "sh")):
-        return lemmatize(token[:-2], table)
+        return lemmatize(token[:-2])
     if token.endswith("s") and len(token) >= 4 and not token.endswith(("ss", "us", "is")):
-        return lemmatize(token[:-1], table)
+        return lemmatize(token[:-1])
     return token
 
 
@@ -176,14 +162,13 @@ class TokenStream:
         return TokenStream(doc_id, tuple(tokens))
 
 
-def remove_stopwords(stream: TokenStream, stopwords: frozenset[str] | None = None) -> TokenStream:
-    """Drop stopword tokens, preserving the order of the rest."""
-    words = STOPWORDS if stopwords is None else stopwords
-    return TokenStream(stream.doc_id, tuple(t for t in stream.tokens if t not in words))
+def remove_stopwords(stream: TokenStream) -> TokenStream:
+    """Drop ``STOPWORDS`` tokens, preserving the order of the rest."""
+    return TokenStream(stream.doc_id, tuple(t for t in stream.tokens if t not in STOPWORDS))
 
 
-def lemmatize_stream(stream: TokenStream, exceptions: dict[str, str] | None = None) -> TokenStream:
-    return TokenStream(stream.doc_id, tuple(lemmatize(t, exceptions) for t in stream.tokens))
+def lemmatize_stream(stream: TokenStream) -> TokenStream:
+    return TokenStream(stream.doc_id, tuple(lemmatize(t) for t in stream.tokens))
 
 
 @dataclass(frozen=True)

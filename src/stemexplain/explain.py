@@ -170,14 +170,18 @@ class EntityRanking:
     reused: int = 0  # MDisc explanations taken from ``explained``, not recomputed
 
 
-def _entity_stream(doc: Document, kind: str, math_streams: dict[str, list[str]] | None,
-                   stopwords: frozenset[str]) -> list[str]:
+def _entity_stream(doc: Document, kind: str,
+                   math_streams: dict[str, list[str]] | None) -> list[str]:
+    """A document's entities of one kind: its non-stopword text tokens or its math stream.
+
+    The math stream is returned itself, not a copy; callers only read it.
+    """
     if kind == TEXT_KIND:
-        return [t for t in doc.text_tokens() if t not in stopwords]
+        return [t for t in doc.text_tokens() if t not in STOPWORDS]
     if kind == MATH_KIND:
         if math_streams is None or doc.doc_id not in math_streams:
             raise ValidationError(f"no math token stream for document {doc.doc_id!r}")
-        return list(math_streams[doc.doc_id])
+        return math_streams[doc.doc_id]
     raise ValidationError(f"unknown feature kind {kind!r}")
 
 
@@ -213,7 +217,6 @@ def rank_entities(documents: list[Document], model: LogRegModel, encoder: TfIdfM
                   mode: str, kind: str, budget: int = 5, seed: int = 0,
                   math_streams: dict[str, list[str]] | None = None,
                   class_axis: str = "arxiv", lime: LimeSettings = LimeSettings(),
-                  stopwords: frozenset[str] | None = None,
                   explained: Mapping[str, Explanation] | None = None) -> EntityRanking:
     """Rank entities per class by frequency (MFreq) or surrogate weight (MDisc).
 
@@ -228,7 +231,6 @@ def rank_entities(documents: list[Document], model: LogRegModel, encoder: TfIdfM
     """
     if mode not in (MFREQ, MDISC):
         raise ValidationError(f"unknown ranking mode {mode!r}")
-    words = STOPWORDS if stopwords is None else stopwords
     per_class = {}
     warnings = []
     reused = 0
@@ -236,7 +238,7 @@ def rank_entities(documents: list[Document], model: LogRegModel, encoder: TfIdfM
         strengths: dict[str, float] = {}
         if mode == MFREQ:
             for doc in docs:
-                for entity in set(_entity_stream(doc, kind, math_streams, words)):
+                for entity in set(_entity_stream(doc, kind, math_streams)):
                     strengths[entity] = strengths.get(entity, 0.0) + 1.0
         else:
             if label not in model.classes:
@@ -245,7 +247,7 @@ def rank_entities(documents: list[Document], model: LogRegModel, encoder: TfIdfM
             n_explained = 0
             sums: dict[str, float] = {}
             for doc in _mdisc_sample(docs, label, budget, seed):
-                stream = _entity_stream(doc, kind, math_streams, words)
+                stream = _entity_stream(doc, kind, math_streams)
                 if not any(t in encoder.vocabulary for t in stream):
                     warnings.append(f"document {doc.doc_id!r} has no in-vocabulary tokens; skipped")
                     continue
@@ -339,7 +341,6 @@ def compute_rankings(documents: list[Document],
                      math_streams: dict[str, list[str]], budget: int = 5,
                      seed: int = 0, lime: LimeSettings = LimeSettings(),
                      class_axis: str = "arxiv",
-                     stopwords: frozenset[str] | None = None,
                      text_explanations: Mapping[str, Explanation] | None = None,
                      ) -> dict[tuple[str, str], EntityRanking]:
     """All four rankings, keyed and ordered MDisc Text, MDisc Math, MFreq Text, MFreq Math.
@@ -355,7 +356,6 @@ def compute_rankings(documents: list[Document],
             rankings[(mode, kind)] = rank_entities(
                 documents, model, encoder, mode, kind, budget=budget, seed=seed,
                 math_streams=math_streams, class_axis=class_axis, lime=lime,
-                stopwords=stopwords,
                 explained=text_explanations if kind == TEXT_KIND else None)
     return rankings
 
@@ -396,9 +396,9 @@ def run_explain(documents: list[Document], source: SymbolNameSource,
     """
     kept, labels, _ = labeled_documents(documents, class_axis)
     math_streams = build_math_streams(kept, source, source_top_k, concept_map)
-    text_streams = [TokenStream.of(d.doc_id, [t for t in d.text_tokens() if t not in STOPWORDS])
-                    for d in kept]
-    math_token_streams = [TokenStream.of(d.doc_id, math_streams[d.doc_id]) for d in kept]
+    text_streams = [TokenStream.of(d.doc_id, _entity_stream(d, TEXT_KIND, None)) for d in kept]
+    math_token_streams = [TokenStream.of(d.doc_id, _entity_stream(d, MATH_KIND, math_streams))
+                          for d in kept]
     train_idx, _ = stratified_split(labels, test_fraction, derive_seed(seed, "classify"))
     text_encoder, _, text_model = fit_split_model(text_streams, labels, train_idx, seed,
                                                   **train_kwargs)

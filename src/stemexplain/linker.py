@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from collections.abc import Collection
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .corpus import Document, GoldAnnotations
+from .corpus import Document, GoldAnnotations, tsv_fields
 from .encode import STOPWORDS, PhraseIndex, lemmatize, phrase_hits, tokenize
-from .errors import DomainError, ParseError, ValidationError
+from .errors import DomainError, ValidationError
 
 _QID_RE = re.compile(r"^Q[0-9]+$")
 # Lowercase ASCII tokens joined by single spaces: already a lookup form.
@@ -105,37 +104,21 @@ class Gazetteer:
             self.duplicates_dropped += dropped
             self.index.update(added)
 
-    def hits(self, tokens: list[str], forms: list[str], max_n: int,
-             stopwords: Collection[str]) -> list[tuple[int, int, str, GazetteerEntry]]:
+    def hits(self, tokens: list[str], forms: list[str],
+             max_n: int) -> list[tuple[int, int, str, GazetteerEntry]]:
         """``phrase_hits`` over this gazetteer, each hit with its entry."""
         entries = self.entries
         return [(start, length, form, entries[form]) for start, length, form
-                in phrase_hits(tokens, forms, entries, self.index, max_n, stopwords)]
-
-
-def _gazetteer_fields(lines: list[str]):
-    """The two fields of every non-blank line; ParseError names a bad line."""
-    for line_no, line in enumerate(lines, start=1):
-        if not line or line.isspace():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError(f"expected 2 tab-separated fields, got {len(fields)}", line_no)
-        yield fields
+                in phrase_hits(tokens, forms, entries, self.index, max_n, STOPWORDS)]
 
 
 def load_gazetteer(path: str, source: str) -> Gazetteer:
     """Load a ``surface_form<TAB>target`` file; blank lines are skipped.
 
-    The file is read whole and its lines go through ``Gazetteer.update``
-    in one pass.  Lines are split on newlines only, as iterating over the
-    file would split them.
+    The lines of ``corpus.tsv_fields`` go through ``Gazetteer.update`` in
+    one pass.
     """
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
-    gazetteer = Gazetteer(source)
-    gazetteer.update(_gazetteer_fields(lines))
-    return gazetteer
+    return Gazetteer.from_pairs(source, tsv_fields(path, 2))
 
 
 def lemma_forms(tokens: list[str], lemmas: dict[str, str]) -> list[str]:
@@ -168,9 +151,7 @@ class EntityLink:
 
 
 def link_text_entities(doc: Document, gazetteer: Gazetteer, max_n: int = 3,
-                       lemmatized: bool = False,
-                       stopwords: frozenset[str] | None = None, *,
-                       tokens: list[str] | None = None,
+                       lemmatized: bool = False, *, tokens: list[str] | None = None,
                        lemmas: list[str] | None = None) -> list[EntityLink]:
     """Exact-match n-grams of the document text against the gazetteer.
 
@@ -180,7 +161,6 @@ def link_text_entities(doc: Document, gazetteer: Gazetteer, max_n: int = 3,
     tokens) and ``lemmas`` (their lemmas) may be passed by a caller
     that already has them; otherwise they are computed here.
     """
-    words = STOPWORDS if stopwords is None else stopwords
     if tokens is None:
         tokens = doc.text_tokens()
     if lemmatized:
@@ -189,7 +169,7 @@ def link_text_entities(doc: Document, gazetteer: Gazetteer, max_n: int = 3,
         forms = tokens
     return [EntityLink(doc.doc_id, start, length, " ".join(tokens[start:start + length]),
                        form, entry.title, entry.item_id, gazetteer.source, lemmatized)
-            for start, length, form, entry in gazetteer.hits(tokens, forms, max_n, words)]
+            for start, length, form, entry in gazetteer.hits(tokens, forms, max_n)]
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +281,7 @@ def _target_matches(value: str, field_name: str, gold_target: dict[str, str]) ->
 
 
 def evaluate_linking(links: list[EntityLink], gold: GoldAnnotations,
-                     modes: tuple[EvalMode, ...] = DEFAULT_EVAL_MODES,
-                     stopwords: frozenset[str] | None = None) -> LinkEvalReport:
+                     modes: tuple[EvalMode, ...] = DEFAULT_EVAL_MODES) -> LinkEvalReport:
     """Score links against gold relevance, one confusion table per mode.
 
     Every gold tuple is classified: relevance 1 is TP when a correct
@@ -312,7 +291,6 @@ def evaluate_linking(links: list[EntityLink], gold: GoldAnnotations,
     token of the tuple, in which case it is FN.  A link whose surface
     has no gold entry is a validation error.
     """
-    words = STOPWORDS if stopwords is None else stopwords
     tuples = {normalize_surface(k): rel for k, rel in gold.entity_relevance.items()}
     targets = {normalize_surface(k): v for k, v in gold.entity_targets.items()}
     for link in links:
@@ -340,17 +318,16 @@ def evaluate_linking(links: list[EntityLink], gold: GoldAnnotations,
                 elif relevance == 0.0:
                     mark = "FP" if linked else "TN"
                 else:
-                    covered = _half_covered(ngram, mode_links, mode.field, words)
+                    covered = _half_covered(ngram, mode_links, mode.field)
                     mark = "EXCL" if covered else "FN"
                 marks[ngram] = mark
             counts[mode.name][variant] = ModeCounts.from_marks(marks.values())
     return LinkEvalReport(counts, assignments, len(tuples))
 
 
-def _half_covered(ngram: str, mode_links: list[EntityLink], field_name: str,
-                  stopwords: frozenset[str]) -> bool:
+def _half_covered(ngram: str, mode_links: list[EntityLink], field_name: str) -> bool:
     """True when some link of the mode covers a non-stopword token of the tuple."""
-    tuple_tokens = {t for t in ngram.split(" ") if t not in stopwords}
+    tuple_tokens = {t for t in ngram.split(" ") if t not in STOPWORDS}
     for link in mode_links:
         if _field_value(link, field_name) is None:
             continue
@@ -449,8 +426,7 @@ class FormulaConceptLink:
 
 
 def link_formula_concepts(doc: Document, gazetteer: Gazetteer, window: int = 10,
-                          max_n: int = 3, gold: GoldAnnotations | None = None,
-                          stopwords: frozenset[str] | None = None, *,
+                          max_n: int = 3, gold: GoldAnnotations | None = None, *,
                           layout: tuple[list[str], list[tuple[str, int]]] | None = None,
                           ) -> list[FormulaConceptLink]:
     """Match gazetteer phrases within +-window tokens of each formula.
@@ -464,7 +440,6 @@ def link_formula_concepts(doc: Document, gazetteer: Gazetteer, window: int = 10,
     """
     if window < 1:
         raise ValidationError(f"window must be >= 1, got {window}")
-    words = STOPWORDS if stopwords is None else stopwords
     tokens, positions = doc.token_layout() if layout is None else layout
     gold_scores: dict[str, dict[str, int]] = {}
     if gold:
@@ -479,8 +454,7 @@ def link_formula_concepts(doc: Document, gazetteer: Gazetteer, window: int = 10,
             (after, lambda start: -(start + 1)),
         )
         for side_tokens, rank_of in sides:
-            for start, length, form, entry in gazetteer.hits(side_tokens, side_tokens,
-                                                             max_n, words):
+            for start, length, form, entry in gazetteer.hits(side_tokens, side_tokens, max_n):
                 rank: int | None = rank_of(start)
                 score = gold_scores.get(fid, {}).get(form) if gold else None
                 if score == 0:

@@ -241,14 +241,6 @@ class CooccurrenceMatrix:
     counts: list[list[int]]
     skipped: int = 0
 
-    def row(self, label: str) -> dict[str, int]:
-        i = self.row_labels.index(label)
-        return {c: self.counts[i][j] for j, c in enumerate(self.col_labels)}
-
-    def col(self, label: str) -> dict[str, int]:
-        j = self.col_labels.index(label)
-        return {r: self.counts[i][j] for i, r in enumerate(self.row_labels)}
-
 
 def build_cooccurrence(documents: list[Document]) -> CooccurrenceMatrix:
     """Count arXiv x MSC label pairs over the corpus.

@@ -60,6 +60,41 @@ class TestSymbolNameSource:
         path.write_text("\nE\tenergy\t1\n\n", encoding="utf-8")
         assert load_symbol_source(str(path), "file").top_names("E", 1) == ["energy"]
 
+    @pytest.mark.parametrize("frequency", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+    def test_load_rejects_non_finite_frequency(self, tmp_path, frequency):
+        # A NaN frequency would leave the ranking in the order of the file.
+        path = tmp_path / "names.tsv"
+        path.write_text(f"x\tbar\t5\nx\tfoo\t{frequency}\nx\tbaz\t9\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^line 2: bad frequency '{frequency}'$"):
+            load_symbol_source(str(path), "file")
+
+
+# Lines the shared field reader must skip or count like iterating over the
+# file does: CRLF and lone-CR endings, empty lines, and whitespace-only lines
+# (some of which str.splitlines would treat as line breaks).
+RAGGED_PREFIX = ("{good}\r\n" "\r\n" "\u3000\n" "{good}\r" "\x0c\n" "\t\x1c\x85 \r"
+                 "\n" "{good}\n")
+
+
+@pytest.mark.parametrize("load, good, bad", [
+    pytest.param(lambda path: load_symbol_source(path, "file"), "E\tenergy\t1",
+                 "broken\tline", id="source-field-count"),
+    pytest.param(lambda path: load_symbol_source(path, "file"), "E\tenergy\t1",
+                 "broken\tline\tmany", id="source-frequency"),
+    pytest.param(load_concept_map, "wave function\tquant-ph", "broken line",
+                 id="concept-map-field-count"),
+])
+def test_loader_line_numbers_match_file_iteration(tmp_path, load, good, bad):
+    path = tmp_path / "ragged.tsv"
+    path.write_bytes((RAGGED_PREFIX.format(good=good) + bad + "\r\n" + good + "\n")
+                     .encode("utf-8"))
+    with open(path, encoding="utf-8") as handle:
+        expected = next(n for n, line in enumerate(handle, start=1) if line.startswith("broken"))
+    assert expected >= 4
+    with pytest.raises(ParseError) as excinfo:
+        load(str(path))
+    assert excinfo.value.line == expected
+
 
 class TestConceptMap:
     def test_load_and_token_set(self, tmp_path):

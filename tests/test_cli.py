@@ -312,6 +312,22 @@ class TestMalformedInputs:
         assert record["error"] == "ParseError"
         assert record["message"].startswith("line 2: ")
 
+    def test_non_finite_symbol_frequency(self, capsys, tmp_path):
+        fixtures = tmp_path / "fixtures"
+        assert run(capsys, "synth", "--seed", "1", "--out-dir", str(fixtures))[0] == 0
+        source = fixtures / "source_arxiv.tsv"
+        lines = source.read_text(encoding="utf-8").splitlines()
+        source.write_text("\n".join(lines[:3] + ["x\tfoo\tnan"] + lines[3:]) + "\n",
+                          encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "augment", "-c", str(fixtures / "demo_config.json"),
+                           "--out-dir", str(out_dir))
+        assert code == 3
+        record = stderr_record(err)
+        assert record["error"] == "ParseError"
+        assert record["message"] == "line 4: bad frequency 'nan'"
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
 
 # The help text of every subcommand, as the parser offers them.
 SUBCOMMAND_HELP = {
