@@ -2,11 +2,12 @@
 classifiers through identifier symbols, their semantic names, and linked
 entities.
 
-The pipeline stages live in their own modules: corpus handling, token and
-vector encoding, formula identifier extraction, distribution statistics,
-category classification, identifier augmentation and ablation experiments,
-gazetteer entity linking, and surrogate explanations.  The cli module ties
-them together behind one executable.
+The library lives in its own modules: corpus handling, tokenizing, token
+and vector encoding, formula identifier extraction, entropies and
+distribution statistics, category classification, symbol-name sources,
+identifier augmentation and ablation experiments, gazetteer entity
+linking, and surrogate explanations.  The cli module ties them together
+behind one executable, with one module per stage under ``stages``.
 
 Importing the package loads none of these modules.  Each public name in
 ``__all__`` resolves on first access through the module ``__getattr__``
@@ -25,13 +26,14 @@ _HOMES = {
                      "document_identifiers", "load_corpus", "parse_corpus_text",
                      "save_corpus"), "corpus"),
     **dict.fromkeys(("SparseVector", "TfIdfModel", "TokenStream", "fit_tfidf",
-                     "lemmatize", "tokenize", "transform"), "encode"),
+                     "lemmatize", "transform"), "encode"),
+    "tokenize": "tokenizer",
     **dict.fromkeys(("DomainError", "ParseError", "ToolkitError", "TrainingError",
                      "ValidationError"), "errors"),
     "extract_identifiers": "formulas",
-    **dict.fromkeys(("CountDistribution", "build_cooccurrence",
-                     "build_distribution_library", "margin_uncertainty",
-                     "shannon_entropy"), "stats"),
+    **dict.fromkeys(("CountDistribution", "margin_uncertainty", "shannon_entropy"),
+                    "entropy"),
+    **dict.fromkeys(("build_cooccurrence", "build_distribution_library"), "stats"),
     **dict.fromkeys(("LogRegModel", "predict_categories", "train_logreg"), "classify"),
     **dict.fromkeys(("Gazetteer", "evaluate_linking", "link_formula_concepts",
                      "link_text_entities"), "linker"),

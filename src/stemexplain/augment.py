@@ -1,27 +1,31 @@
 """Math-aware document augmentation and feature ablation experiments.
 
-A symbol-name source ranks candidate names for identifier symbols by
-frequency.  Augmentation appends, for each distinct symbol of a
-document, the tokens of its ``top_k`` candidate names to the text
-token stream; the same names, plus the concept phrases found in the
-text, make up a document's math-entity stream.  Ablation composes
-token streams from text tokens and a designated math token set
-(identifier names and/or concept phrase tokens) in four modes and
-measures how classification accuracy reacts.
+Augmentation appends, for each distinct symbol of a document, the tokens
+of its ``top_k`` candidate names in a symbol-name source to the text
+token stream.  Ablation composes token streams from text tokens and a
+designated math token set (identifier names and/or concept phrase
+tokens) in four modes and measures how classification accuracy reacts.
+The sources, concept maps and math-entity streams live in ``sources``;
+their names are importable from here too.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 # train_logreg is re-exported: bench/tracing.py patches the trainer under
 # this module's name too.
 from .classify import (derive_seed, fit_split_model, held_out_accuracy,  # noqa: F401
                        labeled_documents, stratified_split, train_logreg)
-from .corpus import Document, document_identifiers, tsv_fields
-from .encode import PhraseIndex, TokenStream, phrase_hits, tokenize
-from .errors import ParseError, ValidationError
+from .corpus import Document
+from .encode import TokenStream
+from .errors import ValidationError
+# Re-exported: bench/tracing.py spans the two loaders and distinct_symbols
+# under this module's name, and callers import the sources API from here too.
+from .sources import (ConceptCategoryMap, SymbolNameSource, _name_tokens,  # noqa: F401
+                      build_math_streams, distinct_symbols, load_concept_map,
+                      load_symbol_source)
+from .tokenizer import tokenize
 
 # Full-scale reference accuracies for the experiments this module
 # mirrors at desk scale; recorded as report metadata only.
@@ -43,113 +47,14 @@ TEXT_MINUS_MATH = "TextMinusMath"
 ABLATION_MODES = (TEXT_MODE, MATH_MODE, TEXT_PLUS_MATH, TEXT_MINUS_MATH)
 
 
-@dataclass(frozen=True)
-class SymbolNameSource:
-    """Ranked candidate names per identifier symbol.
-
-    Rankings are sorted by descending frequency with lexicographic
-    tie-breaks, so the top-k prefix is deterministic.
-    """
-
-    name: str
-    rankings: dict[str, tuple[tuple[str, float], ...]]
-
-    def top_names(self, symbol: str, top_k: int) -> list[str]:
-        return [name for name, _ in self.rankings.get(symbol, ())[:top_k]]
-
-    @staticmethod
-    def from_counts(name: str, counts: dict[str, dict[str, float]]) -> "SymbolNameSource":
-        rankings = {}
-        for symbol in sorted(counts):
-            ordered = sorted(counts[symbol].items(), key=lambda kv: (-kv[1], kv[0]))
-            rankings[symbol] = tuple(ordered)
-        return SymbolNameSource(name, rankings)
-
-
-def load_symbol_source(path: str, name: str) -> SymbolNameSource:
-    """Load a ``symbol<TAB>name<TAB>frequency`` file; a frequency must be a finite number."""
-    counts: dict[str, dict[str, float]] = {}
-    rows = tsv_fields(path, 3)
-    for symbol, candidate, frequency in rows:
-        try:
-            value = float(frequency)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            rows.throw(ParseError(f"bad frequency {frequency!r}"))  # raises, naming the line
-        names = counts.setdefault(symbol, {})
-        names[candidate] = names.get(candidate, 0.0) + value
-    return SymbolNameSource.from_counts(name, counts)
-
-
-@dataclass(frozen=True)
-class ConceptCategoryMap:
-    """Concept phrases mapped to the class they are characteristic of.
-
-    ``phrase_tokens`` holds each phrase's tokens, and ``index`` describes
-    the phrases' normalized keys (tokens space-joined) for ``keys_in``.
-    A phrase that tokenizes to nothing has no key and occurs nowhere.
-    """
-
-    phrase_to_class: dict[str, str]
-    phrase_tokens: dict[str, list[str]] = field(init=False, repr=False, compare=False)
-    keys: frozenset[str] = field(init=False, repr=False, compare=False)
-    index: PhraseIndex = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        phrase_tokens = {phrase: tokenize(phrase) for phrase in self.phrase_to_class}
-        keys = frozenset(" ".join(parts) for parts in phrase_tokens.values() if parts)
-        index = PhraseIndex()
-        index.update(keys)
-        object.__setattr__(self, "phrase_tokens", phrase_tokens)
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "index", index)
-
-    def phrases(self) -> list[str]:
-        return sorted(self.phrase_to_class)
-
-    def token_set(self) -> frozenset[str]:
-        return frozenset(t for parts in self.phrase_tokens.values() for t in parts)
-
-    def keys_in(self, tokens: list[str]) -> set[str]:
-        """The keys that occur in ``tokens`` as runs of adjacent tokens.
-
-        Stopwords count like any other token here.
-        """
-        return {form for _, _, form in phrase_hits(tokens, tokens, self.keys, self.index,
-                                                   max(self.index.longest, 1), frozenset())}
-
-    def occurs(self, phrase: str, keys: set[str]) -> bool:
-        """Whether ``phrase`` is among the keys ``keys_in`` found."""
-        return " ".join(self.phrase_tokens[phrase]) in keys
-
-
-def load_concept_map(path: str) -> ConceptCategoryMap:
-    """Load a ``phrase<TAB>class`` file; a repeated phrase keeps its last class."""
-    return ConceptCategoryMap(dict(tsv_fields(path, 2)))
-
-
-def distinct_symbols(doc: Document) -> list[str]:
-    """Distinct identifier symbols in order of first appearance."""
-    seen = []
-    for occurrence in document_identifiers(doc):
-        if occurrence.symbol not in seen:
-            seen.append(occurrence.symbol)
-    return seen
-
-
 def symbol_tokens(doc: Document) -> list[str]:
-    """One lowercase token per identifier occurrence, in order."""
-    tokens = []
-    for occurrence in document_identifiers(doc):
-        tokens.extend(tokenize(occurrence.symbol))
-    return tokens
+    """One lowercase token per identifier occurrence, in order.
 
-
-def _name_tokens(doc: Document, source: SymbolNameSource, top_k: int) -> list[str]:
-    """The tokens of the top_k candidate names of each distinct symbol, in order."""
-    return [token for symbol in distinct_symbols(doc)
-            for name in source.top_names(symbol, top_k) for token in tokenize(name)]
+    Each distinct symbol of the document is tokenized once.
+    """
+    tokens_of = {symbol: tokenize(symbol) for symbol in distinct_symbols(doc)}
+    return [token for segment in doc.segments for symbol in segment.identifiers
+            for token in tokens_of[symbol]]
 
 
 def augment_identifiers(doc: Document, source: SymbolNameSource, top_k: int) -> TokenStream:
@@ -160,21 +65,6 @@ def augment_identifiers(doc: Document, source: SymbolNameSource, top_k: int) -> 
     if top_k < 1:
         raise ValidationError(f"top_k must be >= 1, got {top_k}")
     return TokenStream.of(doc.doc_id, doc.text_tokens() + _name_tokens(doc, source, top_k))
-
-
-def build_math_streams(docs: list[Document], source: SymbolNameSource, top_k: int,
-                       concept_map: ConceptCategoryMap | None) -> dict[str, list[str]]:
-    """Math-entity token streams: symbol names plus in-text concept phrases."""
-    streams: dict[str, list[str]] = {}
-    for doc in docs:
-        tokens = _name_tokens(doc, source, top_k)
-        if concept_map is not None:
-            found = concept_map.keys_in(doc.text_tokens())
-            for phrase in concept_map.phrases():
-                if concept_map.occurs(phrase, found):
-                    tokens.extend(concept_map.phrase_tokens[phrase])
-        streams[doc.doc_id] = tokens
-    return streams
 
 
 def ablate(doc: Document, mode: str, math_tokens: frozenset[str]) -> TokenStream:

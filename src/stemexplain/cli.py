@@ -26,17 +26,21 @@ Relative file paths inside a config file resolve against the config file's
 directory; paths given on the command line resolve against the working
 directory.
 
-Each stage runs in its own process, so this module imports only corpus,
-encode and errors at its top; every other module (numpy with classify,
-augment and explain) is imported inside the stages that use it.
+Each stage runs in its own process and loads only the code it runs.  This
+module holds the parser, the config and its checks, the ``StageWriter``
+and the manifests, and imports no other module of the package but
+``errors`` at its top.  The body of stage ``<name>`` is ``run(config, out)``
+in module ``stages.<name>``, imported when the stage runs; it imports the
+library modules it calls.  ``STAGE_REGISTRY`` lists each stage with its
+help line, so ``--help`` and ``print-config`` load no stage module.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
-import functools
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -45,23 +49,11 @@ import warnings
 from collections.abc import Callable
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__
-from .corpus import Document, corpus_summary, corpus_to_text, load_corpus, save_corpus
-from .encode import TokenStream, lemmatize_stream, remove_stopwords
-from .errors import ConvergenceWarning, ParseError, ToolkitError, ValidationError
-
-if TYPE_CHECKING:
-    from .augment import ConceptCategoryMap, SymbolNameSource
-    from .linker import Gazetteer
+from .errors import ConfigError, ConvergenceWarning, ParseError, ToolkitError
 
 TOOL_NAME = "stemexplain"
-
-
-class ConfigError(ToolkitError):
-    """Raised for problems in the effective configuration."""
-
 
 # Exhaustive key schema; unknown keys anywhere in a config file are rejected.
 # gazetteers and sources map user-chosen tags to files and are replaced
@@ -289,68 +281,9 @@ def config_digest(config: dict, known: dict[str, str] | None = None) -> str:
 # Stage inputs and outputs
 
 
-def _load_input(out: StageWriter, role: str, ref: str, what: str, load):
-    """``load(path)``, its digest recorded as input ``role``; a missing file is an input error."""
-    path = Path(ref)
-    if not path.is_file():
-        raise ParseError(f"{what} file not found: {ref}")
-    out.inputs[role] = _digest_file(path)
-    return load(path)
-
-
-def _resolve_corpus(config: dict, out: StageWriter) -> list[Document]:
-    ref = config["corpus"]
-    if ref == "@demo":
-        from .synth import demo_corpus
-
-        docs = demo_corpus()
-        out.inputs["corpus"] = _digest_bytes(corpus_to_text(docs).encode("utf-8"))
-        return docs
-    return _load_input(out, "corpus", ref, "corpus", load_corpus)
-
-
-def _encoded_streams(docs: list[Document], config: dict) -> list[TokenStream]:
-    streams = [TokenStream.of(doc.doc_id, doc.text_tokens()) for doc in docs]
-    if config["encode"]["remove_stopwords"]:
-        streams = [remove_stopwords(stream) for stream in streams]
-    if config["encode"]["lemmatize"]:
-        streams = [lemmatize_stream(stream) for stream in streams]
-    return streams
-
-
-def _load_gazetteers(config: dict, out: StageWriter) -> dict[str, Gazetteer]:
-    from .linker import load_gazetteer
-
-    gazetteers = {tag: _load_input(out, f"gazetteer:{tag}", ref, "gazetteer",
-                                   lambda path: load_gazetteer(path, tag))
-                  for tag, ref in sorted(config["linker"]["gazetteers"].items())}
-    if not gazetteers:
-        raise ConfigError("linker.gazetteers is empty; nothing to link against")
-    return gazetteers
-
-
-def _load_source(config: dict, tag: str, out: StageWriter) -> SymbolNameSource:
-    from .augment import load_symbol_source
-
-    ref = config["augment"]["sources"].get(tag)
-    if ref is None:
-        raise ConfigError(f"augment.sources has no entry {tag!r}")
-    return _load_input(out, f"source:{tag}", ref, "symbol source",
-                       lambda path: load_symbol_source(path, tag))
-
-
-def _load_concept_map(config: dict, out: StageWriter) -> ConceptCategoryMap:
-    from .augment import load_concept_map
-
-    ref = config["augment"]["concept_map"]
-    if ref is None:
-        raise ConfigError("augment.concept_map is required for this stage")
-    return _load_input(out, "concept_map", ref, "concept map", load_concept_map)
-
-
 def build_math_streams(*args) -> dict[str, list[str]]:
-    """``augment.build_math_streams``; no stage calls it, bench/tracing.py spans this name."""
-    from .augment import build_math_streams
+    """``sources.build_math_streams``; no stage calls it, bench/tracing.py spans this name."""
+    from .sources import build_math_streams
 
     return build_math_streams(*args)
 
@@ -382,6 +315,14 @@ class StageWriter:
             raise
         self.outputs.append(name)
 
+    def load_input(self, role: str, ref: str, what: str, load):
+        """``load(path)``, its digest recorded as input ``role``; a missing file is an input error."""
+        path = Path(ref)
+        if not path.is_file():
+            raise ParseError(f"{what} file not found: {ref}")
+        self.inputs[role] = _digest_file(path)
+        return load(path)
+
     def tsv(self, name: str, header, rows) -> None:
         self.file(name, lambda path: write_tsv(path, header, rows))
 
@@ -405,393 +346,39 @@ def _write_manifest(out: StageWriter, stage: str, config: dict) -> None:
 # ---------------------------------------------------------------------------
 # Stages
 
-STAGES: dict[str, Callable[[dict, Path], list[str]]] = {}
+# Stage name -> (help line, whether the stage writes ``<name>_manifest.json``
+# after its files).  The body of each stage is ``run(config, out)`` in module
+# ``stages.<name>``.
+STAGE_REGISTRY = {
+    "synth": ("write the demo corpus and its fixture files", False),
+    "ingest": ("validate the corpus and summarize its contents", True),
+    "stats": ("identifier/name/class distributions and their entropies", True),
+    "correspond": ("arXiv/MSC co-occurrence, uncertainty, and cross prediction", True),
+    "classify": ("train and score the text classifier", True),
+    "augment": ("identifier-name augmentation experiment", True),
+    "ablate": ("text/math input ablation experiment", True),
+    "link": ("gazetteer entity linking and its evaluation", True),
+    "mathel": ("formula-concept linking and coverage", True),
+    "explain": ("surrogate explanations, entity rankings, entropy table", True),
+    "plotdata": ("plot-ready tables derived from stage outputs", True),
+    "report": ("assemble stage tables into report.md and manifest.json", False),
+}
+
+
+def _stage_runner(name: str, manifest: bool) -> Callable[[dict, Path], list[str]]:
+    def run(config: dict, out_dir: Path) -> list[str]:
+        body = importlib.import_module(f"{__package__}.stages.{name}").run
+        out = StageWriter(out_dir, f"{name}_manifest.json" if manifest else None)
+        body(config, out)
+        if manifest:
+            _write_manifest(out, name, config)
+        return out.outputs
+    return run
+
+
+STAGES: dict[str, Callable[[dict, Path], list[str]]] = {
+    name: _stage_runner(name, manifest) for name, (_, manifest) in STAGE_REGISTRY.items()}
 """Stage name -> ``run(config, out_dir)``, which returns the files it wrote."""
-
-
-def _stage(manifest: bool = True):
-    """Register ``stage_<name>(config, out: StageWriter)``; help is its docstring's first line.
-
-    With ``manifest``, ``<name>_manifest.json`` is written after its files.
-    """
-    def register(body):
-        name = body.__name__.removeprefix("stage_")
-
-        @functools.wraps(body)
-        def run(config: dict, out_dir: Path) -> list[str]:
-            out = StageWriter(out_dir, f"{name}_manifest.json" if manifest else None)
-            body(config, out)
-            if manifest:
-                _write_manifest(out, name, config)
-            return out.outputs
-
-        STAGES[name] = run
-        return run
-    return register
-
-
-@_stage(manifest=False)
-def stage_synth(config: dict, out: StageWriter) -> None:
-    """write the demo corpus and its fixture files
-
-    A fixture generator rather than a pipeline stage, so it writes no
-    manifest; the emitted config uses paths relative to the output
-    directory and works from anywhere.
-    """
-    from . import synth as synth_mod
-
-    docs = synth_mod.demo_corpus()
-    out.file("demo_corpus.jsonl", lambda path: save_corpus(docs, path))
-    sources = synth_mod.demo_symbol_sources()
-    for source in sources:
-        out.file(f"source_{source.name}.tsv",
-                 lambda path: synth_mod.write_symbol_source(source, path))
-    out.file("concept_map.tsv",
-             lambda path: synth_mod.write_concept_map(synth_mod.demo_concept_map(), path))
-    gazetteers = synth_mod.demo_gazetteers()
-    for tag, gazetteer in sorted(gazetteers.items()):
-        out.file(f"gazetteer_{tag}.tsv", lambda path: synth_mod.write_gazetteer(gazetteer, path))
-    demo_config = copy.deepcopy(DEFAULT_CONFIG)
-    demo_config["corpus"] = "demo_corpus.jsonl"
-    demo_config["seed"] = synth_mod.DEMO_CONFIG.seed
-    demo_config["linker"]["gazetteers"] = {
-        tag: f"gazetteer_{tag}.tsv" for tag in sorted(gazetteers)}
-    demo_config["augment"]["sources"] = {
-        source.name: f"source_{source.name}.tsv" for source in sources}
-    demo_config["augment"]["concept_map"] = "concept_map.tsv"
-    demo_config["explain"]["source"] = "arxiv"
-    out.json("demo_config.json", demo_config)
-
-
-@_stage()
-def stage_ingest(config: dict, out: StageWriter) -> None:
-    """validate the corpus and summarize its contents"""
-    out.tsv("ingest_summary.tsv", ["metric", "value"],
-            corpus_summary(_resolve_corpus(config, out)))
-
-
-@_stage()
-def stage_stats(config: dict, out: StageWriter) -> None:
-    """identifier/name/class distributions and their entropies"""
-    from .stats import build_distribution_library, entropy_summary
-
-    docs = _resolve_corpus(config, out)
-    library = build_distribution_library(docs, class_axis=config["class_axis"])
-    text = "".join(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
-                   for record in library.to_records())
-    out.file("library.jsonl", lambda path: path.write_text(text, encoding="utf-8"))
-    summary_rows, key_rows = [], []
-    for keyed in ("identifier", "name"):
-        summary = entropy_summary(library, keyed=keyed)
-        summary_rows.append((keyed, summary.minimum, summary.mean, summary.maximum))
-        for key, value in sorted(summary.per_key.items()):
-            key_rows.append((keyed, key, value))
-    out.tsv("entropy_summary.tsv",
-            ["keyed_by", "min_entropy", "mean_entropy", "max_entropy"], summary_rows)
-    out.tsv("key_entropies.tsv", ["keyed_by", "key", "entropy"], key_rows)
-
-
-@_stage()
-def stage_correspond(config: dict, out: StageWriter) -> None:
-    """arXiv/MSC co-occurrence, uncertainty, and cross prediction"""
-    from .classify import classifier_label_map, predict_categories
-    from .stats import (argmax_predict, build_cooccurrence, compare_predictions,
-                        uncertainty_report)
-
-    docs = _resolve_corpus(config, out)
-    matrix = build_cooccurrence(docs)
-    out.tsv("cooccurrence.tsv", ["arxiv\\msc"] + list(matrix.col_labels),
-            [(label,) + tuple(matrix.counts[i]) for i, label in enumerate(matrix.row_labels)])
-
-    uncertainty_rows, summary_rows = [], []
-    for direction in ("rows", "columns"):
-        report = uncertainty_report(matrix, direction)
-        for label, entropy, margin in report.rows:
-            uncertainty_rows.append((direction, label, entropy, margin))
-        summary_rows.append((direction, report.entropy_mean, report.entropy_max,
-                             report.margin_mean, report.margin_max))
-    out.tsv("uncertainty.tsv", ["direction", "label", "entropy", "margin"], uncertainty_rows)
-    out.tsv("uncertainty_summary.tsv",
-            ["direction", "entropy_mean", "entropy_max", "margin_mean", "margin_max"],
-            summary_rows)
-
-    # Dual route: count-table argmax next to a trained classifier.
-    agreement_rows = []
-    for direction, axis in (("arxiv-from-msc", "columns"), ("msc-from-arxiv", "rows")):
-        counting = argmax_predict(matrix, axis)
-        learned = classifier_label_map(docs, direction, seed=config["seed"],
-                                       **config["logreg"])
-        matches, mismatches = compare_predictions(counting, learned)
-        agreement_rows.append((direction, matches, mismatches))
-    out.tsv("argmax_vs_classifier.tsv", ["direction", "matches", "mismatches"],
-            agreement_rows)
-
-    accuracy_rows = []
-    for direction in ("arxiv-from-msc", "msc-from-arxiv"):
-        for label_mode in ("single", "multi"):
-            for granularity in ("fine", "coarse"):
-                report = predict_categories(
-                    docs, direction, label_mode=label_mode,
-                    granularity=granularity, seed=config["seed"],
-                    test_fraction=config["split"]["test_fraction"],
-                    **config["logreg"])
-                accuracy_rows.append((direction, label_mode, granularity,
-                                      report.accuracy, report.train_accuracy,
-                                      report.n_train, report.n_test,
-                                      report.evaluated_on))
-    out.tsv("category_accuracy.tsv",
-            ["direction", "label_mode", "granularity", "accuracy", "train_accuracy",
-             "n_train", "n_test", "evaluated_on"], accuracy_rows)
-
-
-@_stage()
-def stage_classify(config: dict, out: StageWriter) -> None:
-    """train and score the text classifier"""
-    from .classify import (derive_seed, fit_split_model, held_out_accuracy, labeled_documents,
-                           predict_labels, stratified_split, subset_accuracy)
-
-    docs = _resolve_corpus(config, out)
-    kept, labels, skipped = labeled_documents(docs, config["class_axis"])
-    streams = _encoded_streams(kept, config)
-    train_idx, test_idx = stratified_split(labels, config["split"]["test_fraction"],
-                                           derive_seed(config["seed"], "classify"))
-    encoder, vectors, model = fit_split_model(streams, labels, train_idx, config["seed"],
-                                              **config["logreg"])
-    train_accuracy = subset_accuracy(model, vectors, labels, train_idx)
-    accuracy, evaluated_on = held_out_accuracy(model, vectors, labels, train_idx, test_idx)
-    out.tsv("classify.tsv", ["metric", "value"], [
-        ("accuracy", accuracy),
-        ("train_accuracy", train_accuracy),
-        ("evaluated_on", evaluated_on),
-        ("n_train", len(train_idx)),
-        ("n_test", len(test_idx)),
-        ("n_skipped_unlabeled", skipped),
-        ("classes", len(model.classes)),
-        ("vocabulary", len(encoder.vocabulary)),
-        ("solver", model.metadata["solver"]),
-        ("iterations", model.metadata["iterations"]),
-        ("final_loss", model.metadata["final_loss"]),
-        ("grad_norm", model.metadata["grad_norm"]),
-        ("converged", model.metadata["converged"]),
-    ])
-    out.json("classify_model.json", {"tfidf": encoder.to_record(), "logreg": model.to_record()})
-    predicted = predict_labels(model, [vectors[i] for i in test_idx])
-    out.tsv("classify_predictions.tsv", ["doc", "label", "predicted"],
-            [(kept[i].doc_id, labels[i], guess) for i, guess in zip(test_idx, predicted)])
-
-
-@_stage()
-def stage_augment(config: dict, out: StageWriter) -> None:
-    """identifier-name augmentation experiment"""
-    from . import augment as augment_mod
-
-    docs = _resolve_corpus(config, out)
-    sources = [_load_source(config, tag, out) for tag in sorted(config["augment"]["sources"])]
-    if not sources:
-        raise ConfigError("augment.sources is empty")
-    report = augment_mod.run_augmentation_experiment(
-        docs, sources, config["augment"]["top_k"], seed=config["seed"],
-        class_axis=config["class_axis"],
-        test_fraction=config["split"]["test_fraction"], **config["logreg"])
-    rows = [("baseline", "text_only", "", report.text_only),
-            ("baseline", "symbols_only", "", report.symbols_only),
-            ("baseline", "text_plus_symbols", "", report.text_plus_symbols)]
-    rows += [("augmented", cell.source, cell.top_k, cell.accuracy) for cell in report.cells]
-    out.tsv("augment.tsv", ["row_kind", "source", "top_k", "accuracy"], rows)
-    out.json("augment.json", {
-        "class_axis": report.class_axis,
-        "n_train": report.n_train,
-        "n_test": report.n_test,
-        "baselines": {"text_only": report.text_only,
-                      "symbols_only": report.symbols_only,
-                      "text_plus_symbols": report.text_plus_symbols},
-        "cells": [{"source": c.source, "top_k": c.top_k, "accuracy": c.accuracy}
-                  for c in report.cells],
-        "full_scale_reference": report.reference,
-    })
-
-
-@_stage()
-def stage_ablate(config: dict, out: StageWriter) -> None:
-    """text/math input ablation experiment"""
-    from . import augment as augment_mod
-
-    docs = _resolve_corpus(config, out)
-    concept_map = _load_concept_map(config, out)
-    report = augment_mod.run_ablation_experiment(
-        docs, concept_map, seed=config["seed"], class_axis=config["class_axis"],
-        test_fraction=config["split"]["test_fraction"], **config["logreg"])
-    out.tsv("ablate.tsv", ["mode", "accuracy", "relative_cost"],
-            [(row.mode, row.accuracy, row.relative_cost) for row in report.rows])
-    out.tsv("ablate_coverage.tsv", ["phrase", "missing_class"],
-            list(report.coverage_violations))
-    out.json("ablate.json", {
-        "class_axis": report.class_axis,
-        "rows": [{"mode": r.mode, "accuracy": r.accuracy,
-                  "relative_cost": r.relative_cost} for r in report.rows],
-        "coverage_violations": [list(v) for v in report.coverage_violations],
-        "n_train": report.n_train,
-        "n_test": report.n_test,
-        "full_scale_reference": report.reference,
-    })
-
-
-@_stage()
-def stage_link(config: dict, out: StageWriter) -> None:
-    """gazetteer entity linking and its evaluation"""
-    from . import linker as linker_mod
-
-    docs = _resolve_corpus(config, out)
-    gazetteers = _load_gazetteers(config, out)
-    links, evaluation, tuples = linker_mod.link_corpus(docs, gazetteers,
-                                                       max_n=config["linker"]["max_n"])
-    out.tsv("links.tsv", linker_mod.LINK_COLUMNS, links)
-    out.tsv("link_eval.tsv", linker_mod.LINK_EVAL_COLUMNS, evaluation)
-    out.tsv("link_tuples.tsv", linker_mod.LINK_TUPLE_COLUMNS, tuples)
-
-
-@_stage()
-def stage_mathel(config: dict, out: StageWriter) -> None:
-    """formula-concept linking and coverage"""
-    from . import linker as linker_mod
-
-    docs = _resolve_corpus(config, out)
-    gazetteers = _load_gazetteers(config, out)
-    rows, coverage = linker_mod.link_corpus_concepts(
-        docs, gazetteers, window=config["linker"]["window"], max_n=config["linker"]["max_n"])
-    out.tsv("mathel.tsv", linker_mod.MATHEL_COLUMNS, rows)
-    if coverage is not None:
-        out.tsv("mathel_coverage.tsv", ["metric", "value"], [
-            ("gold_concepts", coverage.n_concepts),
-            ("fraction_with_article", coverage.fraction_with_article),
-            ("fraction_with_item", coverage.fraction_with_item),
-            ("fraction_name_in_window", coverage.fraction_name_in_window),
-            ("highly_relevant_found", coverage.highly_relevant_found),
-        ])
-
-
-@_stage()
-def stage_explain(config: dict, out: StageWriter) -> None:
-    """surrogate explanations, entity rankings, entropy table"""
-    from . import explain as explain_mod
-
-    docs = _resolve_corpus(config, out)
-    source_tag = config["explain"]["source"]
-    if source_tag is None:
-        raise ConfigError("explain.source must name one of augment.sources")
-    source = _load_source(config, source_tag, out)
-    concept_map = (None if config["augment"]["concept_map"] is None
-                   else _load_concept_map(config, out))
-    lime, settings = config["lime"], config["explain"]
-    report = explain_mod.run_explain(
-        docs, source, concept_map, seed=config["seed"], class_axis=config["class_axis"],
-        test_fraction=config["split"]["test_fraction"],
-        lime=explain_mod.LimeSettings(lime["num_samples"], lime["kernel_width"], lime["ridge"]),
-        top_k=lime["top_k"], rank_samples=settings["num_samples"], budget=settings["budget"],
-        top_m=settings["top_m"], source_top_k=settings["source_top_k"], **config["logreg"])
-    out.tsv("explanations.tsv", ["doc", "class", "fidelity", "position", "token", "weight"],
-            report.explanation_rows)
-    out.tsv("rankings.tsv", ["mode", "kind", "class", "position", "entity", "strength"],
-            report.ranking_rows)
-    out.tsv("entropy_report.tsv", ["row", "entropy_bits"], report.entropy.rows)
-    out.json("explain.json", {
-        "entropy_rows": dict(report.entropy.rows),
-        "top_m": report.entropy.top_m,
-        "budget": settings["budget"],
-        "warnings": report.warnings,
-        "lime": report.lime,
-        "full_scale_reference": report.entropy.reference,
-    })
-
-
-@_stage()
-def stage_plotdata(config: dict, out: StageWriter) -> None:
-    """plot-ready tables derived from stage outputs"""
-    which = config["plot"]["which"]
-    if which == "symbol-name-distribution":
-        from .stats import CountDistribution, build_distribution_library
-
-        docs = _resolve_corpus(config, out)
-        library = build_distribution_library(docs, class_axis=config["class_axis"])
-        if not library.identifier_class:
-            raise ValidationError("corpus contains no identifiers to plot")
-        symbol = config["plot"]["symbol"]
-        if symbol is None:
-            symbol = min(library.identifier_class,
-                         key=lambda s: (-sum(library.identifier_class[s].values()), s))
-        if symbol not in library.identifier_class:
-            raise ValidationError(f"identifier {symbol!r} does not occur in the corpus")
-        name = config["plot"]["name"]
-        if name is None:
-            by_name = library.identifier_name.get(symbol)
-            if not by_name:
-                raise ValidationError(f"identifier {symbol!r} has no gold names")
-            name = min(by_name, key=lambda n: (-by_name[n], n))
-        if name not in library.name_class:
-            raise ValidationError(f"name {name!r} does not occur in the corpus")
-        out.tsv("plot_symbol_name.tsv", ["series", "class", "fraction"], [
-            (series, label, fraction)
-            for series, table in ((f"identifier:{symbol}", library.identifier_class[symbol]),
-                                  (f"name:{name}", library.name_class[name]))
-            for label, fraction in sorted(CountDistribution(table).normalized().items())])
-    elif which == "entropy-table":
-        source = out.out_dir / "entropy_report.tsv"
-        if not source.is_file():
-            raise ParseError("entropy_report.tsv not found; run the explain stage first")
-        parsed = []
-        for line_no, line in enumerate(source.read_text(encoding="utf-8").splitlines()[1:],
-                                       start=2):
-            label, _, value = line.partition("\t")
-            try:
-                entropy = float(value)
-            except ValueError:
-                entropy = math.nan
-            if not math.isfinite(entropy):
-                raise ParseError(f"entropy_report.tsv: expected a row name, a tab and a "
-                                 f"finite entropy, got {line!r}", line_no)
-            parsed.append((label, entropy))
-        total = sum(value for _, value in parsed)
-        if total <= 0:
-            raise ValidationError("entropy table sums to zero; nothing to normalize")
-        out.tsv("plot_entropy_table.tsv", ["row", "entropy_bits", "normalized"],
-                [(label, value, value / total) for label, value in parsed])
-        out.inputs["entropy_report.tsv"] = _digest_file(source)
-    else:
-        raise ConfigError(f"plot.which must be 'symbol-name-distribution' or "
-                          f"'entropy-table', got {which!r}")
-
-
-@_stage(manifest=False)
-def stage_report(config: dict, out: StageWriter) -> None:
-    """assemble stage tables into report.md and manifest.json
-
-    ``manifest.json`` lists every other file but temp files with its digest;
-    like a stage manifest, it is removed before the first write and written last.
-    """
-    out_dir = out.out_dir
-    missing = [name for _, name in REPORT_SECTIONS if not (out_dir / name).is_file()]
-    if missing:
-        raise ParseError("missing stage outputs: " + ", ".join(missing)
-                         + " (run the corresponding stages first)")
-    digest = config_digest(config)
-    lines = [f"# {TOOL_NAME} pipeline report", "",
-             f"- seed: {config['seed']}",
-             f"- config digest: `{digest}`", ""]
-    for title, name in REPORT_SECTIONS:
-        text = (out_dir / name).read_text(encoding="utf-8").rstrip("\n")
-        lines += [f"## {title}", "", "```", text, "```", ""]
-    (out_dir / "manifest.json").unlink(missing_ok=True)
-    out.file("report.md", lambda path: path.write_text("\n".join(lines), encoding="utf-8"))
-    files = sorted(p.name for p in out_dir.iterdir()
-                   if p.is_file() and not p.name.endswith(".partial"))
-    out.json("manifest.json", {
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "stage": "report",
-        "seed": config["seed"],
-        "config_digest": digest,
-        "files": {name: _digest_file(out_dir / name) for name in files},
-    })
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -812,9 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     subparsers.add_parser("print-config", parents=[common],
                           help="print the effective configuration and exit")
-    for name in STAGES:
-        stage_parser = subparsers.add_parser(name, parents=[common],
-                                             help=STAGES[name].__doc__.splitlines()[0])
+    for name, (help_line, _) in STAGE_REGISTRY.items():
+        stage_parser = subparsers.add_parser(name, parents=[common], help=help_line)
         if name == "plotdata":
             stage_parser.add_argument(
                 "--which", choices=("symbol-name-distribution", "entropy-table"),

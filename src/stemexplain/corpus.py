@@ -29,11 +29,11 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 
-from .encode import tokenize
 from .errors import ParseError, ValidationError
 from .formulas import extract_identifiers
+from .tokenizer import tokenize
 
 TEXT = "text"
 FORMULA = "formula"
@@ -41,27 +41,26 @@ FORMULA = "formula"
 _ARXIV_RE = re.compile(r"^[A-Za-z0-9-]+(\.[A-Za-z0-9-]+)?$")
 _MSC_RE = re.compile(r"^[0-9]{2}[A-Za-z-][0-9]{2}$")
 
+# No dataclasses here: importing them loads inspect, ast and dis (about 10 ms
+# per process), and the ingest stage loads no other module that needs them.
 
-@dataclass(frozen=True)
-class Segment:
+
+class Segment(namedtuple("Segment", ("kind", "content", "fid", "identifiers"))):
     """One stretch of a document: prose text or formula markup.
 
     A formula segment parses its markup once, when it is made, and keeps
     the identifier symbols in document order; malformed markup raises
-    ParseError.  ``identifiers`` is empty for text segments.
+    ParseError.  ``identifiers`` is empty for text segments.  Segments
+    are immutable and compare by value.
     """
 
-    kind: str
-    content: str
-    fid: str | None = None
-    identifiers: tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind == FORMULA:
-            object.__setattr__(self, "identifiers", tuple(extract_identifiers(self.content)))
+    def __new__(cls, kind: str, content: str, fid: str | None = None) -> Segment:
+        identifiers = tuple(extract_identifiers(content)) if kind == FORMULA else ()
+        return super().__new__(cls, kind, content, fid, identifiers)
 
 
-@dataclass
 class GoldAnnotations:
     """Optional human ground truth attached to a document.
 
@@ -71,30 +70,50 @@ class GoldAnnotations:
                       optional "title" and "qid" keys; used to decide
                       whether a produced link points at the right thing.
     concept_relevance: formula id -> candidate phrase -> score in {0, 1, 2}.
+
+    A map not given starts empty.  Two annotations are equal when their
+    four maps are.
     """
 
-    identifier_names: dict[str, dict[str, str]] = field(default_factory=dict)
-    entity_relevance: dict[str, float] = field(default_factory=dict)
-    entity_targets: dict[str, dict[str, str]] = field(default_factory=dict)
-    concept_relevance: dict[str, dict[str, int]] = field(default_factory=dict)
+    def __init__(self, identifier_names: dict[str, dict[str, str]] | None = None,
+                 entity_relevance: dict[str, float] | None = None,
+                 entity_targets: dict[str, dict[str, str]] | None = None,
+                 concept_relevance: dict[str, dict[str, int]] | None = None):
+        self.identifier_names = {} if identifier_names is None else identifier_names
+        self.entity_relevance = {} if entity_relevance is None else entity_relevance
+        self.entity_targets = {} if entity_targets is None else entity_targets
+        self.concept_relevance = {} if concept_relevance is None else concept_relevance
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is GoldAnnotations else NotImplemented
 
     def is_empty(self) -> bool:
         return not (self.identifier_names or self.entity_relevance
                     or self.entity_targets or self.concept_relevance)
 
 
-@dataclass
 class Document:
-    doc_id: str
-    segments: list[Segment]
-    arxiv_categories: list[str]
-    msc_codes: list[str]
-    gold: GoldAnnotations | None = None
-    # The token layout and the segments it was computed from.
-    _layout: tuple[tuple[str, ...], tuple[tuple[str, int], ...]] | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _layout_segments: tuple[Segment, ...] = field(
-        default=(), init=False, repr=False, compare=False)
+    """A labeled document: its segments, its arXiv and MSC labels and optional gold.
+
+    Two documents are equal when their id, segments, labels and gold are.
+    """
+
+    def __init__(self, doc_id: str, segments: list[Segment], arxiv_categories: list[str],
+                 msc_codes: list[str], gold: GoldAnnotations | None = None):
+        self.doc_id = doc_id
+        self.segments = segments
+        self.arxiv_categories = arxiv_categories
+        self.msc_codes = msc_codes
+        self.gold = gold
+        # The token layout and the segments it was computed from.
+        self._layout: tuple[tuple[str, ...], tuple[tuple[str, int], ...]] | None = None
+        self._layout_segments: tuple[Segment, ...] = ()
+
+    def _compared(self) -> tuple:
+        return (self.doc_id, self.segments, self.arxiv_categories, self.msc_codes, self.gold)
+
+    def __eq__(self, other):
+        return self._compared() == other._compared() if type(other) is Document else NotImplemented
 
     def text_tokens(self) -> list[str]:
         """All tokens of the text segments, in reading order."""
@@ -144,14 +163,12 @@ class Document:
         return self._layout
 
 
-@dataclass(frozen=True)
-class IdentifierOccurrence:
+class IdentifierOccurrence(namedtuple("IdentifierOccurrence",
+                                      ("doc_id", "formula_id", "symbol", "name"),
+                                      defaults=(None,))):
     """One identifier symbol occurrence inside a formula."""
 
-    doc_id: str
-    formula_id: str
-    symbol: str
-    name: str | None = None
+    __slots__ = ()
 
 
 def document_identifiers(doc: Document) -> list[IdentifierOccurrence]:
@@ -177,7 +194,9 @@ def corpus_summary(docs: list[Document]) -> list[tuple[str, int]]:
         ("msc_codes", len({label for doc in docs for label in doc.msc_codes})),
         ("text_segments", sum(s.kind == TEXT for doc in docs for s in doc.segments)),
         ("formula_segments", sum(len(doc.formula_segments()) for doc in docs)),
-        ("identifier_occurrences", sum(len(document_identifiers(doc)) for doc in docs)),
+        # Text segments have no identifiers, so every segment can be summed.
+        ("identifier_occurrences",
+         sum(len(s.identifiers) for doc in docs for s in doc.segments)),
         ("documents_with_gold",
          sum(doc.gold is not None and not doc.gold.is_empty() for doc in docs)),
     ]
@@ -294,9 +313,16 @@ def document_to_record(doc: Document) -> dict:
 
 
 def parse_corpus_text(text: str) -> list[Document]:
+    """Documents of corpus text, one JSON record per ``"\\n"``-separated line.
+
+    Only ``"\\n"`` separates records: a JSON string may hold U+2028, U+2029
+    or U+0085 unescaped, which ``str.splitlines`` would also break at.
+    ``load_corpus`` reads with universal newlines, so ``"\\r\\n"`` and a lone
+    ``"\\r"`` in a file arrive here as ``"\\n"``.
+    """
     documents = []
     seen_ids = set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

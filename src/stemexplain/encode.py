@@ -24,28 +24,12 @@ from importlib import resources
 from operator import itemgetter
 
 from .errors import ValidationError
+# tokenize has its own module, so that loading a corpus does not load this
+# one; it is still part of this module's API.
+from .tokenizer import tokenize  # noqa: F401
 
-# Alphanumeric runs; underscore is a boundary like any other punctuation.
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-# The same runs in lowercase ASCII text, where \w is [a-z0-9_].
-_ASCII_TOKEN_RE = re.compile(r"[a-z0-9]+")
 # Matches exactly the characters for which str.isspace() is true.
 _SPACE_RE = re.compile(r"\s")
-
-
-def tokenize(text: str) -> list[str]:
-    """Split ``text`` on non-alphanumeric boundaries and lowercase.
-
-    "Velocity dispersion is" -> ["velocity", "dispersion", "is"], and
-    "E=mc2" -> ["e", "mc2"].  Empty input yields an empty list.
-    Lowercased text that is all ASCII (most prose, and text such as the
-    Kelvin sign that lowercases to ASCII) goes through the cheaper ASCII
-    pattern, which finds the same tokens there.
-    """
-    lowered = text.lower()
-    if lowered.isascii():
-        return _ASCII_TOKEN_RE.findall(lowered)
-    return _TOKEN_RE.findall(lowered)
 
 
 def _load_wordlist(name: str) -> list[str]:

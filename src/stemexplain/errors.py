@@ -1,16 +1,21 @@
 """Shared error taxonomy.
 
-Parse errors point at malformed input bytes, validation errors at
-structurally sound but contract-violating values, domain errors at
-mathematically undefined requests (entropy of nothing), and training
-errors at optimizer-level failures.  A fit that stops at its iteration
-cap without meeting its tolerance is not an error: it emits a
-``ConvergenceWarning`` and still returns the model.
+Config errors point at the effective configuration, parse errors at
+malformed input bytes, validation errors at structurally sound but
+contract-violating values, domain errors at mathematically undefined
+requests (entropy of nothing), and training errors at optimizer-level
+failures.  A fit that stops at its iteration cap without meeting its
+tolerance is not an error: it emits a ``ConvergenceWarning`` and still
+returns the model.
 """
 
 
 class ToolkitError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class ConfigError(ToolkitError):
+    """Raised for problems in the effective configuration."""
 
 
 class ParseError(ToolkitError):

@@ -29,13 +29,13 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .augment import ConceptCategoryMap, SymbolNameSource, build_math_streams
 from .classify import (LogRegModel, derive_seed, fit_split_model, labeled_documents, softmax,
                        stratified_split)
 from .corpus import Document, primary_label
-from .encode import STOPWORDS, TfIdfModel, TokenStream, tokenize
+from .encode import STOPWORDS, TfIdfModel, TokenStream
+from .entropy import CountDistribution, shannon_entropy
 from .errors import DomainError, ValidationError
-from .stats import CountDistribution, shannon_entropy
+from .sources import ConceptCategoryMap, SymbolNameSource, build_math_streams
 
 MFREQ = "MFreq"
 MDISC = "MDisc"

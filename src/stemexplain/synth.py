@@ -19,20 +19,20 @@ from typing import TYPE_CHECKING
 
 from .corpus import FORMULA, TEXT, Document, GoldAnnotations, Segment
 from .errors import ValidationError
-from .linker import Gazetteer
 
 if TYPE_CHECKING:
-    from .augment import ConceptCategoryMap, SymbolNameSource
+    from .linker import Gazetteer
+    from .sources import ConceptCategoryMap, SymbolNameSource
 
 
 def __getattr__(name: str):
-    # Fixture builders reach augment's two fixture classes through this module.
-    # augment imports numpy, so they are looked up on first use and the demo
-    # corpus stays free of numpy.
+    # Fixture builders reach the two fixture classes of ``sources`` through
+    # this module.  They are looked up on first use, so that the @demo corpus
+    # loads neither ``sources`` nor ``encode``.
     if name in ("ConceptCategoryMap", "SymbolNameSource"):
-        from . import augment
+        from . import sources
 
-        return getattr(augment, name)
+        return getattr(sources, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -220,7 +220,7 @@ def demo_symbol_sources() -> list[SymbolNameSource]:
     while larger ones pull in misleading names.  Shared symbols rank
     neutral gloss words that appear in no document text.
     """
-    from .augment import SymbolNameSource
+    from .sources import SymbolNameSource
 
     config = DEMO_CONFIG
     n = len(config.classes)
@@ -241,7 +241,7 @@ def demo_symbol_sources() -> list[SymbolNameSource]:
 
 
 def demo_concept_map() -> ConceptCategoryMap:
-    from .augment import ConceptCategoryMap
+    from .sources import ConceptCategoryMap
 
     mapping = {}
     for class_index, cls in enumerate(DEMO_CONFIG.classes):
@@ -252,6 +252,8 @@ def demo_concept_map() -> ConceptCategoryMap:
 
 def demo_gazetteers() -> dict[str, Gazetteer]:
     """One gazetteer per source tag covering the demo concept phrases."""
+    from .linker import Gazetteer
+
     wikidump = []
     item_name = []
     sparql = []

@@ -231,3 +231,40 @@ class TestExperiments:
                                     "segments": [{"kind": "text", "content": "hi"}]})]
         with pytest.raises(ValidationError):
             run_augmentation_experiment(bare, [], [1])
+
+
+class TestTokenizedOnce:
+    """A source tokenizes its names when it is made; a document's symbols once each."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module):
+        calls, real = [], module.tokenize
+
+        def spy(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(module, "tokenize", spy)
+        return calls
+
+    def test_source_names_tokenized_when_made(self, monkeypatch):
+        from stemexplain import sources
+
+        calls = self.count_calls(monkeypatch, sources)
+        source = SymbolNameSource.from_counts("s", {
+            "E": {"energy level": 5.0, "error": 2.0}, "m": {"mass": 9.0}})
+        assert sorted(calls) == ["energy level", "error", "mass"]
+        assert source.name_tokens == {"E": (["energy", "level"], ["error"]), "m": (["mass"],)}
+        d = doc(formulas=("Em", "mE"))
+        for top_k in (1, 2, 3):
+            augment_identifiers(d, source, top_k)
+        assert len(calls) == 3
+        assert augment_identifiers(d, source, 2).tokens[4:] == (
+            "energy", "level", "error", "mass")
+
+    def test_each_distinct_symbol_tokenized_once(self, monkeypatch):
+        from stemexplain import augment
+
+        calls = self.count_calls(monkeypatch, augment)
+        assert symbol_tokens(doc(formulas=("Em", "mE", "E"))) == ["e", "m", "m", "e", "e"]
+        assert sorted(calls) == ["E", "m"]

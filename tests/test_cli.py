@@ -783,3 +783,96 @@ class TestLazyPackage:
         with pytest.raises(AttributeError, match="no_such_name"):
             stemexplain.no_such_name  # noqa: B018
         assert not hasattr(stemexplain, "no_such_name")
+
+
+# Package modules each stage run loads besides stemexplain, cli, errors, the
+# stages package and its own stage module, and whether it loads numpy.  "data"
+# is the package encode reads its word tables from.
+_CORPUS_MODULES = {"corpus", "formulas", "tokenizer"}
+_FITTING = {"classify", "encode", "data"}
+STAGE_MODULES = (
+    (("synth",), _CORPUS_MODULES | {"synth", "sources", "encode", "data", "linker"}, False),
+    (("ingest",), _CORPUS_MODULES, False),
+    (("stats",), _CORPUS_MODULES | {"stats", "entropy"}, False),
+    (("correspond",), _CORPUS_MODULES | _FITTING | {"stats", "entropy"}, True),
+    (("classify",), _CORPUS_MODULES | _FITTING, True),
+    (("augment",), _CORPUS_MODULES | _FITTING | {"augment", "sources"}, True),
+    (("ablate",), _CORPUS_MODULES | _FITTING | {"augment", "sources"}, True),
+    (("link",), _CORPUS_MODULES | {"linker", "encode", "data"}, False),
+    (("mathel",), _CORPUS_MODULES | {"linker", "encode", "data"}, False),
+    (("explain",), _CORPUS_MODULES | _FITTING | {"explain", "sources", "entropy"}, True),
+    (("plotdata", "--which", "symbol-name-distribution"),
+     _CORPUS_MODULES | {"stats", "entropy"}, False),
+    (("plotdata", "--which", "entropy-table"), set(), False),
+    (("report",), set(), False),
+)
+
+# Runs cli.main, then prints the package modules loaded and whether numpy was.
+_MODULE_PROBE = ("import json, sys\n"
+                 "from stemexplain.cli import main\n"
+                 "try:\n"
+                 "    code = main(sys.argv[1:])\n"
+                 "except SystemExit as exc:\n"
+                 "    code = exc.code\n"
+                 "print(json.dumps([sorted(m.removeprefix('stemexplain.') for m in sys.modules\n"
+                 "                         if m.startswith('stemexplain.')),\n"
+                 "                  'numpy' in sys.modules]))\n"
+                 "sys.exit(code)\n")
+
+
+def _loaded_modules(*argv: str) -> tuple[set[str], bool]:
+    result = _python(_MODULE_PROBE, *argv)
+    assert result.returncode == 0, result.stderr
+    modules, numpy_loaded = json.loads(result.stdout.splitlines()[-1])
+    return set(modules), numpy_loaded
+
+
+def test_each_stage_process_loads_only_the_modules_it_runs(tmp_path):
+    fixtures, out_dir = tmp_path / "fixtures", tmp_path / "out"
+    common = ("-c", str(fixtures / "demo_config.json"), "--out-dir", str(out_dir))
+    for argv, expected, numpy_expected in STAGE_MODULES:
+        if argv[0] == "synth":
+            argv = (*argv, "--seed", "1", "--out-dir", str(fixtures))
+        else:
+            argv = (*argv, *common)
+        modules, numpy_loaded = _loaded_modules(*argv)
+        assert modules == {"cli", "errors", "stages", f"stages.{argv[0]}"} | expected, argv
+        assert numpy_loaded == numpy_expected, argv
+    assert (out_dir / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("ingest", "--help"),
+                                  ("print-config", "--seed", "1")])
+def test_help_and_print_config_load_no_stage_module(argv):
+    assert _loaded_modules(*argv) == ({"cli", "errors"}, False)
+
+
+def test_registry_and_stage_modules_agree():
+    import inspect
+    import pkgutil
+
+    from stemexplain import stages
+    from stemexplain.cli import STAGE_REGISTRY, STAGES
+
+    modules = {info.name for info in pkgutil.iter_modules(stages.__path__)}
+    assert modules == set(STAGE_REGISTRY) == set(STAGES)
+    for name in STAGE_REGISTRY:
+        body = importlib.import_module(f"stemexplain.stages.{name}").run
+        assert list(inspect.signature(body).parameters) == ["config", "out"], name
+
+
+def test_ingest_leaves_dataclasses_unloaded(tmp_path):
+    record = {"id": "d1", "arxiv": ["math.AP"], "msc": [],
+              "segments": [{"kind": "text", "content": "a wave"},
+                           {"kind": "formula", "content": "<mi>u</mi>"}],
+              "gold": {"entity_relevance": {"wave": 1}}}
+    (tmp_path / "corpus.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+    probe = ("import sys\n"
+             "from stemexplain.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+             "sys.exit(code)\n")
+    result = _python(probe, "ingest", "--corpus", str(tmp_path / "corpus.jsonl"),
+                     "--seed", "1", "--out-dir", str(tmp_path / "out"))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

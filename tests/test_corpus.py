@@ -323,3 +323,43 @@ class TestOncePerDocument:
         assert Segment(TEXT, "<mi>E</mi>").identifiers == ()
         with pytest.raises(ParseError, match="malformed formula markup"):
             Segment(FORMULA, "<mi>E</mi><mo>=")
+
+
+class TestLineSeparators:
+    """Records are separated by "\\n" only, so a text may hold other line breaks."""
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+    def test_saved_corpus_reloads(self, tmp_path, separator):
+        doc = record_to_document(make_record(segments=[
+            {"kind": "text", "content": f"wave{separator}function"},
+            {"kind": "formula", "content": "<mi>E</mi>", "fid": "f1"}]))
+        path = tmp_path / "corpus.jsonl"
+        save_corpus([doc], path)
+        assert separator in path.read_text(encoding="utf-8")  # written unescaped
+        assert load_corpus(path) == [doc]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_parse_error_line_numbers(self, tmp_path, newline):
+        record = json.dumps(make_record())
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(newline.join([record, "", "{not json}", ""]).encode("utf-8"))
+        with pytest.raises(ParseError) as err:
+            load_corpus(path)
+        assert err.value.line == 3
+
+    def test_line_numbers_count_only_newlines(self):
+        first = json.dumps(make_record(segments=[
+            {"kind": "text", "content": "wave\u2028function\u0085end"}]), ensure_ascii=False)
+        with pytest.raises(ParseError) as err:
+            parse_corpus_text(first + "\n{not json}\n")
+        assert err.value.line == 2
+
+
+def test_summary_counts_every_identifier_occurrence():
+    from stemexplain.corpus import corpus_summary
+
+    docs = demo_corpus() + generate_synthetic_corpus(
+        SynthConfig(classes=("a", "b"), docs_per_class=3, seed=2, formulas_per_doc=3))
+    rows = dict(corpus_summary(docs))
+    assert rows["identifier_occurrences"] == sum(len(document_identifiers(doc))
+                                                 for doc in docs) > 0
