@@ -28,8 +28,8 @@ _HOMES = {
     **dict.fromkeys(("SparseVector", "TfIdfModel", "TokenStream", "fit_tfidf",
                      "lemmatize", "transform"), "encode"),
     "tokenize": "tokenizer",
-    **dict.fromkeys(("DomainError", "ParseError", "ToolkitError", "TrainingError",
-                     "ValidationError"), "errors"),
+    **dict.fromkeys(("DomainError", "ParseError", "ToolkitError", "ValidationError"),
+                    "errors"),
     "extract_identifiers": "formulas",
     **dict.fromkeys(("CountDistribution", "margin_uncertainty", "shannon_entropy"),
                     "entropy"),

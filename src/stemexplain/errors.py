@@ -1,13 +1,14 @@
-"""Shared error taxonomy.
+"""Shared error taxonomy, and the UTF-8 read every input file goes through.
 
 Config errors point at the effective configuration, parse errors at
 malformed input bytes, validation errors at structurally sound but
-contract-violating values, domain errors at mathematically undefined
-requests (entropy of nothing), and training errors at optimizer-level
-failures.  A fit that stops at its iteration cap without meeting its
-tolerance is not an error: it emits a ``ConvergenceWarning`` and still
-returns the model.
+contract-violating values, and domain errors at mathematically undefined
+requests (entropy of nothing).  A fit that stops at its iteration cap
+without meeting its tolerance is not an error: it emits a
+``ConvergenceWarning`` and still returns the model.
 """
+
+import os
 
 
 class ToolkitError(Exception):
@@ -39,10 +40,6 @@ class DomainError(ToolkitError):
     """Quantity undefined for the given input (e.g. empty distribution)."""
 
 
-class TrainingError(ToolkitError):
-    """Optimizer failed in a way that invalidates the fitted model."""
-
-
 class ConvergenceWarning(UserWarning):
     """A fit stopped before its loss change fell below the tolerance."""
 
@@ -50,3 +47,24 @@ class ConvergenceWarning(UserWarning):
         super().__init__(message)
         self.iterations = iterations
         self.final_loss = final_loss
+
+
+def read_utf8(path: str | os.PathLike[str]) -> str:
+    """The text of a UTF-8 file, as ``open(path, encoding="utf-8").read()`` returns it.
+
+    ``"\\r\\n"`` and a lone ``"\\r"`` become ``"\\n"`` (universal newlines).
+    Bytes that are not UTF-8 raise ParseError naming the file, the line and
+    the byte offset of the first bad byte, never a UnicodeDecodeError.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("utf-8")
+        line = before.count("\n") + before.count("\r") - before.count("\r\n") + 1
+        raise ParseError(f"{path}: not valid UTF-8: byte 0x{data[exc.start]:02x} "
+                         f"at offset {exc.start}", line) from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .. import cli
-from ..errors import ConfigError, ParseError, ValidationError
+from ..errors import ConfigError, ParseError, ValidationError, read_utf8
 from . import resolve_corpus
 
 
@@ -58,8 +58,9 @@ def _entropy_table(out: cli.StageWriter) -> None:
     if not source.is_file():
         raise ParseError("entropy_report.tsv not found; run the explain stage first")
     parsed = []
-    for line_no, line in enumerate(source.read_text(encoding="utf-8").splitlines()[1:],
-                                   start=2):
+    # Split on "\n" only, as every other reader does; the header is skipped.
+    rows = read_utf8(source).removesuffix("\n").split("\n")[1:]
+    for line_no, line in enumerate(rows, start=2):
         label, _, value = line.partition("\t")
         try:
             entropy = float(value)

@@ -7,7 +7,7 @@ like a stage manifest, it is removed before the first write and written last.
 from __future__ import annotations
 
 from .. import __version__, cli
-from ..errors import ParseError
+from ..errors import ParseError, read_utf8
 
 
 def run(config: dict, out: cli.StageWriter) -> None:
@@ -21,7 +21,7 @@ def run(config: dict, out: cli.StageWriter) -> None:
              f"- seed: {config['seed']}",
              f"- config digest: `{digest}`", ""]
     for title, name in cli.REPORT_SECTIONS:
-        text = (out_dir / name).read_text(encoding="utf-8").rstrip("\n")
+        text = read_utf8(out_dir / name).rstrip("\n")
         lines += [f"## {title}", "", "```", text, "```", ""]
     (out_dir / "manifest.json").unlink(missing_ok=True)
     out.file("report.md", lambda path: path.write_text("\n".join(lines), encoding="utf-8"))

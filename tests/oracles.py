@@ -37,7 +37,7 @@ from stemexplain.augment import _name_tokens
 from stemexplain.classify import LogRegModel, labeled_documents, loss_and_gradient, softmax
 from stemexplain.corpus import TEXT, IdentifierOccurrence, axis_labels
 from stemexplain.encode import STOPWORDS, lemmatize
-from stemexplain.errors import ParseError, TrainingError, ValidationError
+from stemexplain.errors import ParseError, ToolkitError, ValidationError
 from stemexplain.explain import Explanation
 from stemexplain.formulas import _SCRIPT_TAGS, _classify, _local_tag, parse_formula
 from stemexplain.linker import EntityLink, FormulaConceptLink, GazetteerEntry
@@ -319,6 +319,10 @@ def concept_coverage_violations(documents, concept_map, class_axis="arxiv"):
                    for tokens in tokens_by_class.get(label, [])):
             violations.append((phrase, label))
     return violations
+
+
+class TrainingError(ToolkitError):
+    """The loss of ``gradient_descent`` stopped being finite."""
 
 
 def gradient_descent(data, step=0.5, max_iterations=500, tolerance=1e-6, l2=1e-4):

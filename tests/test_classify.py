@@ -15,11 +15,11 @@ from stemexplain.classify import (LabeledDataset, LogRegModel, classifier_label_
                                   truncate_label)
 from stemexplain.corpus import record_to_document
 from stemexplain.encode import SparseVector, TokenStream, fit_tfidf, transform_all
-from stemexplain.errors import (ConvergenceWarning, DomainError, TrainingError,
-                                ValidationError)
+from stemexplain.errors import ConvergenceWarning, DomainError, ValidationError
 from stemexplain.synth import demo_corpus
 
 from . import oracles
+from .oracles import TrainingError
 
 
 def vec(*pairs):

@@ -1,6 +1,7 @@
 """Command-line behavior: config handling, exit codes, stage outputs."""
 
 import argparse
+import ast
 import importlib
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 
 import stemexplain
 
+from stemexplain import cli
 from stemexplain.cli import (DEFAULT_CONFIG, ConfigError, config_digest,
                              load_config, main)
 
@@ -327,6 +329,73 @@ class TestMalformedInputs:
         assert record["error"] == "ParseError"
         assert record["message"] == "line 4: bad frequency 'nan'"
         assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+class TestNotUtf8:
+    """Input bytes that are not UTF-8 exit 2 (config) or 3 with one JSON record."""
+
+    def test_config(self, tmp_path):
+        path = tmp_path / "c.json"
+        data = b'{"seed": 1,\n "corpus": "\xe9.jsonl"}'
+        path.write_bytes(data)
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path), {})
+        assert str(err.value) == (f"line 2: {path}: not valid UTF-8: byte 0xe9 "
+                                  f"at offset {data.index(0xE9)}")
+
+    def test_entropy_table(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        data = b"row\tentropy_bits\nA\t2.0\n\xffB\t1.0\n"
+        (out_dir / "entropy_report.tsv").write_bytes(data)
+        code, _, err = run(capsys, "plotdata", "--seed", "1", "--out-dir", str(out_dir),
+                           "--which", "entropy-table")
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+        assert stderr_record(err) == {
+            "error": "ParseError",
+            "message": f"line 3: {out_dir / 'entropy_report.tsv'}: not valid UTF-8: "
+                       f"byte 0xff at offset {data.index(0xFF)}"}
+
+    def test_entropy_table_rows_split_on_newlines_only(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "entropy_report.tsv").write_text(
+            "row\tentropy_bits\nA\u2028B\t1.0\nC\x85\t3.0\n", encoding="utf-8")
+        code, _, _ = run(capsys, "plotdata", "--seed", "1", "--out-dir", str(out_dir),
+                         "--which", "entropy-table")
+        assert code == 0
+        table = (out_dir / "plot_entropy_table.tsv").read_text(encoding="utf-8")
+        assert table.split("\n") == ["row\tentropy_bits\tnormalized", "A\u2028B\t1\t0.25",
+                                     "C\x85\t3\t0.75", ""]
+
+    def test_report_table(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        for _, name in cli.REPORT_SECTIONS:
+            (out_dir / name).write_bytes(b"metric\tvalue\n")
+        data = b"metric\tvalue\nacc\t0.5\x80\n"
+        (out_dir / "classify.tsv").write_bytes(data)
+        code, _, err = run(capsys, "report", "--seed", "1", "--out-dir", str(out_dir))
+        assert code == 3
+        assert stderr_record(err)["message"] == (
+            f"line 2: {out_dir / 'classify.tsv'}: not valid UTF-8: byte 0x80 "
+            f"at offset {data.index(0x80)}")
+        assert not (out_dir / "report.md").exists()
+
+    def test_gazetteer(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"id": "d1", "arxiv": ["math.AP"], "msc": [],
+                                      "segments": [{"kind": "text", "content": "a wave"}]})
+                          + "\n", encoding="utf-8")
+        (tmp_path / "gaz.tsv").write_bytes(b"wave\tQ1\n\xfe\tQ2\n")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"seed": 1, "corpus": "corpus.jsonl",
+                                      "linker": {"gazetteers": {"g": "gaz.tsv"}}}),
+                          encoding="utf-8")
+        code, _, err = run(capsys, "link", "-c", str(config), "--out-dir", str(tmp_path / "out"))
+        assert code == 3
+        assert stderr_record(err)["message"].startswith("line 2: ")
 
 
 # The help text of every subcommand, as the parser offers them.
@@ -876,3 +945,125 @@ def test_ingest_leaves_dataclasses_unloaded(tmp_path):
                      "--seed", "1", "--out-dir", str(tmp_path / "out"))
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def _stemexplain(*argv: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
+    """``python -m stemexplain *argv``, its stdout and stderr read through pipes.
+
+    Without PYTHONUNBUFFERED, stdout to a pipe is block-buffered, so a line
+    that was never flushed would be lost.
+    """
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(stemexplain.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "stemexplain", *argv], capture_output=True,
+                          text=True, env=env, timeout=120, cwd=cwd)
+
+
+def _records(stderr: str) -> list[dict]:
+    """The JSON records on stderr; anything else on it (a traceback) fails the test."""
+    return [json.loads(line) for line in stderr.splitlines()]
+
+
+class TestProcessExit:
+    """A stage process ends with ``os._exit`` once ``main`` returns; nothing it
+    printed is lost, and an in-process ``main`` still returns its code."""
+
+    def test_success_line_arrives_through_a_pipe(self, tmp_path):
+        result = _stemexplain("ingest", "--seed", "1", "--out-dir", str(tmp_path / "out"))
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == "ingest: wrote ingest_summary.tsv, ingest_manifest.json\n"
+
+    @pytest.mark.parametrize("argv, code, error", [
+        (("ingest",), 2, "ConfigError"),
+        (("ingest", "--seed", "1", "--corpus", "absent.jsonl"), 3, "ParseError"),
+        (("plotdata", "--seed", "1", "--which", "symbol-name-distribution",
+          "--symbol", "zz"), 4, "ValidationError"),
+    ])
+    def test_each_failure_prints_one_record(self, tmp_path, argv, code, error):
+        result = _stemexplain(*argv, "--out-dir", str(tmp_path / "out"), cwd=tmp_path)
+        assert result.returncode == code, result.stderr
+        assert result.stdout == ""
+        records = _records(result.stderr)
+        assert len(records) == 1 and records[0]["error"] == error
+
+    @pytest.mark.parametrize("name, data, code, error", [
+        ("c.json", b'{"seed": 1, "corpus": "\xff"}', 2, "ConfigError"),
+        ("corpus.jsonl", b'{"id": "d\xff"}\n', 3, "ParseError"),
+    ])
+    def test_bytes_that_are_not_utf8(self, tmp_path, name, data, code, error):
+        (tmp_path / name).write_bytes(data)
+        argv = ("-c", name) if name == "c.json" else ("--seed", "1", "--corpus", name)
+        result = _stemexplain("ingest", *argv, "--out-dir", "out", cwd=tmp_path)
+        assert result.returncode == code
+        assert "Traceback" not in result.stderr
+        records = _records(result.stderr)
+        assert len(records) == 1 and records[0]["error"] == error
+        assert "not valid UTF-8" in records[0]["message"]
+
+    def test_convergence_warning_is_printed(self, tmp_path):
+        (tmp_path / "c.json").write_text('{"seed": 1, "logreg": {"max_iterations": 1}}',
+                                         encoding="utf-8")
+        result = _stemexplain("classify", "-c", "c.json", "--out-dir", "out", cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("classify: wrote ")
+        records = _records(result.stderr)
+        assert len(records) == 1 and records[0]["warning"] == "ConvergenceWarning"
+
+    def test_in_process_main_returns_its_code(self, capsys, tmp_path, monkeypatch):
+        def refuse(code):
+            raise AssertionError(f"os._exit({code}) called")
+
+        monkeypatch.setattr(os, "_exit", refuse)
+        assert main(["ingest", "--seed", "1", "--out-dir", str(tmp_path / "out")]) == 0
+        assert main(["ingest"]) == 2
+        assert capsys.readouterr().out.startswith("ingest: wrote ")
+
+    def test_entry_flushes_then_exits_with_the_code(self, monkeypatch):
+        events = []
+
+        class Stream:
+            def __init__(self, name):
+                self.name = name
+
+            def flush(self):
+                events.append(f"flush {self.name}")
+
+        monkeypatch.setattr(cli, "main", lambda: events.append("main") or 3)
+        monkeypatch.setattr(sys, "stdout", Stream("stdout"))
+        monkeypatch.setattr(sys, "stderr", Stream("stderr"))
+        monkeypatch.setattr(os, "_exit", lambda code: events.append(f"exit {code}"))
+        cli.entry()
+        assert events == ["main", "flush stdout", "flush stderr", "exit 3"]
+
+    @pytest.mark.parametrize("failing", [RuntimeError, BrokenPipeError])
+    def test_an_exception_keeps_the_usual_exit(self, monkeypatch, failing):
+        class ClosedStdout:
+            def flush(self):
+                raise BrokenPipeError("closed")
+
+        def broken_main():
+            raise RuntimeError("escaped")
+
+        if failing is RuntimeError:
+            monkeypatch.setattr(cli, "main", broken_main)
+        else:
+            monkeypatch.setattr(cli, "main", lambda: 0)
+            monkeypatch.setattr(sys, "stdout", ClosedStdout())
+        monkeypatch.setattr(os, "_exit", lambda code: pytest.fail("os._exit called"))
+        with pytest.raises(failing):
+            cli.entry()
+
+
+def test_script_and_dash_m_share_one_exit_function():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = Path(stemexplain.__file__).resolve().parents[2]
+    with open(root / "pyproject.toml", "rb") as handle:
+        script = tomllib.load(handle)["project"]["scripts"]["stemexplain"]
+    tree = ast.parse(Path(stemexplain.__file__).with_name("__main__.py").read_text())
+    imported = {alias.asname or alias.name: f"stemexplain.{node.module}:{alias.name}"
+                for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    called = [node.value.func.id for node in tree.body
+              if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)]
+    assert len(called) == 1
+    assert imported[called[0]] == script == "stemexplain.cli:entry"

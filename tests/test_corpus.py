@@ -1,17 +1,18 @@
 """Corpus records: parsing, validation, round-trips, synthetic generation."""
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stemexplain import synth
+from stemexplain import corpus, synth
 from stemexplain.corpus import (FORMULA, TEXT, Document, GoldAnnotations, Segment,
                                 corpus_to_text, document_identifiers,
                                 document_to_record, load_corpus,
                                 parse_corpus_text, primary_label,
-                                record_to_document, save_corpus)
+                                record_to_document, save_corpus, tsv_fields)
 from stemexplain.errors import ParseError, ValidationError
 from stemexplain.formulas import parse_formula
 from stemexplain.synth import (DEMO_CONFIG, SynthConfig, demo_corpus,
@@ -353,6 +354,120 @@ class TestLineSeparators:
         with pytest.raises(ParseError) as err:
             parse_corpus_text(first + "\n{not json}\n")
         assert err.value.line == 2
+
+
+class TestNotUtf8:
+    """Bytes that are not UTF-8 are a ParseError naming the file, line and byte offset."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_corpus(self, tmp_path, newline):
+        good = json.dumps(make_record()).encode("utf-8")
+        bad = json.dumps(make_record(id="doc3")).encode("utf-8").replace(b"energy", b"en\xffergy")
+        data = newline.encode("ascii").join([good, b"", bad, b""])
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            load_corpus(path)
+        assert err.value.line == 3
+        offset = data.index(0xFF)
+        assert str(err.value) == f"line 3: {path}: not valid UTF-8: byte 0xff at offset {offset}"
+
+    def test_truncated_sequence_at_the_end(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(json.dumps(make_record()).encode("utf-8") + b"\n\xe2\x82")
+        with pytest.raises(ParseError, match=r"^line 2: .*byte 0xe2 at offset"):
+            load_corpus(path)
+
+    def test_tsv_fields(self, tmp_path):
+        path = tmp_path / "gazetteer.tsv"
+        data = b"wave\tQ1\nfunction\tQ2\n\nwa\xc3ve\tQ3\n"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            list(tsv_fields(path, 2))
+        assert err.value.line == 4
+        assert str(err.value) == (f"line 4: {path}: not valid UTF-8: byte 0xc3 "
+                                  f"at offset {data.index(0xC3)}")
+
+
+# Markups a load sees again and again: Greek, scripted, multi-letter and
+# malformed ones, next to generated ones.
+_FIXED_MARKUPS = st.sampled_from([
+    "<mi>\u03b1</mi><mo>+</mo><mi>\u0392</mi>", "<msub><mi>t</mi><mi>k</mi></msub>",
+    "<msup><mi>E</mi><mn>2</mn></msup><mi>Re</mi>", "<mi>x</mi>", "<mi>x</mi><mo>=",
+    "</mrow>"])
+
+
+@st.composite
+def repeating_corpora(draw):
+    """Corpus lines whose formulas draw on a few markups, so markups repeat."""
+    pool = draw(st.lists(st.one_of(_FIXED_MARKUPS, formula_markup()), min_size=1, max_size=4))
+    lines = []
+    for index in range(draw(st.integers(1, 6))):
+        segments = [{"kind": FORMULA, "content": markup}
+                    for markup in draw(st.lists(st.sampled_from(pool), max_size=4))]
+        segments.insert(0, {"kind": TEXT, "content": "the wave"})
+        lines.append(json.dumps(make_record(id=f"d{index + 1}", segments=segments)))
+    return lines
+
+
+class TestOneParsePerMarkup:
+    """A corpus load parses each distinct formula markup once."""
+
+    @staticmethod
+    def counted_load(text):
+        """``parse_corpus_text(text)`` and the markups ``extract_identifiers`` got."""
+        with mock.patch.object(corpus, "extract_identifiers",
+                               wraps=corpus.extract_identifiers) as spy:
+            docs = parse_corpus_text(text)
+        return docs, [call.args[0] for call in spy.call_args_list]
+
+    @given(repeating_corpora())
+    @settings(max_examples=200, deadline=None)
+    def test_load_equals_reference_parses(self, lines):
+        text = "\n".join(lines) + "\n"
+        expected_error = None
+        for line_no, line in enumerate(lines, start=1):
+            for segment in json.loads(line)["segments"][1:]:
+                try:
+                    oracles.extract_identifiers(segment["content"])
+                except ParseError as exc:
+                    expected_error = f"line {line_no}: in document 'd{line_no}': {exc}"
+                    break
+            if expected_error is not None:
+                break
+        if expected_error is not None:
+            with pytest.raises(ParseError) as raised:
+                parse_corpus_text(text)
+            assert str(raised.value) == expected_error
+            return
+        docs, seen = self.counted_load(text)
+        markups = [s.content for doc in docs for s in doc.segments if s.kind == FORMULA]
+        assert sorted(seen) == sorted(set(markups))
+        for doc in docs:
+            for segment in doc.segments:
+                expected = oracles.extract_identifiers(segment.content) if (
+                    segment.kind == FORMULA) else []
+                assert segment.identifiers == tuple(expected)
+        assert self.counted_load(text)[1] == seen  # a second load parses again
+
+    def test_first_malformed_line_raises_the_unshared_error(self):
+        bad = "<mi>x</mi><mo>="
+        lines = [make_record(id=f"d{n}") for n in range(1, 9)]
+        for n in (3, 7):
+            lines[n - 1]["segments"].append({"kind": FORMULA, "content": bad})
+        with pytest.raises(ParseError) as unshared:
+            Segment(FORMULA, bad)
+        with pytest.raises(ParseError) as raised:
+            parse_corpus_text("".join(json.dumps(r) + "\n" for r in lines))
+        assert raised.value.line == 3
+        assert str(raised.value) == f"line 3: in document 'd3': {unshared.value}"
+
+    def test_segments_made_directly_still_parse(self):
+        with mock.patch.object(corpus, "extract_identifiers",
+                               wraps=corpus.extract_identifiers) as spy:
+            Segment(FORMULA, "<mi>x</mi>")
+            Segment(FORMULA, "<mi>x</mi>")
+        assert spy.call_count == 2
 
 
 def test_summary_counts_every_identifier_occurrence():
