@@ -208,38 +208,45 @@ def corpus_summary(docs: list[Document]) -> list[tuple[str, int]]:
     ]
 
 
-def _require(condition: bool, message: str, line: int | None):
-    if not condition:
-        raise ParseError(message, line)
+_RECORD_KEYS = frozenset({"id", "arxiv", "msc", "segments", "gold"})
+_SEGMENT_KEYS = frozenset({"kind", "content", "fid"})
+_GOLD_SECTIONS = ("concept_relevance", "entity_relevance", "entity_targets", "identifier_names")
+_GOLD_KEYS = frozenset(_GOLD_SECTIONS)
+_TARGET_KEYS = frozenset({"title", "qid"})
 
 
 def _parse_gold(raw: dict, line: int | None) -> GoldAnnotations:
     """Gold annotations; a mistyped value (a boolean is no number) is a ParseError."""
-    _require(isinstance(raw, dict), "gold must be an object", line)
-    known = {"identifier_names", "entity_relevance", "entity_targets", "concept_relevance"}
-    unknown = set(raw) - known
-    _require(not unknown, f"unknown gold keys: {sorted(unknown)}", line)
-    for key in sorted(known):
-        _require(isinstance(raw.get(key, {}), dict), f"gold {key} must be an object", line)
+    if not isinstance(raw, dict):
+        raise ParseError("gold must be an object", line)
+    if not raw.keys() <= _GOLD_KEYS:
+        raise ParseError(f"unknown gold keys: {sorted(raw.keys() - _GOLD_KEYS)}", line)
+    for key in _GOLD_SECTIONS:
+        if not isinstance(raw.get(key, {}), dict):
+            raise ParseError(f"gold {key} must be an object", line)
     gold = GoldAnnotations()
     for fid, names in raw.get("identifier_names", {}).items():
-        _require(isinstance(names, dict), "identifier names must be an object", line)
+        if not isinstance(names, dict):
+            raise ParseError("identifier names must be an object", line)
         gold.identifier_names[str(fid)] = {str(k): str(v) for k, v in names.items()}
     for ngram, rel in raw.get("entity_relevance", {}).items():
-        _require(type(rel) in (int, float) and rel in (0, 0.5, 1),
-                 f"entity relevance must be 0, 0.5 or 1, got {rel!r}", line)
+        if type(rel) not in (int, float) or rel not in (0, 0.5, 1):
+            raise ParseError(f"entity relevance must be 0, 0.5 or 1, got {rel!r}", line)
         gold.entity_relevance[str(ngram)] = float(rel)
     for ngram, target in raw.get("entity_targets", {}).items():
-        _require(isinstance(target, dict), "entity target must be an object", line)
-        unknown = set(target) - {"title", "qid"}
-        _require(not unknown, f"unknown entity target keys: {sorted(unknown)}", line)
+        if not isinstance(target, dict):
+            raise ParseError("entity target must be an object", line)
+        if not target.keys() <= _TARGET_KEYS:
+            raise ParseError(f"unknown entity target keys: {sorted(target.keys() - _TARGET_KEYS)}",
+                             line)
         gold.entity_targets[str(ngram)] = {str(k): str(v) for k, v in target.items()}
     for fid, phrases in raw.get("concept_relevance", {}).items():
-        _require(isinstance(phrases, dict), "concept scores must be an object", line)
+        if not isinstance(phrases, dict):
+            raise ParseError("concept scores must be an object", line)
         scores = {}
         for phrase, score in phrases.items():
-            _require(type(score) in (int, float) and score in (0, 1, 2),
-                     f"concept score must be 0, 1 or 2, got {score!r}", line)
+            if type(score) not in (int, float) or score not in (0, 1, 2):
+                raise ParseError(f"concept score must be 0, 1 or 2, got {score!r}", line)
             scores[str(phrase)] = int(score)
         gold.concept_relevance[str(fid)] = scores
     return gold
@@ -251,44 +258,57 @@ def record_to_document(record: dict, line: int | None = None,
 
     ``parsed`` maps formula markup to its identifier symbols.  A markup it
     holds is not parsed again, and each markup parsed here is added to it;
-    ``parse_corpus_text`` passes one map for a whole load.
+    ``parse_corpus_text`` passes one map for a whole load.  The checks run
+    in a fixed order, and each error message is built only when its check
+    fails.
     """
     if parsed is None:
         parsed = {}
-    _require(isinstance(record, dict), "record must be an object", line)
-    known = {"id", "arxiv", "msc", "segments", "gold"}
-    unknown = set(record) - known
-    _require(not unknown, f"unknown record keys: {sorted(unknown)}", line)
+    if not isinstance(record, dict):
+        raise ParseError("record must be an object", line)
+    if not record.keys() <= _RECORD_KEYS:
+        raise ParseError(f"unknown record keys: {sorted(record.keys() - _RECORD_KEYS)}", line)
     for key in ("id", "arxiv", "msc", "segments"):
-        _require(key in record, f"missing required field {key!r}", line)
+        if key not in record:
+            raise ParseError(f"missing required field {key!r}", line)
     doc_id = record["id"]
-    _require(isinstance(doc_id, str) and doc_id != "", "id must be a non-empty string", line)
+    if not isinstance(doc_id, str) or doc_id == "":
+        raise ParseError("id must be a non-empty string", line)
     arxiv = record["arxiv"]
     msc = record["msc"]
-    _require(isinstance(arxiv, list), "arxiv must be an array", line)
-    _require(isinstance(msc, list), "msc must be an array", line)
+    if not isinstance(arxiv, list):
+        raise ParseError("arxiv must be an array", line)
+    if not isinstance(msc, list):
+        raise ParseError("msc must be an array", line)
     for code in arxiv:
-        _require(isinstance(code, str) and _ARXIV_RE.match(code) is not None,
-                 f"bad arxiv category {code!r}", line)
+        if not isinstance(code, str) or _ARXIV_RE.match(code) is None:
+            raise ParseError(f"bad arxiv category {code!r}", line)
     for code in msc:
-        _require(isinstance(code, str) and _MSC_RE.match(code) is not None,
-                 f"bad msc code {code!r}", line)
+        if not isinstance(code, str) or _MSC_RE.match(code) is None:
+            raise ParseError(f"bad msc code {code!r}", line)
     segments = []
     fids_seen = set()
-    _require(isinstance(record["segments"], list), "segments must be an array", line)
+    if not isinstance(record["segments"], list):
+        raise ParseError("segments must be an array", line)
     for raw in record["segments"]:
-        _require(isinstance(raw, dict), "segment must be an object", line)
-        unknown = set(raw) - {"kind", "content", "fid"}
-        _require(not unknown, f"unknown segment keys: {sorted(unknown)}", line)
+        if not isinstance(raw, dict):
+            raise ParseError("segment must be an object", line)
+        if not raw.keys() <= _SEGMENT_KEYS:
+            raise ParseError(f"unknown segment keys: {sorted(raw.keys() - _SEGMENT_KEYS)}", line)
         kind = raw.get("kind")
-        _require(kind in (TEXT, FORMULA), f"segment kind must be text or formula, got {kind!r}", line)
+        if kind not in (TEXT, FORMULA):
+            raise ParseError(f"segment kind must be text or formula, got {kind!r}", line)
         content = raw.get("content")
-        _require(isinstance(content, str), "segment content must be a string", line)
+        if not isinstance(content, str):
+            raise ParseError("segment content must be a string", line)
         fid = raw.get("fid")
-        _require(fid is None or kind == FORMULA, "fid is only valid on formula segments", line)
         if fid is not None:
-            _require(isinstance(fid, str) and fid != "", "fid must be a non-empty string", line)
-            _require(fid not in fids_seen, f"duplicate formula id {fid!r}", line)
+            if kind != FORMULA:
+                raise ParseError("fid is only valid on formula segments", line)
+            if not isinstance(fid, str) or fid == "":
+                raise ParseError("fid must be a non-empty string", line)
+            if fid in fids_seen:
+                raise ParseError(f"duplicate formula id {fid!r}", line)
             fids_seen.add(fid)
         identifiers = parsed.get(content) if kind == FORMULA else ()
         if identifiers is None:

@@ -16,7 +16,7 @@ fixed token window before and after each formula and records a signed
 rank: positive distances sit before the formula, negative distances
 after.  ``link_corpus`` and ``link_corpus_concepts`` link a whole corpus
 against every gazetteer, laying each document out once, and return the
-rows of the link and mathel tables.
+links, which are the rows of the link and mathel tables.
 
 Evaluation compares produced links against gold relevance judgments
 per mode, where a mode is a (gazetteer source, target field) pair.
@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .corpus import Document, GoldAnnotations, tsv_fields
 from .encode import STOPWORDS, PhraseIndex, lemmatize, phrase_hits, tokenize
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ParseError, ValidationError
 
 _QID_RE = re.compile(r"^Q[0-9]+$")
 # Lowercase ASCII tokens joined by single spaces: already a lookup form.
@@ -116,9 +116,14 @@ def load_gazetteer(path: str, source: str) -> Gazetteer:
     """Load a ``surface_form<TAB>target`` file; blank lines are skipped.
 
     The lines of ``corpus.tsv_fields`` go through ``Gazetteer.update`` in
-    one pass.
+    one pass.  A surface that normalizes to nothing is a ParseError naming
+    its line.
     """
-    return Gazetteer.from_pairs(source, tsv_fields(path, 2))
+    rows = tsv_fields(path, 2)
+    try:
+        return Gazetteer.from_pairs(source, rows)
+    except ValidationError as exc:
+        rows.throw(ParseError(str(exc)))  # raises, naming the line
 
 
 def lemma_forms(tokens: list[str], lemmas: dict[str, str]) -> list[str]:
@@ -135,9 +140,8 @@ def lemma_forms(tokens: list[str], lemmas: dict[str, str]) -> list[str]:
     return forms
 
 
-@dataclass(frozen=True)
-class EntityLink:
-    """A text n-gram matched to a gazetteer target."""
+class EntityLink(NamedTuple):
+    """A text n-gram matched to a gazetteer target; a row of ``LINK_COLUMNS``."""
 
     doc_id: str
     start: int
@@ -148,6 +152,10 @@ class EntityLink:
     target_item: str | None
     source: str
     lemmatized: bool
+
+
+LINK_COLUMNS = ("doc", "start", "length", "surface", "match_form", "title", "item",
+                "source", "lemmatized")
 
 
 def link_text_entities(doc: Document, gazetteer: Gazetteer, max_n: int = 3,
@@ -337,8 +345,6 @@ def _half_covered(ngram: str, mode_links: list[EntityLink], field_name: str) -> 
     return False
 
 
-LINK_COLUMNS = ("doc", "start", "length", "surface", "match_form", "title", "item",
-                "source", "lemmatized")
 LINK_EVAL_COLUMNS = ("mode", "variant", "tp", "fp", "fn", "tn", "excluded", "precision",
                      "recall", "f1", "unjudged")
 LINK_TUPLE_COLUMNS = ("doc", "ngram", "relevance") + tuple(
@@ -346,14 +352,14 @@ LINK_TUPLE_COLUMNS = ("doc", "ngram", "relevance") + tuple(
 
 
 def link_corpus(docs: list[Document], gazetteers: dict[str, Gazetteer], max_n: int = 3,
-                ) -> tuple[list[tuple], list[tuple], list[tuple]]:
+                ) -> tuple[list[EntityLink], list[tuple], list[tuple]]:
     """Link every document's text and score the gold-judged documents.
 
-    Returns the rows of ``LINK_COLUMNS`` (a document's links by start,
-    longest first, source, lemmatized; None for an empty cell),
-    ``LINK_EVAL_COLUMNS`` and ``LINK_TUPLE_COLUMNS``.  Each distinct token
-    is lemmatized once.  Only the links whose surface a gold document
-    judges are evaluated; the others count as unjudged.
+    Returns the links, rows of ``LINK_COLUMNS`` (a document's links by
+    start, longest first, source, lemmatized; None for an empty cell),
+    and the rows of ``LINK_EVAL_COLUMNS`` and ``LINK_TUPLE_COLUMNS``.
+    Each distinct token is lemmatized once.  Only the links whose surface
+    a gold document judges are evaluated; the others count as unjudged.
     """
     link_rows, tuple_rows = [], []
     marks: dict[tuple[str, str], list[str]] = {}
@@ -369,8 +375,7 @@ def link_corpus(docs: list[Document], gazetteers: dict[str, Gazetteer], max_n: i
                                                 lemmatized=lemmatized, tokens=tokens,
                                                 lemmas=lemmas))
         links.sort(key=lambda l: (l.start, -l.length, l.source, l.lemmatized))
-        link_rows.extend((l.doc_id, l.start, l.length, l.surface, l.match_form, l.target_title,
-                          l.target_item, l.source, l.lemmatized) for l in links)
+        link_rows.extend(links)
         if doc.gold is None or not doc.gold.entity_relevance:
             continue
         normalized = {raw: normalize_surface(raw) for raw in doc.gold.entity_relevance}
@@ -380,8 +385,7 @@ def link_corpus(docs: list[Document], gazetteers: dict[str, Gazetteer], max_n: i
         judged = [l for l in links if l.surface in judged_forms]
         unjudged.update((l.source, l.lemmatized) for l in links
                         if l.surface not in judged_forms)
-        evaluation = evaluate_linking(judged, doc.gold)
-        assignments = evaluation.assignments
+        assignments = evaluate_linking(judged, doc.gold).assignments
         for mode in DEFAULT_EVAL_MODES:
             for variant in VARIANTS:
                 marks.setdefault((mode.name, variant), []).extend(
@@ -404,25 +408,29 @@ def link_corpus(docs: list[Document], gazetteers: dict[str, Gazetteer], max_n: i
 # Formula-concept linking
 
 
-@dataclass(frozen=True)
-class FormulaConceptLink:
-    """A concept phrase found near a formula.
+class FormulaConceptLink(NamedTuple):
+    """A concept phrase found near a formula; a row of ``MATHEL_COLUMNS``.
 
     ``rank`` is the signed token distance of the phrase start from the
     formula: positive before, negative after.  When a gold score of 0
     is attached the rank is cleared, matching evaluation tables that
-    print irrelevant candidates without a position.
+    print irrelevant candidates without a position.  The table puts
+    ``score`` before ``rank``, so constructors pass both by keyword.
     """
 
     doc_id: str
     formula_id: str
     phrase: str
     length: int
-    rank: int | None
     score: int | None
+    rank: int | None
     target_title: str | None
     target_item: str | None
     source: str
+
+
+MATHEL_COLUMNS = ("doc", "formula", "phrase", "tokens", "score", "rank", "title", "item",
+                  "source")
 
 
 def link_formula_concepts(doc: Document, gazetteer: Gazetteer, window: int = 10,
@@ -459,9 +467,9 @@ def link_formula_concepts(doc: Document, gazetteer: Gazetteer, window: int = 10,
                 score = gold_scores.get(fid, {}).get(form) if gold else None
                 if score == 0:
                     rank = None
-                links.append(FormulaConceptLink(doc.doc_id, fid, form, length, rank,
-                                                score, entry.title, entry.item_id,
-                                                gazetteer.source))
+                links.append(FormulaConceptLink(
+                    doc.doc_id, fid, form, length, score=score, rank=rank,
+                    target_title=entry.title, target_item=entry.item_id, source=gazetteer.source))
     return links
 
 
@@ -475,17 +483,14 @@ def merge_concept_links(*link_lists: list[FormulaConceptLink]) -> list[FormulaCo
     for links in link_lists:
         for link in links:
             key = (link.doc_id, link.formula_id, link.phrase, link.rank)
-            kept = merged.get(key)
-            if kept is None:
-                merged[key] = link
-            else:
-                merged[key] = FormulaConceptLink(
-                    link.doc_id, link.formula_id, link.phrase, link.length, link.rank,
-                    kept.score if kept.score is not None else link.score,
-                    kept.target_title or link.target_title,
-                    kept.target_item or link.target_item,
-                    kept.source if kept.source == link.source else f"{kept.source}+{link.source}",
-                )
+            kept = merged.setdefault(key, link)
+            if kept is not link:
+                merged[key] = kept._replace(
+                    score=kept.score if kept.score is not None else link.score,
+                    target_title=kept.target_title or link.target_title,
+                    target_item=kept.target_item or link.target_item,
+                    source=kept.source if kept.source == link.source
+                    else f"{kept.source}+{link.source}")
     return list(merged.values())
 
 
@@ -534,20 +539,16 @@ def mathel_coverage_report(links: list[FormulaConceptLink], gold: GoldAnnotation
     return CoverageReport(n, with_article / n, with_item / n, found / n, highly)
 
 
-MATHEL_COLUMNS = ("doc", "formula", "phrase", "tokens", "score", "rank", "title", "item",
-                  "source")
-
-
 def link_corpus_concepts(docs: list[Document], gazetteers: dict[str, Gazetteer],
                          window: int = 10, max_n: int = 3,
-                         ) -> tuple[list[tuple], CoverageReport | None]:
-    """Link the text around every formula; the rows and the gold coverage.
+                         ) -> tuple[list[FormulaConceptLink], CoverageReport | None]:
+    """Link the text around every formula; the links and the gold coverage.
 
-    The rows follow ``MATHEL_COLUMNS`` (None for an empty cell): a
-    document's links merged across gazetteers, by formula, ranked first,
+    The links are the rows of ``MATHEL_COLUMNS`` (None for an empty cell):
+    a document's links merged across gazetteers, by formula, ranked first,
     rank descending, phrase and source.  The coverage is None without gold.
     """
-    rows, all_links = [], []
+    rows = []
     merged_relevance: dict[str, dict[str, int]] = {}
     for doc in docs:
         gold = doc.gold if doc.gold is not None and doc.gold.concept_relevance else None
@@ -557,9 +558,7 @@ def link_corpus_concepts(docs: list[Document], gazetteers: dict[str, Gazetteer],
             for tag in sorted(gazetteers)])
         links.sort(key=lambda l: (l.formula_id, l.rank is None, -(l.rank or 0),
                                   l.phrase, l.source))
-        all_links.extend(links)
-        rows.extend((l.doc_id, l.formula_id, l.phrase, l.length, l.score, l.rank,
-                     l.target_title, l.target_item, l.source) for l in links)
+        rows.extend(links)
         if gold is not None:
             merged_relevance.update(gold.concept_relevance)
     if not merged_relevance:
@@ -567,4 +566,4 @@ def link_corpus_concepts(docs: list[Document], gazetteers: dict[str, Gazetteer],
     # Formula ids are unique corpus-wide (document-scoped names), so the
     # per-document gold tables merge into one coverage evaluation.
     return rows, mathel_coverage_report(
-        all_links, GoldAnnotations(concept_relevance=merged_relevance))
+        rows, GoldAnnotations(concept_relevance=merged_relevance))

@@ -211,7 +211,7 @@ def load_gazetteer(path, source):
             surface, target = parts
             key = normalize_surface(surface)
             if not key:
-                raise ValidationError(f"surface form {surface!r} normalizes to nothing")
+                raise ParseError(f"surface form {surface!r} normalizes to nothing", line_no)
             if key in gazetteer.entries:
                 gazetteer.duplicates_dropped += 1
             elif _QID_RE.match(target):
@@ -278,9 +278,10 @@ def link_formula_concepts(doc, gazetteer, window=10, max_n=3, gold=None, stopwor
                 score = gold_scores.get(fid, {}).get(form) if gold else None
                 if score == 0:
                     rank = None
-                links.append(FormulaConceptLink(doc.doc_id, fid, form, len(gram), rank,
-                                                score, entry.title, entry.item_id,
-                                                gazetteer.source))
+                links.append(FormulaConceptLink(doc.doc_id, fid, form, len(gram), score=score,
+                                                rank=rank, target_title=entry.title,
+                                                target_item=entry.item_id,
+                                                source=gazetteer.source))
     return links
 
 

@@ -157,6 +157,72 @@ class TestCorpusText:
         assert record_to_document(document_to_record(doc)) == doc
 
 
+def _without(key):
+    record = make_record()
+    del record[key]
+    return record
+
+
+def _segment(**fields):
+    return make_record(segments=[{"kind": "formula", "content": "<mi>x</mi>", **fields}])
+
+
+class TestErrorMessages:
+    """Each malformed field raises the first failing check's exact message and line."""
+
+    @pytest.mark.parametrize("record, message", [
+        ([], "record must be an object"),
+        (make_record(zeta=1, alpha=2), "unknown record keys: ['alpha', 'zeta']"),
+        ({"arxiv": [], "msc": [], "segments": [], "x": 1}, "unknown record keys: ['x']"),
+        (_without("id"), "missing required field 'id'"),
+        (_without("segments"), "missing required field 'segments'"),
+        (make_record(id=""), "id must be a non-empty string"),
+        (make_record(id=7), "id must be a non-empty string"),
+        (make_record(arxiv="math.AP"), "arxiv must be an array"),
+        (make_record(msc={}), "msc must be an array"),
+        (make_record(arxiv=["astro.ph.SR"]), "bad arxiv category 'astro.ph.SR'"),
+        (make_record(arxiv=[3]), "bad arxiv category 3"),
+        (make_record(msc=["85A05", "8A05"]), "bad msc code '8A05'"),
+        (make_record(segments={}), "segments must be an array"),
+        (make_record(segments=["x"]), "segment must be an object"),
+        (_segment(b=1, a=2), "unknown segment keys: ['a', 'b']"),
+        (_segment(kind="image"), "segment kind must be text or formula, got 'image'"),
+        (make_record(segments=[{"content": "x"}]),
+         "segment kind must be text or formula, got None"),
+        (_segment(content=5), "segment content must be a string"),
+        (_segment(kind="text", fid="f1"), "fid is only valid on formula segments"),
+        (_segment(fid=""), "fid must be a non-empty string"),
+        (_segment(fid=3), "fid must be a non-empty string"),
+        (make_record(segments=[{"kind": "formula", "content": "<mi>x</mi>", "fid": "f1"}] * 2),
+         "duplicate formula id 'f1'"),
+        (_segment(content="<mi>E"),
+         "in document 'doc1': malformed formula markup: mismatched tag: line 1, column 16"),
+        (make_record(gold=[]), "gold must be an object"),
+        (make_record(gold={"zz": {}, "aa": {}}), "unknown gold keys: ['aa', 'zz']"),
+        (make_record(gold={"identifier_names": [], "entity_targets": []}),
+         "gold entity_targets must be an object"),
+        (make_record(gold={"identifier_names": {"f1": "energy"}}),
+         "identifier names must be an object"),
+        (make_record(gold={"entity_relevance": {"x y": 0.7}}),
+         "entity relevance must be 0, 0.5 or 1, got 0.7"),
+        (make_record(gold={"entity_relevance": {"x y": True}}),
+         "entity relevance must be 0, 0.5 or 1, got True"),
+        (make_record(gold={"entity_targets": {"x y": "T"}}), "entity target must be an object"),
+        (make_record(gold={"entity_targets": {"x y": {"url": "u", "b": 1}}}),
+         "unknown entity target keys: ['b', 'url']"),
+        (make_record(gold={"concept_relevance": {"f1": ["x"]}}),
+         "concept scores must be an object"),
+        (make_record(gold={"concept_relevance": {"f1": {"x": 3}}}),
+         "concept score must be 0, 1 or 2, got 3"),
+    ])
+    def test_message_and_line(self, record, message):
+        text = json.dumps(make_record(id="doc0")) + "\n\n" + json.dumps(record) + "\n"
+        with pytest.raises(ParseError) as err:
+            parse_corpus_text(text)
+        assert err.value.line == 3
+        assert str(err.value) == f"line 3: {message}"
+
+
 class TestDocumentAccessors:
     def test_token_layout_positions(self):
         doc = record_to_document(make_record(segments=[

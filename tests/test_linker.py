@@ -71,6 +71,14 @@ class TestGazetteer:
         assert g.source == "disk"
         assert set(g.entries) == {"wave function", "metric tensor"}
 
+    def test_load_names_the_line_of_a_surface_that_normalizes_to_nothing(self, tmp_path):
+        path = tmp_path / "gaz.tsv"
+        path.write_text("wave\tQ1\n\n---\tQ2\nfunction\tQ3\n", encoding="utf-8")
+        with pytest.raises(ParseError) as raised:
+            load_gazetteer(str(path), "disk")
+        assert raised.value.line == 3
+        assert str(raised.value) == "line 3: surface form '---' normalizes to nothing"
+
     def test_load_rejects_bad_field_count(self, tmp_path):
         path = tmp_path / "gaz.tsv"
         path.write_text("one field only\n", encoding="utf-8")
@@ -349,8 +357,8 @@ class TestLinkFormulaConcepts:
 
 class TestMergeConceptLinks:
     def link(self, source, title=None, item=None, score=None, rank=2):
-        return FormulaConceptLink("d1", "f1", "wave function", 2, rank, score,
-                                  title, item, source)
+        return FormulaConceptLink("d1", "f1", "wave function", 2, score=score, rank=rank,
+                                  target_title=title, target_item=item, source=source)
 
     def test_complementary_targets_merge(self):
         merged = merge_concept_links([self.link("a", title="Wave_function")],
@@ -380,8 +388,8 @@ class TestCoverageReport:
     def test_fractions_over_gold_concepts(self):
         gold = GoldAnnotations(concept_relevance={
             "f1": {"wave function": 2, "missing phrase": 1}})
-        links = [FormulaConceptLink("d1", "f1", "wave function", 2, 1, 2,
-                                    "Wave_function", None, "a")]
+        links = [FormulaConceptLink("d1", "f1", "wave function", 2, score=2, rank=1,
+                                    target_title="Wave_function", target_item=None, source="a")]
         report = mathel_coverage_report(links, gold)
         assert report.n_concepts == 2
         assert report.fraction_name_in_window == 0.5
