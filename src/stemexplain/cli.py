@@ -161,9 +161,10 @@ def _anchor(path_value, base: Path):
 
 
 def _check_paths(config: dict) -> None:
-    """Type checks on the file settings, so that anchoring can rely on them."""
-    if not isinstance(config["corpus"], str):
-        raise ConfigError("corpus must be a string")
+    """Type checks on the path settings, so that anchoring can rely on them."""
+    for key in ("corpus", "out_dir"):
+        if not isinstance(config[key], str):
+            raise ConfigError(f"{key} must be a string")
     for section, key in (("linker", "gazetteers"), ("augment", "sources")):
         paths = config[section][key]
         if not isinstance(paths, dict) or not all(isinstance(p, str) for p in paths.values()):
@@ -240,7 +241,7 @@ _COUNT_KEYS = (("logreg", "max_iterations"), ("linker", "max_n"), ("linker", "wi
 
 
 def _check_settings(config: dict) -> None:
-    """Type and range checks on the numeric and boolean settings of the stages."""
+    """Type and range checks on the settings of the stages."""
     for key in ("remove_stopwords", "lemmatize"):
         if not isinstance(config["encode"][key], bool):
             raise ConfigError(f"encode.{key} must be true or false")
@@ -264,6 +265,11 @@ def _check_settings(config: dict) -> None:
     top_ks = config["augment"]["top_k"]
     if not isinstance(top_ks, list) or not top_ks or not all(map(_is_count, top_ks)):
         raise ConfigError("augment.top_k must be a non-empty list of integers >= 1")
+    for section, key in (("explain", "source"), ("plot", "which"), ("plot", "symbol"),
+                         ("plot", "name")):
+        value = config[section][key]
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"{section}.{key} must be null or a string")
 
 
 def config_digest(config: dict, known: dict[str, str] | None = None) -> str:

@@ -373,14 +373,14 @@ def parse_corpus_text(text: str) -> list[Document]:
             raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
         doc = record_to_document(record, line_no, parsed)
         if doc.doc_id in seen_ids:
-            raise ValidationError(f"duplicate document id {doc.doc_id!r} at line {line_no}")
+            raise ParseError(f"duplicate document id {doc.doc_id!r}", line_no)
         seen_ids.add(doc.doc_id)
         documents.append(doc)
     return documents
 
 
 def load_corpus(path: str) -> list[Document]:
-    """Load a corpus file; raises ParseError/ValidationError on bad input."""
+    """Load a corpus file; raises ParseError on bad input."""
     return parse_corpus_text(read_utf8(path))
 
 

@@ -6,7 +6,8 @@ variant, and fits a weighted ridge surrogate whose sample weights decay
 with cosine distance from the original vector through the kernel
 exp(-d^2 / width^2).  The surrogate coefficients are the token
 weights of the explanation.  ``LimeSettings`` holds the sample count,
-kernel width and ridge that every caller passes the same way.
+kernel width and ridge that every caller passes the same way, and
+``LimeBuffers`` the two work arrays that successive calls reuse.
 
 ``rank_entities`` aggregates either document frequencies (MFreq) or
 mean absolute surrogate weights (MDisc) into per-class entity rankings,
@@ -17,7 +18,8 @@ class's top entity strengths.
 
 ``run_explain`` is the explain stage's computation: it fits a text and a
 math model, explains the text model on every document, ranks entities
-four ways and returns the rows of the stage's tables.
+four ways and returns the rows of the stage's tables.  All of its LIME
+calls share one ``LimeBuffers``.
 """
 
 from __future__ import annotations
@@ -79,16 +81,43 @@ class Explanation:
     seed: int
 
 
+# Rows of the mask matrix drawn per generator call.
+_MASK_ROWS = 256
+
+
+class LimeBuffers:
+    """Two flat float64 work arrays that successive ``lime_explain`` calls reuse.
+
+    A call of S samples over F features uses S * (F + 1) elements of
+    each; the pair is replaced by a larger one only when a call needs
+    more.  A holder serves one call at a time: two calls running at
+    once must not share one.
+    """
+
+    def __init__(self) -> None:
+        self.first = self.second = np.empty(0)
+
+    def take(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first ``size`` elements of each array, growing the pair if needed."""
+        if self.first.size < size:
+            self.first = self.second = np.empty(0)  # free the old pair first
+            self.first, self.second = np.empty(size), np.empty(size)
+        return self.first[:size], self.second[:size]
+
+
 def lime_explain(model: LogRegModel, encoder: TfIdfModel, doc_id: str,
                  tokens: list[str], target_class: str, num_samples: int = 1000,
                  kernel_width: float | None = None, ridge: float = 1.0,
-                 top_k: int | None = 10, seed: int = 0) -> Explanation:
+                 top_k: int | None = 10, seed: int = 0, *,
+                 buffers: LimeBuffers | None = None) -> Explanation:
     """Explain the target-class probability for one token sequence.
 
     Interpretable features are the distinct in-vocabulary tokens in
     first-appearance order; masking a token removes all of its
     occurrences.  The default kernel width is 0.75 * sqrt(F) for F
     distinct tokens.  Identical seeds yield identical explanations.
+    ``buffers`` holds the work arrays; None means a fresh holder for
+    this call alone.
     """
     if num_samples < 1:
         raise ValidationError(f"num_samples must be >= 1, got {num_samples}")
@@ -112,28 +141,41 @@ def lime_explain(model: LogRegModel, encoder: TfIdfModel, doc_id: str,
     class_index = model.classes.index(target_class)
     sub_weights = model.weights[:, indices]  # (C, F)
 
-    # One design matrix per call: an intercept column, then the 0/1 masks
-    # (drawn as int64 and cast on assignment), read back through a view.
-    design = np.empty((num_samples, n_features + 1))
+    # The design matrix is an intercept column, then the 0/1 masks, drawn
+    # in row blocks into the first array and read back through a view.
+    # The second array holds, in turn, masks * base**2 (its row sums give
+    # the norms), the normalized masked vectors and the weighted design,
+    # each contiguous in the shape a separate array would have, so every
+    # product sees the operands and layout that separate arrays give.
+    width = n_features + 1
+    first, second = (LimeBuffers() if buffers is None else buffers).take(num_samples * width)
+    design = first.reshape(num_samples, width)
     design[:, 0] = 1.0
-    design[:, 1:] = np.random.default_rng(seed).integers(0, 2, size=(num_samples, n_features))
     masks = design[:, 1:]
+    rng = np.random.default_rng(seed)
+    for start in range(0, num_samples, _MASK_ROWS):
+        block = masks[start:start + _MASK_ROWS]
+        block[...] = rng.integers(0, 2, size=block.shape, dtype=np.int32)
 
-    masked = masks * base  # unnormalized masked vectors, (S, F)
-    norms = np.sqrt((masked ** 2).sum(axis=1))
+    # Masks are 0 or 1, so masks * base**2 equals (masks * base)**2.
+    squares = base ** 2
+    work = second[:num_samples * n_features].reshape(num_samples, n_features)
+    norms = np.sqrt(np.multiply(masks, squares, out=work).sum(axis=1))
     safe = np.where(norms > 0, norms, 1.0)
-    scores = (masked / safe[:, None]) @ sub_weights.T + model.bias
+    np.divide(np.multiply(masks, base, out=work), safe[:, None], out=work)
+    scores = work @ sub_weights.T + model.bias
     probs = softmax(scores)
     y = probs[:, class_index]
     # Masked vectors are sub-vectors of the original, so cosine
     # similarity reduces to norm(masked) / norm(original).
-    original_norm = float(np.sqrt((base ** 2).sum()))
+    original_norm = float(np.sqrt(squares.sum()))
     distances = 1.0 - norms / original_norm
     sample_weights = np.exp(-(distances ** 2) / (kernel_width ** 2))
 
-    penalty = ridge * np.eye(n_features + 1)
+    penalty = ridge * np.eye(width)
     penalty[0, 0] = 0.0  # intercept is not shrunk
-    weighted = design * sample_weights[:, None]
+    weighted = np.multiply(design, sample_weights[:, None],
+                           out=second.reshape(num_samples, width))
     try:
         coef = np.linalg.solve(weighted.T @ design + penalty, weighted.T @ y)
     except np.linalg.LinAlgError as exc:
@@ -217,7 +259,8 @@ def rank_entities(documents: list[Document], model: LogRegModel, encoder: TfIdfM
                   mode: str, kind: str, budget: int = 5, seed: int = 0,
                   math_streams: dict[str, list[str]] | None = None,
                   class_axis: str = "arxiv", lime: LimeSettings = LimeSettings(),
-                  explained: Mapping[str, Explanation] | None = None) -> EntityRanking:
+                  explained: Mapping[str, Explanation] | None = None, *,
+                  buffers: LimeBuffers | None = None) -> EntityRanking:
     """Rank entities per class by frequency (MFreq) or surrogate weight (MDisc).
 
     MFreq strength is the number of the class's documents containing
@@ -228,6 +271,7 @@ def rank_entities(documents: list[Document], model: LogRegModel, encoder: TfIdfM
     (``top_k=None``, same stream and model) that a caller already has;
     they are used instead of explaining the document again.  Classes
     without usable documents are omitted and reported in the warnings.
+    ``buffers`` is handed to every ``lime_explain`` call.
     """
     if mode not in (MFREQ, MDISC):
         raise ValidationError(f"unknown ranking mode {mode!r}")
@@ -255,7 +299,8 @@ def rank_entities(documents: list[Document], model: LogRegModel, encoder: TfIdfM
                 explanation = explained.get(doc.doc_id) if explained else None
                 if explanation is None:
                     explanation = lime_explain(model, encoder, doc.doc_id, stream, label,
-                                               top_k=None, seed=doc_seed, **asdict(lime))
+                                               top_k=None, seed=doc_seed, buffers=buffers,
+                                               **asdict(lime))
                 elif ((explanation.target_class, explanation.seed, explanation.num_samples)
                       != (label, doc_seed, lime.num_samples)):
                     raise ValidationError(f"explanation of document {doc.doc_id!r} was not "
@@ -341,12 +386,13 @@ def compute_rankings(documents: list[Document],
                      math_streams: dict[str, list[str]], budget: int = 5,
                      seed: int = 0, lime: LimeSettings = LimeSettings(),
                      class_axis: str = "arxiv",
-                     text_explanations: Mapping[str, Explanation] | None = None,
+                     text_explanations: Mapping[str, Explanation] | None = None, *,
+                     buffers: LimeBuffers | None = None,
                      ) -> dict[tuple[str, str], EntityRanking]:
     """All four rankings, keyed and ordered MDisc Text, MDisc Math, MFreq Text, MFreq Math.
 
     ``text_explanations`` (see ``rank_entities``' ``explained``) feed
-    the MDisc Text ranking only.
+    the MDisc Text ranking only; ``buffers`` serves every LIME call.
     """
     rankings = {}
     for mode in (MDISC, MFREQ):
@@ -356,7 +402,7 @@ def compute_rankings(documents: list[Document],
             rankings[(mode, kind)] = rank_entities(
                 documents, model, encoder, mode, kind, budget=budget, seed=seed,
                 math_streams=math_streams, class_axis=class_axis, lime=lime,
-                explained=text_explanations if kind == TEXT_KIND else None)
+                explained=text_explanations if kind == TEXT_KIND else None, buffers=buffers)
     return rankings
 
 
@@ -393,6 +439,7 @@ def run_explain(documents: list[Document], source: SymbolNameSource,
     Each document with an in-vocabulary token is explained once with
     ``lime`` (the table keeps ``top_k`` features).  With ``rank_samples``
     equal to ``lime``'s, MDisc Text reuses the explanations of its sample.
+    Every LIME call of the run, table and rankings, shares one buffer pair.
     """
     kept, labels, _ = labeled_documents(documents, class_axis)
     math_streams = build_math_streams(kept, source, source_top_k, concept_map)
@@ -408,13 +455,14 @@ def run_explain(documents: list[Document], source: SymbolNameSource,
     rank_lime = replace(lime, num_samples=rank_samples)
     reusable = mdisc_documents(kept, budget, seed, class_axis) if rank_lime == lime else set()
     explained: dict[str, Explanation] = {}
+    buffers = LimeBuffers()
     for doc, label, stream in zip(kept, labels, text_streams):
         if not any(t in text_encoder.vocabulary for t in stream.tokens):
             continue  # nothing in vocabulary, nothing to explain
         explained[doc.doc_id] = lime_explain(
             text_model, text_encoder, doc.doc_id, list(stream.tokens), label,
             top_k=None if doc.doc_id in reusable else top_k,
-            seed=derive_seed(seed, "lime", doc.doc_id), **asdict(lime))
+            seed=derive_seed(seed, "lime", doc.doc_id), buffers=buffers, **asdict(lime))
     explanation_rows = [(e.doc_id, e.target_class, e.fidelity, position, token, weight)
                         for e in explained.values()
                         for position, (token, weight) in enumerate(e.features[:top_k], start=1)]
@@ -422,7 +470,8 @@ def run_explain(documents: list[Document], source: SymbolNameSource,
     rankings = compute_rankings(
         kept, text_model, text_encoder, math_model, math_encoder, math_streams,
         budget=budget, seed=seed, lime=rank_lime, class_axis=class_axis,
-        text_explanations={doc_id: e for doc_id, e in explained.items() if doc_id in reusable})
+        text_explanations={doc_id: e for doc_id, e in explained.items() if doc_id in reusable},
+        buffers=buffers)
     ranking_rows = [(mode, kind, label, position, entity, strength)
                     for (mode, kind), ranking in rankings.items()
                     for label in sorted(ranking.per_class)

@@ -505,38 +505,42 @@ class CoverageReport:
     highly_relevant_found: int
 
 
+def _coverage_counts(links: list[FormulaConceptLink],
+                     gold: GoldAnnotations) -> tuple[int, int, int, int, int]:
+    """One document's gold concepts, and those found, with an article, with an
+    item and highly relevant among the found; links match on formula and phrase."""
+    by_concept: dict[tuple[str, str], list[FormulaConceptLink]] = {}
+    for link in links:
+        by_concept.setdefault((link.formula_id, link.phrase), []).append(link)
+    n = with_article = with_item = found = highly = 0
+    for fid, phrases in gold.concept_relevance.items():
+        for raw_phrase, score in phrases.items():
+            n += 1
+            concept_links = by_concept.get((fid, normalize_surface(raw_phrase)))
+            if concept_links:
+                found += 1
+                with_article += any(l.target_title for l in concept_links)
+                with_item += any(l.target_item for l in concept_links)
+                highly += score == 2
+    return n, with_article, with_item, found, highly
+
+
+def _coverage_report(n: int, with_article: int, with_item: int, found: int,
+                     highly: int) -> CoverageReport:
+    if not n:
+        raise DomainError("coverage undefined without gold formula concepts")
+    return CoverageReport(n, with_article / n, with_item / n, found / n, highly)
+
+
 def mathel_coverage_report(links: list[FormulaConceptLink], gold: GoldAnnotations) -> CoverageReport:
-    """Coverage ratios over the gold concept set.
+    """Coverage ratios over one document's gold concept set.
 
     A concept is "found" when any link matches its formula and phrase;
     article/item fractions count concepts whose links carry a title or
     an item id.  Highly relevant counts gold score-2 concepts that were
     found.
     """
-    concepts = [(fid, phrase, normalize_surface(phrase))
-                for fid in gold.concept_relevance
-                for phrase in gold.concept_relevance[fid]]
-    if not concepts:
-        raise DomainError("coverage undefined without gold formula concepts")
-    by_concept: dict[tuple[str, str], list[FormulaConceptLink]] = {}
-    for link in links:
-        by_concept.setdefault((link.formula_id, link.phrase), []).append(link)
-    n = len(concepts)
-    with_article = 0
-    with_item = 0
-    found = 0
-    highly = 0
-    for fid, raw_phrase, phrase in concepts:
-        concept_links = by_concept.get((fid, phrase), [])
-        if concept_links:
-            found += 1
-            if any(l.target_title for l in concept_links):
-                with_article += 1
-            if any(l.target_item for l in concept_links):
-                with_item += 1
-            if gold.concept_relevance[fid][raw_phrase] == 2:
-                highly += 1
-    return CoverageReport(n, with_article / n, with_item / n, found / n, highly)
+    return _coverage_report(*_coverage_counts(links, gold))
 
 
 def link_corpus_concepts(docs: list[Document], gazetteers: dict[str, Gazetteer],
@@ -547,9 +551,11 @@ def link_corpus_concepts(docs: list[Document], gazetteers: dict[str, Gazetteer],
     The links are the rows of ``MATHEL_COLUMNS`` (None for an empty cell):
     a document's links merged across gazetteers, by formula, ranked first,
     rank descending, phrase and source.  The coverage is None without gold.
+    Formula ids name formulas within one document only, so each document's
+    gold is matched against its own links, and the counts are summed over
+    the corpus before each fraction is taken.
     """
-    rows = []
-    merged_relevance: dict[str, dict[str, int]] = {}
+    rows, counts = [], []
     for doc in docs:
         gold = doc.gold if doc.gold is not None and doc.gold.concept_relevance else None
         layout = doc.token_layout()
@@ -560,10 +566,5 @@ def link_corpus_concepts(docs: list[Document], gazetteers: dict[str, Gazetteer],
                                   l.phrase, l.source))
         rows.extend(links)
         if gold is not None:
-            merged_relevance.update(gold.concept_relevance)
-    if not merged_relevance:
-        return rows, None
-    # Formula ids are unique corpus-wide (document-scoped names), so the
-    # per-document gold tables merge into one coverage evaluation.
-    return rows, mathel_coverage_report(
-        rows, GoldAnnotations(concept_relevance=merged_relevance))
+            counts.append(_coverage_counts(links, gold))
+    return rows, _coverage_report(*map(sum, zip(*counts))) if counts else None

@@ -168,8 +168,10 @@ def _corpus(draw, good: list[str]) -> str:
         if draw(st.booleans()):
             lines.append(draw(BLANKS))
     line = draw(st.sampled_from(good))
-    kind = draw(st.sampled_from(["field", "truncated", "split", "separator"]))
-    if kind == "field":
+    kind = draw(st.sampled_from(["field", "truncated", "split", "separator", "duplicate"]))
+    if kind == "duplicate":  # a record whose id another record already has
+        bad = draw(st.sampled_from([line for line in lines if line.strip()]))
+    elif kind == "field":
         record = json.loads(line)
         key, value = draw(st.sampled_from(RECORD_FAULTS))
         if key is None:
@@ -205,7 +207,10 @@ CONFIG_FAULTS = [
     ("lime", "ridge", v) for v in (NAN, -1)] + [
     ("lime", "kernel_width", v) for v in (0, NAN, -INF, "1")] + [
     ("lime", "top_k", v) for v in (0, 1.5)] + [
-    ("explain", key, v) for key in ("budget", "top_m", "num_samples") for v in (0, True)]
+    ("explain", key, v) for key in ("budget", "top_m", "num_samples") for v in (0, True)] + [
+    (None, "out_dir", v) for v in (5, None, [])] + [
+    ("explain", "source", v) for v in (["arxiv"], 5)] + [
+    ("plot", key, v) for key in ("which", "symbol", "name") for v in (5, ["x"], True)]
 
 
 def _config(draw, good: str) -> str:
@@ -277,11 +282,16 @@ def _prepare(root: Path, reader: str, data: bytes) -> tuple[Path, Path]:
 
 # The demo gazetteer's first line, then a surface that normalizes to nothing.
 EMPTY_SURFACE_GAZETTEER = b"notion0p0 theme0p0\tNotion0p0_theme0p0\n---\tQ1\n"
+# One record twice.
+DUPLICATE_IDS = b'{"id": "d", "arxiv": [], "msc": [], "segments": []}\n' * 2
 
 
 @given(malformed_inputs())
 @example(("gazetteer", ("link",), EMPTY_SURFACE_GAZETTEER))
 @example(("gazetteer", ("mathel",), b"\t\nnotion0p0 theme0p0\tT\r\n _\tT"))
+@example(("config", SYMBOL_NAMES, b'{"seed": 1, "plot": {"symbol": 5}}'))
+@example(("corpus", ("stats",), DUPLICATE_IDS))
+@example(("config", ("ingest",), b'{"seed": 1, "out_dir": null}'))
 @settings(max_examples=150, deadline=None)
 def test_malformed_input_exits_with_its_documented_code(case):
     reader, argv, data = case
@@ -306,6 +316,8 @@ def test_malformed_input_exits_with_its_documented_code(case):
     ("concept map", ("ablate",), b"wave\tastro-ph\nwave function\n"),
     ("entropy table", ENTROPY_RUN, "row\tentropy_bits\nA \t2\n\nB\t1\n".encode("utf-8")),
     ("config", ("ingest",), b'{"seed": 1, "lime": {"ridge": NaN}}'),
+    ("config", ("explain",), b'{"seed": 1, "explain": {"source": ["arxiv"]}}'),
+    ("corpus", ("ingest",), DUPLICATE_IDS),
 ])
 def test_stage_process_prints_one_record_and_no_traceback(tmp_path, reader, argv, data):
     config, out_dir = _prepare(tmp_path, reader, data)

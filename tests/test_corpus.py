@@ -137,8 +137,10 @@ class TestCorpusText:
 
     def test_duplicate_id_rejected(self):
         text = json.dumps(make_record()) + "\n" + json.dumps(make_record()) + "\n"
-        with pytest.raises(ValidationError):
+        with pytest.raises(ParseError) as err:
             parse_corpus_text(text)
+        assert err.value.line == 2
+        assert str(err.value) == "line 2: duplicate document id 'doc1'"
 
     def test_round_trip(self, tmp_path):
         docs = demo_corpus()

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,9 +22,10 @@ from stemexplain.corpus import load_corpus, primary_label, record_to_document
 from stemexplain.encode import STOPWORDS, TfIdfModel, TokenStream, fit_tfidf, transform
 from stemexplain.errors import DomainError, ValidationError
 from stemexplain.explain import (CLS_ENT, ENT_CLS, MATH_KIND, MDISC, MFREQ,
-                                 REPORT_ROWS, TEXT_KIND, EntityRanking, LimeSettings,
-                                 build_entropy_report, class_entity_entropy,
-                                 compute_rankings, lime_explain, rank_entities)
+                                 REPORT_ROWS, TEXT_KIND, EntityRanking, LimeBuffers,
+                                 LimeSettings, build_entropy_report, class_entity_entropy,
+                                 compute_rankings, lime_explain, rank_entities, run_explain)
+from stemexplain.sources import load_concept_map, load_symbol_source
 
 from . import oracles
 
@@ -136,17 +138,17 @@ def lime_cases(draw):
     return model, encoder, tokens, draw(st.sampled_from(model.classes))
 
 
-def _same_explanation(model, encoder, tokens, target, **kwargs):
+def _same_explanation(model, encoder, tokens, target, buffers=None, **kwargs):
     """Both implementations give the same explanation, bit for bit, or fail
     together: where the reference's solve raises LinAlgError, the library
-    raises DomainError."""
+    raises DomainError.  ``buffers`` goes to the library only."""
     try:
         expected = oracles.lime_explain(model, encoder, "d", tokens, target, **kwargs)
     except np.linalg.LinAlgError:
         with pytest.raises(DomainError, match="singular"):
-            lime_explain(model, encoder, "d", tokens, target, **kwargs)
+            lime_explain(model, encoder, "d", tokens, target, buffers=buffers, **kwargs)
         return
-    got = lime_explain(model, encoder, "d", tokens, target, **kwargs)
+    got = lime_explain(model, encoder, "d", tokens, target, buffers=buffers, **kwargs)
     # repr spells every float exactly (and nan, and the sign of zero)
     assert repr(got) == repr(expected)
 
@@ -180,6 +182,64 @@ class TestLimeReference:
         for ridge in (0.0, 1.0):
             _same_explanation(model, encoder, terms, "a", num_samples=num_samples,
                               ridge=ridge, top_k=None, seed=seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(calls=st.lists(st.tuples(
+        lime_cases(), st.integers(1, 300), st.none() | st.floats(0.05, 5.0),
+        st.just(0.0) | st.floats(1e-3, 10.0), st.none() | st.integers(1, 5),
+        st.integers(0, 2 ** 64 - 1)), min_size=2, max_size=6))
+    def test_shared_buffers_equal_reference(self, calls):
+        """One holder serves calls whose sizes grow and shrink."""
+        buffers = LimeBuffers()
+        for (model, encoder, tokens, target), num_samples, width, ridge, top_k, seed in calls:
+            _same_explanation(model, encoder, tokens, target, buffers=buffers,
+                              num_samples=num_samples, kernel_width=width, ridge=ridge,
+                              top_k=top_k, seed=seed)
+
+
+class TestLimeMemory:
+    """What one call allocates, at S = 2,000 samples, F = 100 features and 10
+    classes, in units of one S x (F + 1) float64 array."""
+
+    S, F = 2000, 100
+
+    def case(self):
+        rng = np.random.default_rng(5)
+        terms = [f"t{i}" for i in range(self.F)]
+        encoder = TfIdfModel({t: i for i, t in enumerate(terms)},
+                             list(rng.uniform(1, 3, self.F)))
+        model = LogRegModel([f"c{k}" for k in range(10)], rng.normal(size=(10, self.F)),
+                            rng.normal(size=10))
+        return model, encoder, terms
+
+    def traced_peak(self, call) -> float:
+        """The peak of traced memory during ``call``, above what was traced before."""
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+        return (peak - before) / (self.S * (self.F + 1) * 8)
+
+    def test_allocations_per_call(self):
+        model, encoder, terms = self.case()
+
+        def explain(buffers=None):
+            return lime_explain(model, encoder, "d", terms, "c3", num_samples=self.S,
+                                top_k=None, seed=7, buffers=buffers)
+
+        explain()  # numpy's one-time allocations happen outside the trace
+        buffers = LimeBuffers()
+        tracemalloc.start()
+        try:
+            alone = self.traced_peak(explain)
+            first = self.traced_peak(lambda: explain(buffers))
+            repeat = self.traced_peak(lambda: explain(buffers))
+        finally:
+            tracemalloc.stop()
+        # a fresh pair of buffers, plus the small per-call arrays
+        assert alone <= 2.6 and first <= 2.6
+        # only the (S, classes) scores and the per-sample vectors
+        assert repeat <= 0.5
 
 
 def labeled_docs():
@@ -511,6 +571,33 @@ class TestExplainStage:
                                            key=lambda kv: (-kv[1], kv[0])))
         (ranked,) = rankings
         assert ranked[(MDISC, TEXT_KIND)].per_class == expected
+
+    @pytest.mark.parametrize("rank_samples", [40, 30])
+    def test_shared_buffers_give_the_same_report(self, demo_fixtures, monkeypatch,
+                                                 rank_samples):
+        docs = load_corpus(str(demo_fixtures / "demo_corpus.jsonl"))
+        source = load_symbol_source(str(demo_fixtures / "source_arxiv.tsv"), "arxiv")
+        concept_map = load_concept_map(str(demo_fixtures / "concept_map.tsv"))
+
+        def report():
+            return run_explain(docs, source, concept_map, seed=3,
+                               lime=LimeSettings(num_samples=40, kernel_width=0.7),
+                               rank_samples=rank_samples, budget=3)
+
+        holders = []
+        lime = explain_mod.lime_explain
+
+        def unshared(*args, buffers, **kwargs):
+            holders.append(buffers)
+            return lime(*args, **kwargs)
+
+        shared = report()
+        monkeypatch.setattr(explain_mod, "lime_explain", unshared)
+        alone = report()
+        # every call of the run was handed the run's one holder
+        assert len(holders) > 100 and isinstance(holders[0], LimeBuffers)
+        assert len({id(h) for h in holders}) == 1
+        assert repr(alone) == repr(shared)
 
     def test_runs_in_one_process_equal_fresh_processes(self, demo_fixtures, tmp_path):
         # two lime settings, then the first settings with another model

@@ -1,5 +1,8 @@
 """Gazetteer lookup, text/formula linking, and confusion-table evaluation."""
 
+import contextlib
+import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from stemexplain.augment import (ConceptCategoryMap, SymbolNameSource, build_math_streams,
                                  concept_coverage_violations)
+from stemexplain.cli import main
 from stemexplain.corpus import GoldAnnotations, record_to_document
 from stemexplain.encode import PhraseIndex, lemmatize, tokenize
 from stemexplain.errors import DomainError, ParseError, ValidationError
@@ -521,6 +525,60 @@ class TestLinkCorpus:
                          "item-name+wikidump")]
         assert coverage == CoverageReport(2, 1.0, 0.5, 1.0, 1)
         assert link_corpus_concepts(docs[:1], self.GAZETTEERS) == ([], None)
+
+
+# Two documents whose formulas share an id, each with its own concept gold.
+SHARED_FID_RECORDS = [
+    {"id": "d1", "gold": {"concept_relevance": {"f1": {"wave function": 2}}}, "segments": [
+        {"kind": "text", "content": "the wave function"},
+        {"kind": "formula", "fid": "f1", "content": "<math><mi>x</mi></math>"}]},
+    {"id": "d2", "gold": {"concept_relevance": {"f1": {"energy level": 1}}}, "segments": [
+        {"kind": "text", "content": "the energy level"},
+        {"kind": "formula", "fid": "f1", "content": "<math><mi>y</mi></math>"}]},
+]
+SHARED_FID_GAZETTEER = "wave function\tQ1\nenergy level\tQ2\n"
+
+
+class TestCoverageAcrossDocuments:
+    """A formula id names a formula within its document only."""
+
+    GAZETTEERS = {"g": Gazetteer.from_pairs("g", [("wave function", "Q1"),
+                                                  ("energy level", "Q2")])}
+
+    @pytest.mark.parametrize("fid", ["f1", None])  # None: both formulas are seg1
+    def test_each_document_keeps_its_gold(self, fid):
+        records = [{"arxiv": [], "msc": [], **r} for r in SHARED_FID_RECORDS]
+        for record in records:
+            if fid is None:
+                del record["segments"][1]["fid"]
+                record["gold"]["concept_relevance"] = {
+                    "seg1": record["gold"]["concept_relevance"]["f1"]}
+        docs = [record_to_document(r) for r in records]
+        rows, coverage = link_corpus_concepts(docs, self.GAZETTEERS)
+        assert [(r.doc_id, r.formula_id, r.phrase) for r in rows] == [
+            ("d1", fid or "seg1", "wave function"), ("d2", fid or "seg1", "energy level")]
+        assert coverage == CoverageReport(2, 0.0, 1.0, 1.0, 1)
+        # one document at a time, the report counts that document's gold alone
+        assert mathel_coverage_report(rows[1:], docs[1].gold) == CoverageReport(
+            1, 0.0, 1.0, 1.0, 0)
+
+    def test_mathel_stage_writes_corpus_coverage(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps({"arxiv": [], "msc": [], **r}) + "\n"
+                                  for r in SHARED_FID_RECORDS), encoding="utf-8")
+        (tmp_path / "g.tsv").write_text(SHARED_FID_GAZETTEER, encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 1, "corpus": "corpus.jsonl",
+                                      "linker": {"gazetteers": {"g": "g.tsv"}}}),
+                          encoding="utf-8")
+        out_dir = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["mathel", "-c", str(config), "--out-dir", str(out_dir)]) == 0
+        table = (out_dir / "mathel_coverage.tsv").read_text(encoding="utf-8")
+        assert table.splitlines() == [
+            "metric\tvalue", "gold_concepts\t2", "fraction_with_article\t0",
+            "fraction_with_item\t1", "fraction_name_in_window\t1",
+            "highly_relevant_found\t1"]
 
 
 class TestMatcherEquivalence:
