@@ -113,6 +113,8 @@ def _digest_file(path: Path) -> str:
 
 
 def _format_cell(value) -> str:
+    if type(value) is str:  # most cells
+        return value
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -479,6 +481,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(exc, 3)
     except ToolkitError as exc:
         return _fail(exc, 4)
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        return _fail(MemoryError(str(exc) or "out of memory"), 4)
 
 
 def entry():

@@ -27,11 +27,11 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classify import (LogRegModel, derive_seed, fit_split_model, labeled_documents, softmax,
+from .classify import (LogRegModel, derive_seed, fit_split_model, labeled_documents,
                        stratified_split)
 from .corpus import Document, primary_label
 from .encode import STOPWORDS, TfIdfModel, TokenStream
@@ -90,19 +90,39 @@ class LimeBuffers:
 
     A call of S samples over F features uses S * (F + 1) elements of
     each; the pair is replaced by a larger one only when a call needs
-    more.  A holder serves one call at a time: two calls running at
-    once must not share one.
+    more, and ``release`` drops it.  A holder serves one call at a
+    time: two calls running at once must not share one.
     """
 
     def __init__(self) -> None:
-        self.first = self.second = np.empty(0)
+        self.release()
 
     def take(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """The first ``size`` elements of each array, growing the pair if needed."""
         if self.first.size < size:
-            self.first = self.second = np.empty(0)  # free the old pair first
+            self.release()  # free the old pair first
             self.first, self.second = np.empty(size), np.empty(size)
         return self.first[:size], self.second[:size]
+
+    def release(self) -> None:
+        """Drop the pair; the next ``take`` allocates a new one."""
+        self.first = self.second = np.empty(0)
+
+
+def draw_masks(seed: int, masks: np.ndarray) -> None:
+    """Fill ``masks`` (S, F) with ``default_rng(seed).integers(0, 2, size=(S, F))``.
+
+    ``integers(0, 2)`` takes each value from the top bit of one 32-bit
+    draw, and PCG64 serves each 64-bit word as two 32-bit draws, low half
+    first.  So the values are bit 31 of the generator's raw words read as
+    little-endian uint32 pairs, which are drawn and shifted in row blocks
+    straight into ``masks``, a view that may be strided.
+    """
+    generator = np.random.default_rng(seed).bit_generator
+    for start in range(0, len(masks), _MASK_ROWS):
+        block = masks[start:start + _MASK_ROWS]
+        words = generator.random_raw((block.size + 1) // 2).astype("<u8", copy=False)
+        np.right_shift(words.view("<u4")[:block.size].reshape(block.shape), 31, out=block)
 
 
 def lime_explain(model: LogRegModel, encoder: TfIdfModel, doc_id: str,
@@ -142,20 +162,17 @@ def lime_explain(model: LogRegModel, encoder: TfIdfModel, doc_id: str,
     sub_weights = model.weights[:, indices]  # (C, F)
 
     # The design matrix is an intercept column, then the 0/1 masks, drawn
-    # in row blocks into the first array and read back through a view.
-    # The second array holds, in turn, masks * base**2 (its row sums give
-    # the norms), the normalized masked vectors and the weighted design,
-    # each contiguous in the shape a separate array would have, so every
-    # product sees the operands and layout that separate arrays give.
+    # into the first array and read back through a view.  The second array
+    # holds, in turn, masks * base**2 (its row sums give the norms), the
+    # normalized masked vectors and the weighted design, each contiguous
+    # in the shape a separate array would have, so every product sees the
+    # operands and layout that separate arrays give.
     width = n_features + 1
     first, second = (LimeBuffers() if buffers is None else buffers).take(num_samples * width)
     design = first.reshape(num_samples, width)
     design[:, 0] = 1.0
     masks = design[:, 1:]
-    rng = np.random.default_rng(seed)
-    for start in range(0, num_samples, _MASK_ROWS):
-        block = masks[start:start + _MASK_ROWS]
-        block[...] = rng.integers(0, 2, size=block.shape, dtype=np.int32)
+    draw_masks(seed, masks)
 
     # Masks are 0 or 1, so masks * base**2 equals (masks * base)**2.
     squares = base ** 2
@@ -163,8 +180,13 @@ def lime_explain(model: LogRegModel, encoder: TfIdfModel, doc_id: str,
     norms = np.sqrt(np.multiply(masks, squares, out=work).sum(axis=1))
     safe = np.where(norms > 0, norms, 1.0)
     np.divide(np.multiply(masks, base, out=work), safe[:, None], out=work)
-    scores = work @ sub_weights.T + model.bias
-    probs = softmax(scores)
+    # The (S, C) scores become the softmax probabilities in place, as
+    # ``classify.softmax`` computes them; y stays a view of one column.
+    probs = work @ sub_weights.T
+    probs += model.bias
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
     y = probs[:, class_index]
     # Masked vectors are sub-vectors of the original, so cosine
     # similarity reduces to norm(masked) / norm(original).
@@ -172,12 +194,12 @@ def lime_explain(model: LogRegModel, encoder: TfIdfModel, doc_id: str,
     distances = 1.0 - norms / original_norm
     sample_weights = np.exp(-(distances ** 2) / (kernel_width ** 2))
 
-    penalty = ridge * np.eye(width)
-    penalty[0, 0] = 0.0  # intercept is not shrunk
     weighted = np.multiply(design, sample_weights[:, None],
                            out=second.reshape(num_samples, width))
+    gram = weighted.T @ design
+    gram.reshape(-1)[width + 1::width + 1] += ridge  # the intercept is not shrunk
     try:
-        coef = np.linalg.solve(weighted.T @ design + penalty, weighted.T @ y)
+        coef = np.linalg.solve(gram, weighted.T @ y)
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"LIME surrogate of document {doc_id!r} is singular ({num_samples} "
                           f"samples, {n_features} features, ridge {ridge}): {exc}") from exc
@@ -199,6 +221,24 @@ def lime_explain(model: LogRegModel, encoder: TfIdfModel, doc_id: str,
 
 # ---------------------------------------------------------------------------
 # Entity rankings
+
+
+@dataclass(frozen=True, eq=False)
+class TokenMagnitudes:
+    """What an MDisc ranking reads of an explanation: how it was made, and
+    its tokens and absolute weights in rank order (``magnitudes``, float64)."""
+
+    target_class: str
+    seed: int
+    num_samples: int
+    tokens: tuple[str, ...]
+    magnitudes: np.ndarray
+
+    @classmethod
+    def of(cls, explanation: Explanation) -> TokenMagnitudes:
+        return cls(explanation.target_class, explanation.seed, explanation.num_samples,
+                   tuple(token for token, _ in explanation.features),
+                   np.abs(np.array([weight for _, weight in explanation.features])))
 
 
 @dataclass(frozen=True)
@@ -259,7 +299,7 @@ def rank_entities(documents: list[Document], model: LogRegModel, encoder: TfIdfM
                   mode: str, kind: str, budget: int = 5, seed: int = 0,
                   math_streams: dict[str, list[str]] | None = None,
                   class_axis: str = "arxiv", lime: LimeSettings = LimeSettings(),
-                  explained: Mapping[str, Explanation] | None = None, *,
+                  explained: Mapping[str, TokenMagnitudes] | None = None, *,
                   buffers: LimeBuffers | None = None) -> EntityRanking:
     """Rank entities per class by frequency (MFreq) or surrogate weight (MDisc).
 
@@ -267,10 +307,11 @@ def rank_entities(documents: list[Document], model: LogRegModel, encoder: TfIdfM
     the entity.  MDisc samples up to ``budget`` documents per class
     (seeded), explains each toward its class with ``lime`` and the seed
     ``derive_seed(seed, "lime", doc_id)``, and averages absolute token
-    weights.  ``explained`` maps document ids to such explanations
-    (``top_k=None``, same stream and model) that a caller already has;
-    they are used instead of explaining the document again.  Classes
-    without usable documents are omitted and reported in the warnings.
+    weights.  ``explained`` maps document ids to the ``TokenMagnitudes`` of
+    such explanations (``top_k=None``, same stream and model) that a
+    caller already has; they are used instead of explaining the document
+    again.  Classes without usable documents are omitted and reported in
+    the warnings.
     ``buffers`` is handed to every ``lime_explain`` call.
     """
     if mode not in (MFREQ, MDISC):
@@ -296,20 +337,21 @@ def rank_entities(documents: list[Document], model: LogRegModel, encoder: TfIdfM
                     warnings.append(f"document {doc.doc_id!r} has no in-vocabulary tokens; skipped")
                     continue
                 doc_seed = derive_seed(seed, "lime", doc.doc_id)
-                explanation = explained.get(doc.doc_id) if explained else None
-                if explanation is None:
-                    explanation = lime_explain(model, encoder, doc.doc_id, stream, label,
-                                               top_k=None, seed=doc_seed, buffers=buffers,
-                                               **asdict(lime))
-                elif ((explanation.target_class, explanation.seed, explanation.num_samples)
+                weights = explained.get(doc.doc_id) if explained else None
+                if weights is None:
+                    weights = TokenMagnitudes.of(lime_explain(
+                        model, encoder, doc.doc_id, stream, label,
+                        num_samples=lime.num_samples, kernel_width=lime.kernel_width,
+                        ridge=lime.ridge, top_k=None, seed=doc_seed, buffers=buffers))
+                elif ((weights.target_class, weights.seed, weights.num_samples)
                       != (label, doc_seed, lime.num_samples)):
                     raise ValidationError(f"explanation of document {doc.doc_id!r} was not "
                                           f"made toward {label!r} with these settings")
                 else:
                     reused += 1
                 n_explained += 1
-                for token, weight in explanation.features:
-                    sums[token] = sums.get(token, 0.0) + abs(weight)
+                for token, magnitude in zip(weights.tokens, weights.magnitudes.tolist()):
+                    sums[token] = sums.get(token, 0.0) + magnitude
             if n_explained == 0:
                 warnings.append(f"class {label!r} has no explainable documents; omitted")
                 continue
@@ -334,16 +376,18 @@ def class_entity_entropy(ranking: EntityRanking, direction: str, top_m: int = 20
         raise DomainError("entropy undefined for an empty ranking")
     if direction == CLS_ENT:
         totals: dict[str, float] = {}
-        spread: dict[str, dict[str, float]] = {}
-        for label, entities in ranking.per_class.items():
+        for entities in ranking.per_class.values():
             for entity, strength in entities:
-                if strength <= 0:
-                    continue
-                totals[entity] = totals.get(entity, 0.0) + strength
-                spread.setdefault(entity, {})[label] = strength
+                if strength > 0:
+                    totals[entity] = totals.get(entity, 0.0) + strength
         if not totals:
             raise DomainError("no entity has positive strength")
         top = sorted(totals, key=lambda e: (-totals[e], e))[:top_m]
+        spread: dict[str, dict[str, float]] = {entity: {} for entity in top}
+        for label, entities in ranking.per_class.items():
+            for entity, strength in entities:
+                if strength > 0 and entity in spread:
+                    spread[entity][label] = strength
         values = [shannon_entropy(CountDistribution(spread[e])) for e in top]
         return sum(values) / len(values)
     if direction == ENT_CLS:
@@ -386,16 +430,19 @@ def compute_rankings(documents: list[Document],
                      math_streams: dict[str, list[str]], budget: int = 5,
                      seed: int = 0, lime: LimeSettings = LimeSettings(),
                      class_axis: str = "arxiv",
-                     text_explanations: Mapping[str, Explanation] | None = None, *,
+                     text_explanations: Mapping[str, TokenMagnitudes] | None = None, *,
                      buffers: LimeBuffers | None = None,
                      ) -> dict[tuple[str, str], EntityRanking]:
     """All four rankings, keyed and ordered MDisc Text, MDisc Math, MFreq Text, MFreq Math.
 
     ``text_explanations`` (see ``rank_entities``' ``explained``) feed
-    the MDisc Text ranking only; ``buffers`` serves every LIME call.
+    the MDisc Text ranking only.  ``buffers`` serves every LIME call and
+    is released once the MDisc rankings, which make them all, are done.
     """
     rankings = {}
     for mode in (MDISC, MFREQ):
+        if mode == MFREQ and buffers is not None:
+            buffers.release()
         for kind in (TEXT_KIND, MATH_KIND):
             model = text_model if kind == TEXT_KIND else math_model
             encoder = text_encoder if kind == TEXT_KIND else math_encoder
@@ -438,8 +485,10 @@ def run_explain(documents: list[Document], source: SymbolNameSource,
     The text model sees the stopword-filtered tokens the ranker explains.
     Each document with an in-vocabulary token is explained once with
     ``lime`` (the table keeps ``top_k`` features).  With ``rank_samples``
-    equal to ``lime``'s, MDisc Text reuses the explanations of its sample.
-    Every LIME call of the run, table and rankings, shares one buffer pair.
+    equal to ``lime``'s, MDisc Text reuses the explanations of its sample,
+    of which the run keeps the ``TokenMagnitudes`` only.  Every LIME call of
+    the run, table and rankings, shares one buffer pair, released before
+    the MFreq rankings.
     """
     kept, labels, _ = labeled_documents(documents, class_axis)
     math_streams = build_math_streams(kept, source, source_top_k, concept_map)
@@ -454,35 +503,39 @@ def run_explain(documents: list[Document], source: SymbolNameSource,
 
     rank_lime = replace(lime, num_samples=rank_samples)
     reusable = mdisc_documents(kept, budget, seed, class_axis) if rank_lime == lime else set()
-    explained: dict[str, Explanation] = {}
+    explanation_rows = []
+    fidelities = []
+    sample_weights: dict[str, TokenMagnitudes] = {}
     buffers = LimeBuffers()
     for doc, label, stream in zip(kept, labels, text_streams):
         if not any(t in text_encoder.vocabulary for t in stream.tokens):
             continue  # nothing in vocabulary, nothing to explain
-        explained[doc.doc_id] = lime_explain(
+        explanation = lime_explain(
             text_model, text_encoder, doc.doc_id, list(stream.tokens), label,
+            num_samples=lime.num_samples, kernel_width=lime.kernel_width, ridge=lime.ridge,
             top_k=None if doc.doc_id in reusable else top_k,
-            seed=derive_seed(seed, "lime", doc.doc_id), buffers=buffers, **asdict(lime))
-    explanation_rows = [(e.doc_id, e.target_class, e.fidelity, position, token, weight)
-                        for e in explained.values()
-                        for position, (token, weight) in enumerate(e.features[:top_k], start=1)]
+            seed=derive_seed(seed, "lime", doc.doc_id), buffers=buffers)
+        explanation_rows.extend(
+            (doc.doc_id, label, explanation.fidelity, position, token, weight)
+            for position, (token, weight) in enumerate(explanation.features[:top_k], start=1))
+        fidelities.append(explanation.fidelity)
+        if doc.doc_id in reusable:
+            sample_weights[doc.doc_id] = TokenMagnitudes.of(explanation)
 
     rankings = compute_rankings(
         kept, text_model, text_encoder, math_model, math_encoder, math_streams,
         budget=budget, seed=seed, lime=rank_lime, class_axis=class_axis,
-        text_explanations={doc_id: e for doc_id, e in explained.items() if doc_id in reusable},
-        buffers=buffers)
+        text_explanations=sample_weights, buffers=buffers)
     ranking_rows = [(mode, kind, label, position, entity, strength)
                     for (mode, kind), ranking in rankings.items()
                     for label in sorted(ranking.per_class)
                     for position, (entity, strength)
                     in enumerate(ranking.per_class[label][:top_m], start=1)]
-    fidelities = [e.fidelity for e in explained.values()]
     return ExplainReport(
         explanation_rows, ranking_rows, build_entropy_report(rankings, top_m=top_m),
         {f"{mode}_{kind}": list(ranking.warnings) for (mode, kind), ranking in rankings.items()},
-        {"documents_explained": len(explained),
-         "documents_skipped": len(kept) - len(explained),
+        {"documents_explained": len(fidelities),
+         "documents_skipped": len(kept) - len(fidelities),
          "ranking_explanations_reused": rankings[(MDISC, TEXT_KIND)].reused,
          "fidelity_min": min(fidelities, default=None),
          "fidelity_mean": sum(fidelities) / len(fidelities) if fidelities else None})

@@ -23,9 +23,10 @@ from stemexplain.encode import STOPWORDS, TfIdfModel, TokenStream, fit_tfidf, tr
 from stemexplain.errors import DomainError, ValidationError
 from stemexplain.explain import (CLS_ENT, ENT_CLS, MATH_KIND, MDISC, MFREQ,
                                  REPORT_ROWS, TEXT_KIND, EntityRanking, LimeBuffers,
-                                 LimeSettings, build_entropy_report, class_entity_entropy,
-                                 compute_rankings, lime_explain, rank_entities, run_explain)
-from stemexplain.sources import load_concept_map, load_symbol_source
+                                 LimeSettings, TokenMagnitudes, build_entropy_report,
+                                 class_entity_entropy, compute_rankings, lime_explain,
+                                 rank_entities, run_explain)
+from stemexplain.sources import SymbolNameSource, load_concept_map, load_symbol_source
 
 from . import oracles
 
@@ -197,6 +198,23 @@ class TestLimeReference:
                               top_k=top_k, seed=seed)
 
 
+class TestMaskStream:
+    """The masks drawn from the generator's raw words are the values
+    ``integers(0, 2)`` draws, across row blocks and odd sizes.  A numpy
+    release that changed either would change every explanation."""
+
+    @pytest.mark.parametrize("num_samples", [1, 255, 256, 257, 2000])
+    @pytest.mark.parametrize("n_features", [1, 2, 117, 118])
+    def test_raw_words_equal_integers(self, num_samples, n_features):
+        design = np.full((num_samples, n_features + 1), -1.0)
+        for seed in (0, 1, 12345, 2 ** 64 - 1):
+            explain_mod.draw_masks(seed, design[:, 1:])
+            expected = np.random.default_rng(seed).integers(
+                0, 2, size=(num_samples, n_features), dtype=np.int32)
+            assert np.array_equal(design[:, 1:], expected), seed
+            assert (design[:, 0] == -1.0).all()  # the intercept column is not written
+
+
 class TestLimeMemory:
     """What one call allocates, at S = 2,000 samples, F = 100 features and 10
     classes, in units of one S x (F + 1) float64 array."""
@@ -238,8 +256,78 @@ class TestLimeMemory:
             tracemalloc.stop()
         # a fresh pair of buffers, plus the small per-call arrays
         assert alone <= 2.6 and first <= 2.6
-        # only the (S, classes) scores and the per-sample vectors
-        assert repeat <= 0.5
+        # only the (S, classes) probabilities, one block of raw mask words
+        # and the per-sample vectors (0.230 measured)
+        assert repeat <= 0.25
+
+    @staticmethod
+    def held_after_table(docs, rank_samples):
+        """Traced bytes ``run_explain`` holds when its table loop is done (at
+        its ``compute_rankings`` call, where the run is stopped), and the
+        features of the MDisc Text sample: the distinct in-vocabulary tokens
+        of its documents."""
+        held, encoders = [], []
+
+        class TableDone(Exception):
+            pass
+
+        def stop(documents, text_model, text_encoder, *args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            encoders.append(text_encoder)
+            raise TableDone
+
+        source = SymbolNameSource("arxiv", {"x": (("wave function", 1.0),),
+                                            "y": (("luminosity", 1.0),)})
+        compute = explain_mod.compute_rankings
+        explain_mod.compute_rankings = stop
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(TableDone):
+                run_explain(docs, source, None, seed=4, lime=LimeSettings(num_samples=20),
+                            rank_samples=rank_samples, budget=10)
+        finally:
+            explain_mod.compute_rankings = compute
+            tracemalloc.stop()
+        sample = explain_mod.mdisc_documents(docs, budget=10, seed=4)
+        features = sum(len({t for t in doc.text_tokens() if t in encoders[0].vocabulary})
+                       for doc in docs if doc.doc_id in sample)
+        return held[0] - before, features
+
+    def test_held_table_memory_does_not_grow_per_feature(self):
+        """Between a run whose MDisc Text ranking reuses the table's
+        explanations and one that does not, the held memory differs by what
+        the sample documents keep; per extra sample feature that is one
+        token reference and one float64, not a (token, weight) pair.  The
+        pairs outnumber the interpreter's 2,000 free tuples, which
+        tracemalloc does not see being reused."""
+        extra = []
+        for words in (40, 200):
+            docs = pool_documents(words)
+            self.held_after_table(docs, rank_samples=30)  # token layouts, first-use caches
+            with_sample, features = self.held_after_table(docs, rank_samples=20)
+            without_sample, _ = self.held_after_table(docs, rank_samples=30)
+            extra.append((with_sample - without_sample, features))
+        (small, small_features), (large, large_features) = extra
+        assert large_features - small_features > 2000
+        assert (large - small) / (large_features - small_features) <= 24
+
+
+def pool_documents(words: int, per_class: int = 8) -> list:
+    """Two classes of documents, each of ``words`` distinct words from a
+    shared pool, so every word is in vocabulary whatever the split."""
+    rng = np.random.default_rng(words)
+    pool = [f"word{chr(97 + i // 26)}{chr(97 + i % 26)}" for i in range(2 * words)]
+    docs = []
+    for label in ("quant-ph", "astro-ph"):
+        for i in range(per_class):
+            chosen = [pool[j] for j in rng.choice(len(pool), words, replace=False)]
+            docs.append(record_to_document({
+                "id": f"{label}-{i}", "arxiv": [label], "msc": [],
+                "segments": [{"kind": "text", "content": " ".join([label[:5]] + chosen)},
+                             {"kind": "formula",
+                              "content": f"<mi>{'x' if label == 'quant-ph' else 'y'}</mi>"}]}))
+    return docs
 
 
 def labeled_docs():
@@ -337,11 +425,10 @@ class TestRankEntities:
         model, encoder = fit_on(docs, [TokenStream.of(d.doc_id, d.text_tokens())
                                        for d in docs])
         lime = LimeSettings(num_samples=200, kernel_width=0.6, ridge=2.0)
-        known = {d.doc_id: lime_explain(model, encoder, d.doc_id,
-                                        [t for t in d.text_tokens() if t not in STOPWORDS],
-                                        d.arxiv_categories[0], top_k=None,
-                                        seed=derive_seed(2, "lime", d.doc_id),
-                                        num_samples=200, kernel_width=0.6, ridge=2.0)
+        known = {d.doc_id: TokenMagnitudes.of(lime_explain(
+                     model, encoder, d.doc_id, [t for t in d.text_tokens() if t not in STOPWORDS],
+                     d.arxiv_categories[0], top_k=None, seed=derive_seed(2, "lime", d.doc_id),
+                     num_samples=200, kernel_width=0.6, ridge=2.0))
                  for d in docs[1:]}
         fresh = rank_entities(docs, model, encoder, MDISC, TEXT_KIND, lime=lime, seed=2)
         reused = rank_entities(docs, model, encoder, MDISC, TEXT_KIND, lime=lime, seed=2,
@@ -361,7 +448,7 @@ class TestRankEntities:
         with pytest.raises(ValidationError, match=doc.doc_id):
             rank_entities(docs, model, encoder, MDISC, TEXT_KIND, seed=2,
                           lime=LimeSettings(num_samples=200),
-                          explained={doc.doc_id: replace(made, **change)})
+                          explained={doc.doc_id: TokenMagnitudes.of(replace(made, **change))})
 
 
 class TestClassEntityEntropy:
@@ -545,6 +632,30 @@ class TestExplainStage:
         assert code == 4
         assert record["error"] == "DomainError"
         assert "singular" in record["message"]
+
+    # S * (F + 1) float64 elements need more than 2**47 bytes, beyond any
+    # process's address space, so the allocation fails before a page is touched.
+    OUT_OF_MEMORY = {"num_samples": 2 ** 45}
+
+    def test_out_of_memory_exits_4(self, demo_fixtures, tmp_path, capsys):
+        path, _ = explain_config(demo_fixtures, tmp_path.name, self.OUT_OF_MEMORY)
+        code = cli.main(["explain", "-c", str(path), "--out-dir", str(tmp_path / "out")])
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 4
+        assert record["error"] == "MemoryError"
+        assert "Unable to allocate" in record["message"]
+
+    def test_out_of_memory_prints_one_record_and_no_traceback(self, demo_fixtures, tmp_path):
+        path, _ = explain_config(demo_fixtures, tmp_path.name, self.OUT_OF_MEMORY)
+        src = str(Path(stemexplain.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "stemexplain", "explain", "-c", str(path),
+             "--out-dir", str(tmp_path / "out")], capture_output=True, text=True,
+            timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        assert result.returncode == 4, result.stderr
+        records = [json.loads(line) for line in result.stderr.splitlines()]
+        errors = [r for r in records if "error" in r]
+        assert len(errors) == 1 and errors[0]["error"] == "MemoryError"
 
     @pytest.mark.parametrize("ranking_samples", [40, 30])
     def test_mdisc_text_uses_lime_settings(self, demo_fixtures, tmp_path, spied,
