@@ -80,11 +80,15 @@ class LogRegModel:
                            dict(record.get("metadata", {})))
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, shifted by the row maximum for stability."""
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+def softmax(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax, shifted by the row maximum for stability.
+
+    The result goes to ``out``, which may be ``scores`` itself; by default
+    it is a new array and ``scores`` is left as it was.
+    """
+    shifted = np.subtract(scores, scores.max(axis=-1, keepdims=True), out=out)
+    exp = np.exp(shifted, out=out)
+    return np.divide(exp, exp.sum(axis=-1, keepdims=True), out=out)
 
 
 def loss_and_gradient(weights: np.ndarray, bias: np.ndarray, x: np.ndarray,

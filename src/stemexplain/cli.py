@@ -163,7 +163,11 @@ def _anchor(path_value, base: Path):
 
 
 def _check_paths(config: dict) -> None:
-    """Type checks on the path settings, so that anchoring can rely on them."""
+    """Type checks on the path settings, so that anchoring can rely on them.
+
+    A gazetteer or source tag becomes the ``source`` cell of table rows, so
+    a tab, CR or LF in one is a ConfigError.
+    """
     for key in ("corpus", "out_dir"):
         if not isinstance(config[key], str):
             raise ConfigError(f"{key} must be a string")
@@ -171,6 +175,9 @@ def _check_paths(config: dict) -> None:
         paths = config[section][key]
         if not isinstance(paths, dict) or not all(isinstance(p, str) for p in paths.values()):
             raise ConfigError(f"{section}.{key} must be an object with string values")
+        for tag in paths:
+            if any(c in tag for c in "\t\r\n"):
+                raise ConfigError(f"{section}.{key} tag {tag!r} holds a tab or line break")
     concept_map = config["augment"]["concept_map"]
     if concept_map is not None and not isinstance(concept_map, str):
         raise ConfigError("augment.concept_map must be null or a string")

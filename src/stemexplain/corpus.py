@@ -39,16 +39,23 @@ from collections import namedtuple
 
 from .errors import ParseError, ValidationError, read_utf8
 from .formulas import extract_identifiers
-from .tokenizer import tokenize
+from .tokenizer import normalize_surface, tokenize
 
 TEXT = "text"
 FORMULA = "formula"
 
 _ARXIV_RE = re.compile(r"^[A-Za-z0-9-]+(\.[A-Za-z0-9-]+)?$")
 _MSC_RE = re.compile(r"^[0-9]{2}[A-Za-z-][0-9]{2}$")
+# What would end a cell or a row of the tables that write corpus strings.
+_CELL_BREAK_RE = re.compile("[\t\r\n]")
 
 # No dataclasses here: importing them loads inspect, ast and dis (about 10 ms
 # per process), and the ingest stage loads no other module that needs them.
+
+
+def formula_id(fid: str | None, index: int) -> str:
+    """A formula's id: its explicit ``fid``, else ``seg<index>`` by its segment index."""
+    return fid or f"seg{index}"
 
 
 class Segment(namedtuple("Segment", ("kind", "content", "fid", "identifiers"))):
@@ -135,7 +142,7 @@ class Document:
         out = []
         for index, segment in enumerate(self.segments):
             if segment.kind == FORMULA:
-                out.append((segment.fid or f"seg{index}", segment))
+                out.append((formula_id(segment.fid, index), segment))
         return out
 
     def formula_ids(self) -> list[str]:
@@ -163,7 +170,7 @@ class Document:
                     # string per distinct token.
                     tokens.extend(map(sys.intern, tokenize(segment.content)))
                 else:
-                    positions.append((segment.fid or f"seg{index}", len(tokens)))
+                    positions.append((formula_id(segment.fid, index), len(tokens)))
             self._layout = (tuple(tokens), tuple(positions))
             self._layout_segments = segments
         return self._layout
@@ -215,8 +222,28 @@ _GOLD_KEYS = frozenset(_GOLD_SECTIONS)
 _TARGET_KEYS = frozenset({"title", "qid"})
 
 
+def _check_cell(text: str, what: str, line: int | None) -> None:
+    """A ParseError when ``text``, which a stage writes as a table cell, holds
+    a tab, CR or LF."""
+    if _CELL_BREAK_RE.search(text) is not None:
+        raise ParseError(f"{what} {text!r} holds a tab or line break", line)
+
+
+def _one_key_per_ngram(keys, what: str, line: int | None) -> None:
+    """A ParseError when two of ``keys`` normalize to one n-gram, whose
+    judgments would collapse into one."""
+    seen: dict[str, str] = {}
+    for key in keys:
+        first = seen.setdefault(normalize_surface(key), key)
+        if first is not key:
+            raise ParseError(f"{what} {first!r} and {key!r} name one n-gram "
+                             f"{normalize_surface(key)!r}", line)
+
+
 def _parse_gold(raw: dict, line: int | None) -> GoldAnnotations:
-    """Gold annotations; a mistyped value (a boolean is no number) is a ParseError."""
+    """Gold annotations; a mistyped value (a boolean is no number) is a ParseError,
+    as are a name or judged n-gram that holds a tab or line break and two keys
+    of one table that name one n-gram."""
     if not isinstance(raw, dict):
         raise ParseError("gold must be an object", line)
     if not raw.keys() <= _GOLD_KEYS:
@@ -228,11 +255,15 @@ def _parse_gold(raw: dict, line: int | None) -> GoldAnnotations:
     for fid, names in raw.get("identifier_names", {}).items():
         if not isinstance(names, dict):
             raise ParseError("identifier names must be an object", line)
+        for name in names.values():
+            _check_cell(str(name), "identifier name", line)
         gold.identifier_names[str(fid)] = {str(k): str(v) for k, v in names.items()}
     for ngram, rel in raw.get("entity_relevance", {}).items():
         if type(rel) not in (int, float) or rel not in (0, 0.5, 1):
             raise ParseError(f"entity relevance must be 0, 0.5 or 1, got {rel!r}", line)
+        _check_cell(ngram, "judged n-gram", line)
         gold.entity_relevance[str(ngram)] = float(rel)
+    _one_key_per_ngram(gold.entity_relevance, "gold entity_relevance keys", line)
     for ngram, target in raw.get("entity_targets", {}).items():
         if not isinstance(target, dict):
             raise ParseError("entity target must be an object", line)
@@ -240,6 +271,7 @@ def _parse_gold(raw: dict, line: int | None) -> GoldAnnotations:
             raise ParseError(f"unknown entity target keys: {sorted(target.keys() - _TARGET_KEYS)}",
                              line)
         gold.entity_targets[str(ngram)] = {str(k): str(v) for k, v in target.items()}
+    _one_key_per_ngram(gold.entity_targets, "gold entity_targets keys", line)
     for fid, phrases in raw.get("concept_relevance", {}).items():
         if not isinstance(phrases, dict):
             raise ParseError("concept scores must be an object", line)
@@ -248,6 +280,7 @@ def _parse_gold(raw: dict, line: int | None) -> GoldAnnotations:
             if type(score) not in (int, float) or score not in (0, 1, 2):
                 raise ParseError(f"concept score must be 0, 1 or 2, got {score!r}", line)
             scores[str(phrase)] = int(score)
+        _one_key_per_ngram(scores, f"gold concept_relevance phrases of {fid!r}:", line)
         gold.concept_relevance[str(fid)] = scores
     return gold
 
@@ -260,7 +293,10 @@ def record_to_document(record: dict, line: int | None = None,
     holds is not parsed again, and each markup parsed here is added to it;
     ``parse_corpus_text`` passes one map for a whole load.  The checks run
     in a fixed order, and each error message is built only when its check
-    fails.
+    fails.  A formula id (``formula_id``: the explicit ``fid`` or the
+    positional ``seg<i>``) names one formula of the record.  The id, each
+    ``fid``, gold names and judged n-grams and each identifier symbol are
+    written to tables as they are, so none may hold a tab, CR or LF.
     """
     if parsed is None:
         parsed = {}
@@ -274,6 +310,7 @@ def record_to_document(record: dict, line: int | None = None,
     doc_id = record["id"]
     if not isinstance(doc_id, str) or doc_id == "":
         raise ParseError("id must be a non-empty string", line)
+    _check_cell(doc_id, "id", line)
     arxiv = record["arxiv"]
     msc = record["msc"]
     if not isinstance(arxiv, list):
@@ -290,7 +327,7 @@ def record_to_document(record: dict, line: int | None = None,
     fids_seen = set()
     if not isinstance(record["segments"], list):
         raise ParseError("segments must be an array", line)
-    for raw in record["segments"]:
+    for index, raw in enumerate(record["segments"]):
         if not isinstance(raw, dict):
             raise ParseError("segment must be an object", line)
         if not raw.keys() <= _SEGMENT_KEYS:
@@ -307,15 +344,21 @@ def record_to_document(record: dict, line: int | None = None,
                 raise ParseError("fid is only valid on formula segments", line)
             if not isinstance(fid, str) or fid == "":
                 raise ParseError("fid must be a non-empty string", line)
-            if fid in fids_seen:
-                raise ParseError(f"duplicate formula id {fid!r}", line)
-            fids_seen.add(fid)
+            _check_cell(fid, "fid", line)
+        if kind == FORMULA:
+            effective = formula_id(fid, index)
+            if effective in fids_seen:
+                raise ParseError(f"duplicate formula id {effective!r}", line)
+            fids_seen.add(effective)
         identifiers = parsed.get(content) if kind == FORMULA else ()
         if identifiers is None:
             try:
-                identifiers = parsed[content] = tuple(extract_identifiers(content))
+                identifiers = tuple(extract_identifiers(content))
             except ParseError as exc:
                 raise ParseError(f"in document {doc_id!r}: {exc}", line) from exc
+            for symbol in identifiers:
+                _check_cell(symbol, f"in document {doc_id!r}: identifier", line)
+            parsed[content] = identifiers
         # ``_make`` skips ``Segment.__new__``, which would parse the markup again.
         segments.append(Segment._make((kind, content, fid, identifiers)))
     gold = None

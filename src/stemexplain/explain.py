@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classify import (LogRegModel, derive_seed, fit_split_model, labeled_documents,
+from .classify import (LogRegModel, derive_seed, fit_split_model, labeled_documents, softmax,
                        stratified_split)
 from .corpus import Document, primary_label
 from .encode import STOPWORDS, TfIdfModel, TokenStream
@@ -180,14 +180,11 @@ def lime_explain(model: LogRegModel, encoder: TfIdfModel, doc_id: str,
     norms = np.sqrt(np.multiply(masks, squares, out=work).sum(axis=1))
     safe = np.where(norms > 0, norms, 1.0)
     np.divide(np.multiply(masks, base, out=work), safe[:, None], out=work)
-    # The (S, C) scores become the softmax probabilities in place, as
-    # ``classify.softmax`` computes them; y stays a view of one column.
+    # The (S, C) scores become probabilities in place; y stays a view of
+    # one column.
     probs = work @ sub_weights.T
     probs += model.bias
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    y = probs[:, class_index]
+    y = softmax(probs, out=probs)[:, class_index]
     # Masked vectors are sub-vectors of the original, so cosine
     # similarity reduces to norm(masked) / norm(original).
     original_norm = float(np.sqrt(squares.sum()))

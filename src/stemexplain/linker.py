@@ -33,24 +33,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .corpus import Document, GoldAnnotations, tsv_fields
-from .encode import STOPWORDS, PhraseIndex, lemmatize, phrase_hits, tokenize
+from .encode import STOPWORDS, PhraseIndex, lemmatize, phrase_hits
 from .errors import DomainError, ParseError, ValidationError
+from .tokenizer import normalize_surface
 
 _QID_RE = re.compile(r"^Q[0-9]+$")
-# Lowercase ASCII tokens joined by single spaces: already a lookup form.
-_NORMAL_ASCII_RE = re.compile(r"[a-z0-9]+(?: [a-z0-9]+)*")
-
-
-def normalize_surface(surface: str) -> str:
-    """Canonical lookup form: the surface's tokens, space-joined.
-
-    The tokenizer splits on underscores like on any other punctuation,
-    so "Wave_function" and "wave function" share a form.  A surface
-    that is already in this form is returned as it is.
-    """
-    if _NORMAL_ASCII_RE.fullmatch(surface):
-        return surface
-    return " ".join(tokenize(surface))
 
 
 class GazetteerEntry(NamedTuple):
@@ -297,52 +284,44 @@ def evaluate_linking(links: list[EntityLink], gold: GoldAnnotations,
     a miss); relevance 0 is FP when linked, TN when not; relevance 1/2
     is excluded unless no link of the mode covers any non-stopword
     token of the tuple, in which case it is FN.  A link whose surface
-    has no gold entry is a validation error.
+    has no gold entry is a validation error.  The links are indexed
+    once, by (source, lemmatized) and then by normalized surface.
     """
     tuples = {normalize_surface(k): rel for k, rel in gold.entity_relevance.items()}
     targets = {normalize_surface(k): v for k, v in gold.entity_targets.items()}
+    views: dict[tuple[str, bool], dict[str, list[EntityLink]]] = {}
     for link in links:
-        if normalize_surface(link.surface) not in tuples:
+        ngram = normalize_surface(link.surface)
+        if ngram not in tuples:
             raise ValidationError(f"no gold relevance for linked n-gram {link.surface!r}")
+        views.setdefault((link.source, link.lemmatized), {}).setdefault(ngram, []).append(link)
 
     counts = {mode.name: {} for mode in modes}
     assignments = {mode.name: {v: {} for v in VARIANTS} for mode in modes}
     for mode in modes:
         for variant in VARIANTS:
-            flag = variant == LEMMATIZED
-            mode_links = [l for l in links if l.source == mode.source and l.lemmatized == flag]
-            by_surface: dict[str, list[EntityLink]] = {}
-            for link in mode_links:
-                by_surface.setdefault(normalize_surface(link.surface), []).append(link)
+            # Each linked n-gram's answers in the mode's field, in link order.
+            answers: dict[str, list[str]] = {}
+            for ngram, view in views.get((mode.source, variant == LEMMATIZED), {}).items():
+                values = [v for v in (_field_value(l, mode.field) for l in view) if v is not None]
+                if values:
+                    answers[ngram] = values
+            covered = {token for ngram in answers for token in ngram.split(" ")}
             marks = assignments[mode.name][variant]
             for ngram, relevance in tuples.items():
-                linked = [l for l in by_surface.get(ngram, ())
-                          if _field_value(l, mode.field) is not None]
+                values = answers.get(ngram, ())
                 if relevance == 1.0:
                     gold_target = targets.get(ngram, {})
-                    correct = any(_target_matches(_field_value(l, mode.field), mode.field, gold_target)
-                                  for l in linked)
+                    correct = any(_target_matches(v, mode.field, gold_target) for v in values)
                     mark = "TP" if correct else "FN"
                 elif relevance == 0.0:
-                    mark = "FP" if linked else "TN"
+                    mark = "FP" if values else "TN"
                 else:
-                    covered = _half_covered(ngram, mode_links, mode.field)
-                    mark = "EXCL" if covered else "FN"
+                    content = {t for t in ngram.split(" ") if t not in STOPWORDS}
+                    mark = "FN" if covered.isdisjoint(content) else "EXCL"
                 marks[ngram] = mark
             counts[mode.name][variant] = ModeCounts.from_marks(marks.values())
     return LinkEvalReport(counts, assignments, len(tuples))
-
-
-def _half_covered(ngram: str, mode_links: list[EntityLink], field_name: str) -> bool:
-    """True when some link of the mode covers a non-stopword token of the tuple."""
-    tuple_tokens = {t for t in ngram.split(" ") if t not in STOPWORDS}
-    for link in mode_links:
-        if _field_value(link, field_name) is None:
-            continue
-        link_tokens = set(normalize_surface(link.surface).split(" "))
-        if tuple_tokens & link_tokens:
-            return True
-    return False
 
 
 LINK_EVAL_COLUMNS = ("mode", "variant", "tp", "fp", "fn", "tn", "excluded", "precision",

@@ -11,6 +11,10 @@ library used before its entries became named tuples, and
 ``build_math_streams`` and ``concept_coverage_violations`` compare token
 slices of every concept phrase at every position (``_phrase_in_tokens``)
 where the library now uses a first-token phrase index.
+``evaluate_linking`` is the scorer the library used before it indexed a
+gold document's links once: it filters and regroups the links for every
+(mode, variant) and scans every link of the mode for each relevance-1/2
+tuple (``_half_covered``).
 ``tokenize`` is the Unicode-pattern tokenizer for all text,
 ``token_layout`` tokenizes a document's segments on every call,
 ``extract_identifiers`` walks the formula tree recursively and
@@ -40,7 +44,9 @@ from stemexplain.encode import STOPWORDS, lemmatize
 from stemexplain.errors import ParseError, ToolkitError, ValidationError
 from stemexplain.explain import Explanation
 from stemexplain.formulas import _SCRIPT_TAGS, _classify, _local_tag, parse_formula
-from stemexplain.linker import EntityLink, FormulaConceptLink, GazetteerEntry
+from stemexplain.linker import (DEFAULT_EVAL_MODES, LEMMATIZED, VARIANTS, EntityLink,
+                                FormulaConceptLink, GazetteerEntry, LinkEvalReport, ModeCounts,
+                                _field_value, _target_matches)
 
 mpmath.mp.dps = 40
 
@@ -283,6 +289,54 @@ def link_formula_concepts(doc, gazetteer, window=10, max_n=3, gold=None, stopwor
                                                 target_item=entry.item_id,
                                                 source=gazetteer.source))
     return links
+
+
+def evaluate_linking(links, gold, modes=DEFAULT_EVAL_MODES):
+    """One confusion table per (mode, variant), each from its own filtered links."""
+    tuples = {normalize_surface(k): rel for k, rel in gold.entity_relevance.items()}
+    targets = {normalize_surface(k): v for k, v in gold.entity_targets.items()}
+    for link in links:
+        if normalize_surface(link.surface) not in tuples:
+            raise ValidationError(f"no gold relevance for linked n-gram {link.surface!r}")
+
+    counts = {mode.name: {} for mode in modes}
+    assignments = {mode.name: {v: {} for v in VARIANTS} for mode in modes}
+    for mode in modes:
+        for variant in VARIANTS:
+            flag = variant == LEMMATIZED
+            mode_links = [l for l in links if l.source == mode.source and l.lemmatized == flag]
+            by_surface = {}
+            for link in mode_links:
+                by_surface.setdefault(normalize_surface(link.surface), []).append(link)
+            marks = assignments[mode.name][variant]
+            for ngram, relevance in tuples.items():
+                linked = [l for l in by_surface.get(ngram, ())
+                          if _field_value(l, mode.field) is not None]
+                if relevance == 1.0:
+                    gold_target = targets.get(ngram, {})
+                    correct = any(_target_matches(_field_value(l, mode.field), mode.field,
+                                                  gold_target) for l in linked)
+                    mark = "TP" if correct else "FN"
+                elif relevance == 0.0:
+                    mark = "FP" if linked else "TN"
+                else:
+                    covered = _half_covered(ngram, mode_links, mode.field)
+                    mark = "EXCL" if covered else "FN"
+                marks[ngram] = mark
+            counts[mode.name][variant] = ModeCounts.from_marks(marks.values())
+    return LinkEvalReport(counts, assignments, len(tuples))
+
+
+def _half_covered(ngram, mode_links, field_name):
+    """True when some link of the mode covers a non-stopword token of the tuple."""
+    tuple_tokens = {t for t in ngram.split(" ") if t not in STOPWORDS}
+    for link in mode_links:
+        if _field_value(link, field_name) is None:
+            continue
+        link_tokens = set(normalize_surface(link.surface).split(" "))
+        if tuple_tokens & link_tokens:
+            return True
+    return False
 
 
 def _phrase_in_tokens(phrase_tokens, tokens):

@@ -40,6 +40,13 @@ class TestSoftmax:
         assert np.isfinite(probs).all()
         assert probs[0] == pytest.approx(1.0)
 
+    def test_out_is_written_in_place_with_the_same_bits(self):
+        scores = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 40.0]])
+        expected = softmax(scores)
+        assert np.array_equal(scores, [[1.0, 2.0, 3.0], [0.5, -1.0, 40.0]])
+        assert softmax(scores, out=scores) is scores
+        assert np.array_equal(scores, expected)
+
 
 class TestGradient:
     def test_matches_central_finite_differences(self):

@@ -138,8 +138,11 @@ def _tsv(draw, reader: str, good: list[str]) -> str:
 
 
 NAN, INF = math.nan, math.inf
+# Characters that would break a table row if a stage wrote them in a cell.
+BREAKS = ("\t", "\r", "\n")
 # (field, malformed value); None as the field deletes a required key.
 RECORD_FAULTS = [("id", v) for v in (None, 5, "", [], True)] + [
+    ("id", f"astro{c}ph-000") for c in BREAKS] + [
     ("arxiv", v) for v in ("math.AP", None, 5, [5], ["not a category"], {})] + [
     ("msc", v) for v in ("85A05", [85], ["8A05"])] + [
     ("segments", v) for v in ("x", {}, [5], [[]], [{"kind": "image", "content": "x"}],
@@ -148,12 +151,25 @@ RECORD_FAULTS = [("id", v) for v in (None, 5, "", [], True)] + [
                               [{"kind": "formula", "content": "<mi>x</mi>", "fid": ""}],
                               [{"kind": "formula", "content": "<mi>x</mi>", "fid": "f"}] * 2,
                               [{"kind": "formula", "content": "<mi>x"}],
-                              [{"kind": "text", "content": "x", "size": 1}])] + [
+                              [{"kind": "text", "content": "x", "size": 1}],
+                              # an explicit fid that a later formula has by position
+                              [{"kind": "formula", "content": "<mi>x</mi>", "fid": "seg1"},
+                               {"kind": "formula", "content": "<mi>y</mi>"}])] + [
+    ("segments", [{"kind": "formula", "content": "<mi>x</mi>", "fid": f"f{c}1"}])
+    for c in BREAKS] + [
+    ("segments", [{"kind": "formula", "content": f"<mi>ab{c}c</mi>"}])
+    for c in ("\t", "&#9;", "\n", "&#13;")] + [
     ("gold", v) for v in ([], 5, {"zz": {}}, {"entity_relevance": []},
                           {"entity_targets": {"x": "T"}}, {"entity_targets": {"x": {"url": "u"}}},
                           {"identifier_names": {"f": 5}}, {"concept_relevance": {"f": ["x"]}})] + [
     ("gold", {"entity_relevance": {"x": v}}) for v in ("1", None, True, 0.7, NAN, INF, -INF)] + [
     ("gold", {"concept_relevance": {"f": {"x": v}}}) for v in (NAN, INF, "2", 3, True, 1.5)] + [
+    ("gold", v) for c in BREAKS for v in ({"entity_relevance": {f"wave{c}function": 1}},
+                                          {"identifier_names": {"f": {"x": f"energy{c}"}}})] + [
+    # two keys of one table that name one n-gram
+    ("gold", {"entity_relevance": {"Common0 Common1": 1, "common0 common1": 0}}),
+    ("gold", {"entity_targets": {"wave_function": {}, "Wave function": {"title": "T"}}}),
+    ("gold", {"concept_relevance": {"f": {"energy level": 2, "Energy-level": 0}}})] + [
     (None, key) for key in ("id", "arxiv", "msc", "segments")] + [("extra", 1)]
 
 
@@ -198,6 +214,8 @@ CONFIG_FAULTS = [
     ("linker", "gazetteers", []), ("linker", "gazetteers", {"g": 5}),
     ("augment", "sources", {"a": None}), ("augment", "concept_map", 5),
     ("logreg", "momentum", 0.9)] + [
+    (section, key, {f"tag{c}x": "gazetteer_wikidump.tsv"}) for c in BREAKS
+    for section, key in (("linker", "gazetteers"), ("augment", "sources"))] + [
     ("linker", "max_n", v) for v in (0, "3", 2.5, True, -1)] + [
     ("augment", "top_k", v) for v in ([], [0], "3", [True], 3)] + [
     ("encode", "lemmatize", v) for v in (1, "yes", None)] + [
@@ -284,6 +302,18 @@ def _prepare(root: Path, reader: str, data: bytes) -> tuple[Path, Path]:
 EMPTY_SURFACE_GAZETTEER = b"notion0p0 theme0p0\tNotion0p0_theme0p0\n---\tQ1\n"
 # One record twice.
 DUPLICATE_IDS = b'{"id": "d", "arxiv": [], "msc": [], "segments": []}\n' * 2
+# A tab in an id, which would shift every column of the link tables' rows.
+TAB_ID = (b'{"id": "astro\\tph-000", "arxiv": [], "msc": [], '
+          b'"segments": [{"kind": "text", "content": "notion0p0 theme0p0"}]}\n')
+# An explicit fid that the unnamed formula at segment 1 has by position.
+SHARED_FID = (b'{"id": "d", "arxiv": [], "msc": [], "segments": ['
+              b'{"kind": "formula", "content": "<mi>x</mi>", "fid": "seg1"}, '
+              b'{"kind": "formula", "content": "<mi>y</mi>"}]}\n')
+# Two judgments of the n-gram "common0 common1".
+TWO_JUDGMENTS = (b'{"id": "d", "arxiv": [], "msc": [], "segments": [], "gold": '
+                 b'{"entity_relevance": {"Common0 Common1": 1, "common0 common1": 0}}}\n')
+# A gazetteer tag, the source column of the link tables, with a tab in it.
+TAB_TAG = b'{"seed": 1, "linker": {"gazetteers": {"wiki\\tdump": "gazetteer_wikidump.tsv"}}}'
 
 
 @given(malformed_inputs())
@@ -318,6 +348,10 @@ def test_malformed_input_exits_with_its_documented_code(case):
     ("config", ("ingest",), b'{"seed": 1, "lime": {"ridge": NaN}}'),
     ("config", ("explain",), b'{"seed": 1, "explain": {"source": ["arxiv"]}}'),
     ("corpus", ("ingest",), DUPLICATE_IDS),
+    ("corpus", ("link",), TAB_ID),
+    ("corpus", ("mathel",), SHARED_FID),
+    ("corpus", ("link",), TWO_JUDGMENTS),
+    ("config", ("link",), TAB_TAG),
 ])
 def test_stage_process_prints_one_record_and_no_traceback(tmp_path, reader, argv, data):
     config, out_dir = _prepare(tmp_path, reader, data)

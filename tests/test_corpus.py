@@ -216,6 +216,26 @@ class TestErrorMessages:
          "concept scores must be an object"),
         (make_record(gold={"concept_relevance": {"f1": {"x": 3}}}),
          "concept score must be 0, 1 or 2, got 3"),
+        (make_record(id="astro\tph-000"), "id 'astro\\tph-000' holds a tab or line break"),
+        (_segment(fid="f\r1"), "fid 'f\\r1' holds a tab or line break"),
+        (make_record(segments=[{"kind": "formula", "content": "<mi>x</mi>", "fid": "seg1"},
+                               {"kind": "formula", "content": "<mi>y</mi>"}]),
+         "duplicate formula id 'seg1'"),
+        (_segment(content="<mi>ab&#10;c</mi>"),
+         "in document 'doc1': identifier 'ab\\nc' holds a tab or line break"),
+        (make_record(gold={"identifier_names": {"f1": {"E": "energy\n"}}}),
+         "identifier name 'energy\\n' holds a tab or line break"),
+        (make_record(gold={"entity_relevance": {"wave\tfunction": 1}}),
+         "judged n-gram 'wave\\tfunction' holds a tab or line break"),
+        (make_record(gold={"entity_relevance": {"Common0 Common1": 1, "common0 common1": 0}}),
+         "gold entity_relevance keys 'Common0 Common1' and 'common0 common1' name one n-gram "
+         "'common0 common1'"),
+        (make_record(gold={"entity_targets": {"wave_function": {}, "Wave function": {}}}),
+         "gold entity_targets keys 'wave_function' and 'Wave function' name one n-gram "
+         "'wave function'"),
+        (make_record(gold={"concept_relevance": {"f1": {"energy level": 2, "Energy-level": 0}}}),
+         "gold concept_relevance phrases of 'f1': 'energy level' and 'Energy-level' name one "
+         "n-gram 'energy level'"),
     ])
     def test_message_and_line(self, record, message):
         text = json.dumps(make_record(id="doc0")) + "\n\n" + json.dumps(record) + "\n"
