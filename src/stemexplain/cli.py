@@ -15,12 +15,13 @@ writes the new one last, so a manifest on disk always matches its files.  A
 stage killed mid-write can leave a ``.partial`` file, which a rerun replaces.
 
 Exit codes: 0 success, 2 config error (bad JSON, unknown keys, missing
-seed, mistyped or out-of-range settings), 3 input error (missing
-or malformed input files, missing stage outputs), 4 runtime failure
-(training or evaluation raised).  Failures print a single JSON record on
-stderr: {"error": <class>, "message": <text>}.  A model fit that stops without
-converging prints {"warning": "ConvergenceWarning", "stage", "iterations",
-"final_loss", "message"} on stderr and the stage goes on.
+seed, a setting outside what ``SETTINGS`` accepts for it, or one a stage
+cannot use, such as a ``plot.symbol`` absent from the corpus), 3 input
+error (missing or malformed input files, missing stage outputs), 4 runtime
+failure (training or evaluation raised).  Failures print a single JSON
+record on stderr: {"error": <class>, "message": <text>}.  A model fit that
+stops without converging prints {"warning": "ConvergenceWarning", "stage",
+"iterations", "final_loss", "message"} on stderr and the stage goes on.
 
 Relative file paths inside a config file resolve against the config file's
 directory; paths given on the command line resolve against the working
@@ -65,27 +66,47 @@ from .errors import ConfigError, ConvergenceWarning, ParseError, ToolkitError, r
 
 TOOL_NAME = "stemexplain"
 
-# Exhaustive key schema; unknown keys anywhere in a config file are rejected.
-# gazetteers and sources map user-chosen tags to files and are replaced
-# wholesale, as is the top_k list.
-DEFAULT_CONFIG = {
-    "corpus": "@demo",
-    "out_dir": "out",
-    "seed": None,
-    "class_axis": "arxiv",
-    "encode": {"remove_stopwords": True, "lemmatize": False},
-    "split": {"test_fraction": 0.2},
-    "logreg": {"l2": 1e-4, "max_iterations": 500, "tolerance": 1e-6},
-    "lime": {"num_samples": 300, "kernel_width": None, "ridge": 1.0, "top_k": 10},
-    "linker": {"gazetteers": {}, "max_n": 3, "window": 10},
-    "augment": {"sources": {}, "top_k": [3, 5], "concept_map": None},
-    "explain": {"budget": 5, "top_m": 20, "num_samples": 300,
-                "source": None, "source_top_k": 3},
-    "plot": {"which": "symbol-name-distribution", "symbol": None, "name": None},
+# Every setting, by dotted path: (default, kind, domain).  A kind is a key
+# of _KINDS, one of those plus " or null", or "choice"; a choice's domain is
+# the values it accepts, and a file's or tag map's domain is its role in
+# manifests.  Unknown keys anywhere in a config file are rejected; a tag
+# map or list value replaces the default wholesale.
+SETTINGS = {
+    "corpus": ("@demo", "file", "corpus"),
+    "out_dir": ("out", "string", None),
+    "seed": (None, "seed", None),
+    "class_axis": ("arxiv", "choice", ("arxiv", "msc")),
+    "encode.remove_stopwords": (True, "bool", None),
+    "encode.lemmatize": (False, "bool", None),
+    "split.test_fraction": (0.2, "fraction", None),
+    "logreg.l2": (1e-4, "number >= 0", None),
+    "logreg.max_iterations": (500, "count", None),
+    "logreg.tolerance": (1e-6, "number >= 0", None),
+    "lime.num_samples": (300, "count", None),
+    "lime.kernel_width": (None, "number > 0 or null", None),
+    "lime.ridge": (1.0, "number >= 0", None),
+    "lime.top_k": (10, "count or null", None),
+    "linker.gazetteers": ({}, "tag map", "gazetteer"),
+    "linker.max_n": (3, "count", None),
+    "linker.window": (10, "count", None),
+    "augment.sources": ({}, "tag map", "source"),
+    "augment.top_k": ([3, 5], "count list", None),
+    "augment.concept_map": (None, "file or null", "concept_map"),
+    "explain.budget": (5, "count", None),
+    "explain.top_m": (20, "count", None),
+    "explain.num_samples": (300, "count", None),
+    "explain.source": (None, "string or null", None),
+    "explain.source_top_k": (3, "count", None),
+    "plot.which": ("symbol-name-distribution", "choice",
+                   ("symbol-name-distribution", "entropy-table")),
+    "plot.symbol": (None, "string or null", None),
+    "plot.name": (None, "string or null", None),
 }
 
-_SECTIONS = ("encode", "split", "logreg", "lime", "linker", "augment",
-             "explain", "plot")
+DEFAULT_CONFIG: dict = {}
+for _path, (_default, _, _) in SETTINGS.items():
+    _section, _, _key = _path.rpartition(".")
+    (DEFAULT_CONFIG.setdefault(_section, {}) if _section else DEFAULT_CONFIG)[_key] = _default
 
 # Stage tables stitched together by `report`, in presentation order.
 REPORT_SECTIONS = (
@@ -140,96 +161,6 @@ def write_json(path: Path, payload) -> None:
 # Configuration
 
 
-def _merge_config(base: dict, override: dict, trail: str = "") -> dict:
-    merged = copy.deepcopy(base)
-    for key, value in override.items():
-        where = f"{trail}{key}"
-        if key not in merged:
-            raise ConfigError(f"unknown config key: {where}")
-        if not trail and key in _SECTIONS:
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {where} must be an object")
-            merged[key] = _merge_config(merged[key], value, where + ".")
-        else:
-            merged[key] = value
-    return merged
-
-
-def _anchor(path_value, base: Path):
-    if not isinstance(path_value, str) or path_value == "@demo":
-        return path_value
-    candidate = Path(path_value)
-    return path_value if candidate.is_absolute() else str(base / candidate)
-
-
-def _check_paths(config: dict) -> None:
-    """Type checks on the path settings, so that anchoring can rely on them.
-
-    A gazetteer or source tag becomes the ``source`` cell of table rows, so
-    a tab, CR or LF in one is a ConfigError.
-    """
-    for key in ("corpus", "out_dir"):
-        if not isinstance(config[key], str):
-            raise ConfigError(f"{key} must be a string")
-    for section, key in (("linker", "gazetteers"), ("augment", "sources")):
-        paths = config[section][key]
-        if not isinstance(paths, dict) or not all(isinstance(p, str) for p in paths.values()):
-            raise ConfigError(f"{section}.{key} must be an object with string values")
-        for tag in paths:
-            if any(c in tag for c in "\t\r\n"):
-                raise ConfigError(f"{section}.{key} tag {tag!r} holds a tab or line break")
-    concept_map = config["augment"]["concept_map"]
-    if concept_map is not None and not isinstance(concept_map, str):
-        raise ConfigError("augment.concept_map must be null or a string")
-
-
-def _map_files(config: dict, fn) -> None:
-    """Replace each file setting by ``fn(role, value)``, roles named as in manifests."""
-    config["corpus"] = fn("corpus", config["corpus"])
-    for section, key, role in (("linker", "gazetteers", "gazetteer"),
-                               ("augment", "sources", "source")):
-        config[section][key] = {tag: fn(f"{role}:{tag}", value)
-                                for tag, value in config[section][key].items()}
-    config["augment"]["concept_map"] = fn("concept_map", config["augment"]["concept_map"])
-
-
-def load_config(path: str | None, overrides: dict) -> dict:
-    """Defaults, then the config file, then command-line overrides."""
-    config = copy.deepcopy(DEFAULT_CONFIG)
-    if path is not None:
-        source = Path(path)
-        if not source.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            loaded = json.loads(read_utf8(source))
-        except ParseError as exc:  # bytes that are not UTF-8
-            raise ConfigError(str(exc)) from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError("config root must be a JSON object")
-        config = _merge_config(config, loaded)
-        _check_paths(config)
-        base = source.resolve().parent
-        _map_files(config, lambda role, value: _anchor(value, base))
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        slot = config
-        parts = key.split(".")
-        for part in parts[:-1]:
-            slot = slot[part]
-        slot[parts[-1]] = value
-    if config["seed"] is None:
-        raise ConfigError("seed is required (set it in the config file or pass --seed)")
-    if not isinstance(config["seed"], int) or isinstance(config["seed"], bool):
-        raise ConfigError("seed must be an integer")
-    if config["class_axis"] not in ("arxiv", "msc"):
-        raise ConfigError("class_axis must be 'arxiv' or 'msc'")
-    _check_settings(config)
-    return config
-
-
 def _is_number(value) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
@@ -243,42 +174,107 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
-# Settings that must be integers >= 1.
-_COUNT_KEYS = (("logreg", "max_iterations"), ("linker", "max_n"), ("linker", "window"),
-               ("lime", "num_samples"), ("explain", "budget"), ("explain", "top_m"),
-               ("explain", "num_samples"), ("explain", "source_top_k"))
+# Kind -> (whether a value is of the kind, what a value of the kind is).  A
+# boolean is not an integer or a number here.
+_KINDS = {
+    "string": (lambda value: isinstance(value, str), "a string"),
+    "file": (lambda value: isinstance(value, str), "a string"),
+    "tag map": (lambda value: isinstance(value, dict)
+                and all(isinstance(v, str) for v in value.values()),
+                "an object with string values"),
+    "bool": (lambda value: isinstance(value, bool), "true or false"),
+    "count": (_is_count, "an integer >= 1"),
+    "count list": (lambda value: isinstance(value, list) and value != []
+                   and all(map(_is_count, value)), "a non-empty list of integers >= 1"),
+    "number >= 0": (lambda value: _is_number(value) and value >= 0, "a number >= 0"),
+    "number > 0": (lambda value: _is_number(value) and value > 0, "a number > 0"),
+    "fraction": (lambda value: _is_number(value) and 0 <= value < 1, "a number in [0, 1)"),
+    # null until the overrides are in; load_config then requires it
+    "seed": (lambda value: value is None or isinstance(value, int)
+             and not isinstance(value, bool), "an integer"),
+}
 
 
-def _check_settings(config: dict) -> None:
-    """Type and range checks on the settings of the stages."""
-    for key in ("remove_stopwords", "lemmatize"):
-        if not isinstance(config["encode"][key], bool):
-            raise ConfigError(f"encode.{key} must be true or false")
-    fraction = config["split"]["test_fraction"]
-    if not _is_number(fraction) or not 0 <= fraction < 1:
-        raise ConfigError("split.test_fraction must lie in [0, 1)")
-    logreg, lime = config["logreg"], config["lime"]
-    for key in ("l2", "tolerance"):
-        if not _is_number(logreg[key]) or logreg[key] < 0:
-            raise ConfigError(f"logreg.{key} must be a number >= 0")
-    for section, key in _COUNT_KEYS:
-        if not _is_count(config[section][key]):
-            raise ConfigError(f"{section}.{key} must be an integer >= 1")
-    if lime["top_k"] is not None and not _is_count(lime["top_k"]):
-        raise ConfigError("lime.top_k must be null or an integer >= 1")
-    if not _is_number(lime["ridge"]) or lime["ridge"] < 0:
-        raise ConfigError("lime.ridge must be a number >= 0")
-    width = lime["kernel_width"]
-    if width is not None and (not _is_number(width) or width <= 0):
-        raise ConfigError("lime.kernel_width must be null or a number > 0")
-    top_ks = config["augment"]["top_k"]
-    if not isinstance(top_ks, list) or not top_ks or not all(map(_is_count, top_ks)):
-        raise ConfigError("augment.top_k must be a non-empty list of integers >= 1")
-    for section, key in (("explain", "source"), ("plot", "which"), ("plot", "symbol"),
-                         ("plot", "name")):
-        value = config[section][key]
-        if value is not None and not isinstance(value, str):
-            raise ConfigError(f"{section}.{key} must be null or a string")
+def accepts(path: str) -> tuple[Callable[[object], bool], str]:
+    """Whether a value fits setting ``path``, and what it must be in the words
+    of its ConfigError and of the README's settings table."""
+    _, kind, domain = SETTINGS[path]
+    if kind == "choice":
+        return (lambda value: value in domain), " or ".join(map(repr, domain))
+    if kind.endswith(" or null"):
+        test, what = _KINDS[kind.removesuffix(" or null")]
+        return (lambda value: value is None or test(value)), f"null or {what}"
+    return _KINDS[kind]
+
+
+def _put(config: dict, path: str, value) -> None:
+    """Set ``path`` of ``config`` to ``value``; a ConfigError if no setting has
+    that path or the value does not fit it.  A tag becomes the ``source``
+    cell of table rows, so a tab, CR or LF in one is a ConfigError too."""
+    if path not in SETTINGS:
+        raise ConfigError(f"unknown config key: {path}")
+    test, what = accepts(path)
+    if not test(value):
+        raise ConfigError(f"{path} must be {what}")
+    if SETTINGS[path][1] == "tag map":
+        for tag in value:
+            if any(c in tag for c in "\t\r\n"):
+                raise ConfigError(f"{path} tag {tag!r} holds a tab or line break")
+    section, _, key = path.rpartition(".")
+    (config[section] if section else config)[key] = value
+
+
+def _anchor(path_value, base: Path):
+    if path_value is None or path_value == "@demo" or Path(path_value).is_absolute():
+        return path_value
+    return str(base / path_value)
+
+
+def _map_files(config: dict, fn) -> None:
+    """Replace each file setting by ``fn(role, value)``, roles named as in manifests."""
+    for path, (_, kind, role) in SETTINGS.items():
+        section, _, key = path.rpartition(".")
+        holder = config[section] if section else config
+        if kind == "tag map":
+            holder[key] = {tag: fn(f"{role}:{tag}", value) for tag, value in holder[key].items()}
+        elif kind.startswith("file"):
+            holder[key] = fn(role, holder[key])
+
+
+def load_config(path: str | None, overrides: dict) -> dict:
+    """Defaults, then the config file, then overrides keyed by dotted path,
+    each value checked as it goes in."""
+    config = copy.deepcopy(DEFAULT_CONFIG)
+    if path is not None:
+        source = Path(path)
+        if not source.is_file():
+            raise ConfigError(f"config file not found: {path}")
+        try:
+            loaded = json.loads(read_utf8(source))
+        except ParseError as exc:  # bytes that are not UTF-8
+            raise ConfigError(str(exc)) from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError("config root must be a JSON object")
+        for key, value in loaded.items():
+            if key not in DEFAULT_CONFIG:  # a dotted path too: those are for overrides
+                raise ConfigError(f"unknown config key: {key}")
+            if not isinstance(DEFAULT_CONFIG[key], dict):  # not a section
+                _put(config, key, value)
+            elif not isinstance(value, dict):
+                raise ConfigError(f"config key {key} must be an object")
+            else:
+                for inner, setting in value.items():
+                    _put(config, f"{key}.{inner}", setting)
+        base = source.resolve().parent
+        _map_files(config, lambda role, value: _anchor(value, base))
+    for key, value in overrides.items():
+        if value is not None:
+            _put(config, key, value)
+    if config["seed"] is None:
+        raise ConfigError("seed is required (set it in the config file or pass --seed)")
+    return config
 
 
 def config_digest(config: dict, known: dict[str, str] | None = None) -> str:
@@ -430,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         stage_parser = subparsers.add_parser(name, parents=[common], help=help_line)
         if name == "plotdata":
             stage_parser.add_argument(
-                "--which", choices=("symbol-name-distribution", "entropy-table"),
+                "--which", choices=SETTINGS["plot.which"][2],
                 help="which plot table to produce")
             stage_parser.add_argument("--symbol", help="identifier symbol to plot")
             stage_parser.add_argument("--name", help="identifier name to plot")
@@ -496,10 +492,15 @@ def entry():
     """Run ``main`` on the command line, flush stdout and stderr, and end the process.
 
     The entry point of ``python -m stemexplain`` and of the ``stemexplain``
-    script; it never returns.  ``os._exit`` skips freeing the interpreter's
-    objects, which no output depends on.  An exception from ``main`` or from
-    a flush propagates, so the interpreter exits the usual way.
+    script; it never returns.  Before numpy is first imported it pins BLAS
+    to one thread, over any value the caller set: a product split across
+    threads sums in another order, and its last bits would depend on the
+    thread count.  ``os._exit`` skips freeing the interpreter's objects,
+    which no output depends on.  An exception from ``main`` or from a flush
+    propagates, so the interpreter exits the usual way.
     """
+    os.environ.update(dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
     code = main()
     sys.stdout.flush()
     sys.stderr.flush()

@@ -15,14 +15,10 @@ from . import resolve_corpus
 
 
 def run(config: dict, out: cli.StageWriter) -> None:
-    which = config["plot"]["which"]
-    if which == "symbol-name-distribution":
+    if config["plot"]["which"] == "symbol-name-distribution":
         _symbol_name_table(config, out)
-    elif which == "entropy-table":
-        _entropy_table(out)
     else:
-        raise ConfigError(f"plot.which must be 'symbol-name-distribution' or "
-                          f"'entropy-table', got {which!r}")
+        _entropy_table(out)
 
 
 def _symbol_name_table(config: dict, out: cli.StageWriter) -> None:
@@ -37,7 +33,7 @@ def _symbol_name_table(config: dict, out: cli.StageWriter) -> None:
         symbol = min(library.identifier_class,
                      key=lambda s: (-sum(library.identifier_class[s].values()), s))
     if symbol not in library.identifier_class:
-        raise ValidationError(f"identifier {symbol!r} does not occur in the corpus")
+        raise ConfigError(f"identifier {symbol!r} does not occur in the corpus")
     name = config["plot"]["name"]
     if name is None:
         by_name = library.identifier_name.get(symbol)
@@ -45,7 +41,7 @@ def _symbol_name_table(config: dict, out: cli.StageWriter) -> None:
             raise ValidationError(f"identifier {symbol!r} has no gold names")
         name = min(by_name, key=lambda n: (-by_name[n], n))
     if name not in library.name_class:
-        raise ValidationError(f"name {name!r} does not occur in the corpus")
+        raise ConfigError(f"name {name!r} does not occur in the corpus")
     out.tsv("plot_symbol_name.tsv", ["series", "class", "fraction"], [
         (series, label, fraction)
         for series, table in ((f"identifier:{symbol}", library.identifier_class[symbol]),

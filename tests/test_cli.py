@@ -49,6 +49,12 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="mystery"):
             load_config(str(path), {})
 
+    def test_dotted_key_in_file_is_unknown(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"seed": 1, "logreg.l2": 0.5}', encoding="utf-8")
+        with pytest.raises(ConfigError, match="unknown config key: logreg.l2"):
+            load_config(str(path), {})
+
     def test_unknown_nested_key_named_with_trail(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"seed": 1, "logreg": {"momentum": 0.9}}', encoding="utf-8")
@@ -526,6 +532,19 @@ class TestPrintConfig:
         assert set(printed) == set(DEFAULT_CONFIG)
 
 
+def test_readme_settings_table_is_the_settings_table():
+    readme = Path(stemexplain.__file__).resolve().parents[2] / "README.md"
+    lines = readme.read_text(encoding="utf-8").split("\n")
+    rows = []
+    for line in lines[lines.index("| path | default | accepted values |") + 2:]:
+        if not line.startswith("|"):
+            break
+        path, default, values = (cell.strip() for cell in line.strip("|").split("|"))
+        rows.append((path.strip("`"), json.loads(default.strip("`")), values))
+    assert rows == [(path, default, cli.accepts(path)[1])
+                    for path, (default, _, _) in cli.SETTINGS.items()]
+
+
 class TestStages:
     def test_ingest_demo(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
@@ -598,13 +617,36 @@ class TestStages:
                          if line.startswith(prefix)]
             assert sum(fractions) == pytest.approx(1.0)
 
-    def test_plotdata_unknown_symbol_exits_4(self, capsys, tmp_path):
-        code, _, err = run(capsys, "plotdata", "--seed", "1",
-                           "--out-dir", str(tmp_path / "out"),
-                           "--which", "symbol-name-distribution",
-                           "--symbol", "zz")
-        assert code == 4
-        assert stderr_record(err)["error"] == "ValidationError"
+    @pytest.mark.parametrize("flag, message", [
+        ("--symbol", "identifier 'zz' does not occur in the corpus"),
+        ("--name", "name 'zz' does not occur in the corpus"),
+    ], ids=["symbol", "name"])
+    def test_plotdata_unknown_symbol_or_name_exits_2(self, capsys, tmp_path, flag, message):
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "plotdata", "--seed", "1", "--out-dir", str(out_dir),
+                           "--which", "symbol-name-distribution", flag, "zz")
+        assert code == 2
+        assert stderr_record(err) == {"error": "ConfigError", "message": message}
+        assert list(out_dir.iterdir()) == []
+
+    def test_max_n_above_the_longest_gazetteer_key_is_clamped(self, capsys, tmp_path):
+        from stemexplain.linker import load_gazetteer
+
+        fixtures = tmp_path / "fixtures"
+        assert run(capsys, "synth", "--seed", "12", "--out-dir", str(fixtures))[0] == 0
+        config = json.loads((fixtures / "demo_config.json").read_text(encoding="utf-8"))
+        longest = max(load_gazetteer(str(fixtures / ref), tag).index.longest
+                      for tag, ref in config["linker"]["gazetteers"].items())
+        written = []
+        for max_n in (10 ** 6, longest):
+            config["linker"]["max_n"] = max_n
+            path = fixtures / f"max_n_{max_n}.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            out_dir = tmp_path / f"out_{max_n}"
+            assert run(capsys, "link", "-c", str(path), "--out-dir", str(out_dir))[0] == 0
+            written.append({p.name: p.read_bytes() for p in out_dir.iterdir()
+                            if p.name != "link_manifest.json"})
+        assert written[0] == written[1]
 
     def test_classify_stage_outputs(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
@@ -968,6 +1010,12 @@ class TestProcessExit:
     """A stage process ends with ``os._exit`` once ``main`` returns; nothing it
     printed is lost, and an in-process ``main`` still returns its code."""
 
+    @pytest.fixture(autouse=True)
+    def _restore_blas_threads(self, monkeypatch):
+        """An in-process ``entry`` sets the BLAS thread variables; undo that after."""
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+
     def test_success_line_arrives_through_a_pipe(self, tmp_path):
         result = _stemexplain("ingest", "--seed", "1", "--out-dir", str(tmp_path / "out"))
         assert (result.returncode, result.stderr) == (0, "")
@@ -977,7 +1025,7 @@ class TestProcessExit:
         (("ingest",), 2, "ConfigError"),
         (("ingest", "--seed", "1", "--corpus", "absent.jsonl"), 3, "ParseError"),
         (("plotdata", "--seed", "1", "--which", "symbol-name-distribution",
-          "--symbol", "zz"), 4, "ValidationError"),
+          "--symbol", "zz"), 2, "ConfigError"),
     ])
     def test_each_failure_prints_one_record(self, tmp_path, argv, code, error):
         result = _stemexplain(*argv, "--out-dir", str(tmp_path / "out"), cwd=tmp_path)
@@ -1067,3 +1115,35 @@ def test_script_and_dash_m_share_one_exit_function():
               if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)]
     assert len(called) == 1
     assert imported[called[0]] == script == "stemexplain.cli:entry"
+
+
+def test_classify_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """``classify`` writes the same bytes under one and two BLAS threads.
+
+    The corpus has the shape of the bench's train-wide workload, wide
+    enough that OpenBLAS splits its products across threads.  Without the
+    pin in ``cli.entry`` the test fails only where at least 2 CPUs are
+    available; on one CPU both runs use one thread.
+    """
+    from stemexplain import corpus, synth
+
+    classes = ("astro-ph", "cond-mat", "gr-qc", "hep-lat", "hep-ph",
+               "hep-th", "math-ph", "nlin", "quant-ph", "physics")
+    docs = synth.generate_synthetic_corpus(synth.SynthConfig(
+        classes=classes, docs_per_class=13, seed=1, tokens_per_doc=150,
+        class_vocab_size=25, shared_vocab_size=1200, class_word_rate=0.05,
+        class_symbol_count=1))
+    corpus.save_corpus(docs, str(tmp_path / "corpus.jsonl"))
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(stemexplain.__file__).resolve().parents[1])
+    written = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"out{threads}"
+        result = subprocess.run(
+            [sys.executable, "-m", "stemexplain", "classify", "--seed", "1",
+             "--corpus", "corpus.jsonl", "--out-dir", out_dir.name], capture_output=True,
+            text=True, env={**env, "OPENBLAS_NUM_THREADS": threads}, timeout=120, cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        written.append({path.name: path.read_bytes() for path in out_dir.iterdir()})
+    assert written[0] == written[1]

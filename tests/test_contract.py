@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stemexplain.cli import main
+from stemexplain.cli import SETTINGS, main
 
 from .test_cli import _records, _stemexplain
 
@@ -206,37 +206,48 @@ def _corpus(draw, good: list[str]) -> str:
     return _join(draw, lines)
 
 
-# (section or None, key, malformed value); a null seed is a missing one.
-CONFIG_FAULTS = [
-    (None, "seed", v) for v in ("12", True, 1.5, [], NAN, None)] + [
-    (None, "class_axis", "dewey"), (None, "corpus", 5), (None, "corpus", []),
-    (None, "mystery", 1), (None, "linker", []), (None, "plot", "x"),
-    ("linker", "gazetteers", []), ("linker", "gazetteers", {"g": 5}),
-    ("augment", "sources", {"a": None}), ("augment", "concept_map", 5),
-    ("logreg", "momentum", 0.9)] + [
-    (section, key, {f"tag{c}x": "gazetteer_wikidump.tsv"}) for c in BREAKS
-    for section, key in (("linker", "gazetteers"), ("augment", "sources"))] + [
-    ("linker", "max_n", v) for v in (0, "3", 2.5, True, -1)] + [
-    ("augment", "top_k", v) for v in ([], [0], "3", [True], 3)] + [
-    ("encode", "lemmatize", v) for v in (1, "yes", None)] + [
-    ("split", "test_fraction", v) for v in (1.0, -0.1, "0.2", NAN, INF)] + [
-    ("logreg", key, v) for key in ("l2", "tolerance") for v in (-1, NAN, INF, -INF, "x")] + [
-    ("logreg", "max_iterations", v) for v in (0, 1.5, INF)] + [
-    ("lime", "ridge", v) for v in (NAN, -1)] + [
-    ("lime", "kernel_width", v) for v in (0, NAN, -INF, "1")] + [
-    ("lime", "top_k", v) for v in (0, 1.5)] + [
-    ("explain", key, v) for key in ("budget", "top_m", "num_samples") for v in (0, True)] + [
-    (None, "out_dir", v) for v in (5, None, [])] + [
-    ("explain", "source", v) for v in (["arxiv"], 5)] + [
-    ("plot", key, v) for key in ("which", "symbol", "name") for v in (5, ["x"], True)]
+# Malformed values of each kind of setting in ``cli.SETTINGS``; a null seed
+# is a missing one.
+KIND_FAULTS = {
+    "string": (5, None, []),
+    "file": (5, None, []),
+    "file or null": (5, [], True),
+    "string or null": (5, ["x"], True),
+    "tag map": ([], "x", {"g": 5}, {"a": None}) + tuple(
+        {f"tag{c}x": "gazetteer_wikidump.tsv"} for c in BREAKS),
+    "bool": (1, 0, "yes", None),
+    "count": (0, -1, "3", 2.5, True, INF),
+    "count or null": (0, 1.5, True, "3"),
+    "count list": ([], [0], [2.5], [True], "3", 3),
+    "number >= 0": (-1, NAN, INF, -INF, "x", True, None),
+    "number > 0 or null": (0, -1, NAN, -INF, "1", True),
+    "fraction": (1.0, -0.1, "0.2", NAN, INF, True),
+    "choice": ("dewey", 5, None, ["x"], True),
+    "seed": ("12", True, 1.5, [], NAN, None),
+}
+
+
+def config_faults() -> list[tuple[str, object]]:
+    """(dotted path, malformed value): faults of its kind for every setting, then
+    an unknown key at the top and in a section, and sections that are not objects."""
+    return [(path, value) for path, (_, kind, _) in SETTINGS.items()
+            for value in KIND_FAULTS[kind]] + [
+        ("mystery", 1), ("logreg.momentum", 0.9), ("linker", []), ("plot", "x")]
+
+
+CONFIG_FAULTS = config_faults()
+
+
+def _with_fault(config: dict, path: str, value) -> dict:
+    section, _, key = path.rpartition(".")
+    (config[section] if section else config)[key] = value
+    return config
 
 
 def _config(draw, good: str) -> str:
     kind = draw(st.sampled_from(["setting", "root", "truncated", "split", "separator"]))
     if kind == "setting":
-        config = json.loads(good)
-        section, key, value = draw(st.sampled_from(CONFIG_FAULTS))
-        (config if section is None else config[section])[key] = value
+        config = _with_fault(json.loads(good), *draw(st.sampled_from(CONFIG_FAULTS)))
         text = json.dumps(config, indent=2)
     elif kind == "root":
         text = json.dumps(draw(st.sampled_from([[], "config", 5, None, [json.loads(good)]])))
@@ -363,3 +374,23 @@ def test_stage_process_prints_one_record_and_no_traceback(tmp_path, reader, argv
     records = _records(result.stderr)
     assert len(records) == 1 and records[0]["error"] == READERS[reader].error
     assert _snapshot(out_dir) == before
+
+
+def test_every_setting_has_config_faults():
+    assert {path for path, _ in CONFIG_FAULTS} >= set(SETTINGS)
+
+
+@pytest.mark.parametrize("path, value", CONFIG_FAULTS,
+                         ids=[f"{path}={json.dumps(value)}" for path, value in CONFIG_FAULTS])
+def test_config_fault_exits_2_on_every_stage(tmp_path, path, value):
+    config = _with_fault(json.loads(demo_fixtures()["demo_config.json"]), path, value)
+    (tmp_path / "c.json").write_text(json.dumps(config), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    for argv in READERS["config"].stages:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "-c", str(tmp_path / "c.json"), "--out-dir", str(out_dir)])
+        assert (code, stdout.getvalue()) == (2, ""), (argv, stderr.getvalue())
+        lines = stderr.getvalue().removesuffix("\n").split("\n")
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError", argv
+    assert not out_dir.exists()
