@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Document, axis_labels, primary_label
-from .encode import SparseVector, TfIdfModel, TokenStream, fit_tfidf, transform, transform_all
+from .corpus import Document, axis_labels, labeled_documents  # noqa: F401 (re-export)
+from .encode import SparseVector, TfIdfModel, TokenStream, fit_tfidf, transform_all
 from .errors import ConvergenceWarning, DomainError, ValidationError
 
 LBFGS_HISTORY = 5  # curvature pairs kept by L-BFGS; each holds two parameter vectors
@@ -233,20 +233,21 @@ def predict_proba(model: LogRegModel, vector: SparseVector) -> np.ndarray:
     return softmax(_scores(model, [vector])[0])
 
 
-def predict_label(model: LogRegModel, vector: SparseVector) -> str:
-    """Argmax class; ties resolve to the lexicographically smallest."""
-    probs = predict_proba(model, vector)
-    return model.classes[int(np.argmax(probs))]
-
-
 def predict_labels(model: LogRegModel, vectors: list[SparseVector]) -> list[str]:
     """Argmax class of every vector, scored with one dense product.
 
-    Ties resolve to the lowest class index, as in ``predict_label``.
+    The argmax is taken over the raw class scores, so two scores that
+    softmax would round to one probability still differ; ties resolve to
+    the lowest class index.  Every prediction of the package is made here.
     """
     if not vectors:
         return []
     return [model.classes[i] for i in np.argmax(_scores(model, vectors), axis=1)]
+
+
+def predict_label(model: LogRegModel, vector: SparseVector) -> str:
+    """``predict_labels`` of the one vector."""
+    return predict_labels(model, [vector])[0]
 
 
 def evaluate_accuracy(model: LogRegModel, data: LabeledDataset) -> float:
@@ -289,23 +290,7 @@ def fit_split_model(streams: list[TokenStream], labels: list[str], train_idx: li
 
 
 # ---------------------------------------------------------------------------
-# Labels, splits, and the category-from-category experiment
-
-
-def labeled_documents(documents: list[Document], class_axis: str) -> tuple[list[Document], list[str], int]:
-    """Documents with a primary label on the axis, their labels, and the
-    number of unlabeled documents skipped."""
-    kept, labels, skipped = [], [], 0
-    for doc in documents:
-        label = primary_label(doc, class_axis)
-        if label is None:
-            skipped += 1
-            continue
-        kept.append(doc)
-        labels.append(label)
-    if not kept:
-        raise ValidationError(f"no document carries a label on axis {class_axis!r}")
-    return kept, labels, skipped
+# Splits and the category-from-category experiment
 
 
 def derive_seed(seed: int, *parts: str) -> int:
@@ -373,6 +358,27 @@ def direction_axes(direction: str) -> tuple[str, str]:
     raise ValidationError(f"unknown direction {direction!r}")
 
 
+def _label_streams(documents: list[Document], source_axis: str, target_axis: str,
+                   granularity: str = "fine") -> tuple[list[TokenStream], list[list[str]], int]:
+    """The inputs of both category experiments.
+
+    For each document labeled on both axes: a stream of its source-axis
+    labels (one token per code) and its list of target-axis labels, all
+    truncated to ``granularity``.  Also returns the number of documents
+    skipped for lacking either; none labeled on both is a ValidationError.
+    """
+    streams, targets = [], []
+    for doc in documents:
+        source = [truncate_label(c, source_axis, granularity) for c in axis_labels(doc, source_axis)]
+        target = [truncate_label(c, target_axis, granularity) for c in axis_labels(doc, target_axis)]
+        if source and target:
+            streams.append(TokenStream.of(doc.doc_id, source))
+            targets.append(target)
+    if not streams:
+        raise ValidationError("no document carries labels on both axes")
+    return streams, targets, len(documents) - len(streams)
+
+
 def predict_categories(documents: list[Document], direction: str,
                        label_mode: str = "single", granularity: str = "fine",
                        seed: int = 0, test_fraction: float = 0.2,
@@ -392,20 +398,10 @@ def predict_categories(documents: list[Document], direction: str,
     source_axis, target_axis = direction_axes(direction)
     if label_mode not in ("single", "multi"):
         raise ValidationError(f"label_mode must be 'single' or 'multi', got {label_mode!r}")
-
-    doc_streams = []
-    doc_targets = []
-    skipped = 0
-    for doc in documents:
-        source = [truncate_label(c, source_axis, granularity) for c in axis_labels(doc, source_axis)]
-        target = [truncate_label(c, target_axis, granularity) for c in axis_labels(doc, target_axis)]
-        if not source or not target:
-            skipped += 1
-            continue
-        doc_streams.append(TokenStream.of(doc.doc_id, source))
-        doc_targets.append(target[:1] if label_mode == "single" else target)
-    if not doc_streams:
-        raise ValidationError("no document carries labels on both axes")
+    doc_streams, doc_targets, skipped = _label_streams(documents, source_axis, target_axis,
+                                                       granularity)
+    if label_mode == "single":
+        doc_targets = [target[:1] for target in doc_targets]
 
     doc_train, _ = stratified_split([target[0] for target in doc_targets], test_fraction,
                                     derive_seed(seed, "categories", direction))
@@ -428,26 +424,14 @@ def classifier_label_map(documents: list[Document], direction: str, seed: int = 
     """Train on the full corpus and map each source label to a prediction.
 
     Used to compare the classifier against co-occurrence argmax
-    predictions label by label.
+    predictions label by label.  The documents and streams are those of
+    ``predict_categories`` at fine granularity, each labeled with its
+    first target label; every source label is probed as a one-token
+    stream.
     """
-    source_axis, target_axis = direction_axes(direction)
-    streams = []
-    labels = []
-    source_labels = set()
-    for doc in documents:
-        source = axis_labels(doc, source_axis)
-        target = primary_label(doc, target_axis)
-        if not source or target is None:
-            continue
-        source_labels.update(source)
-        streams.append(TokenStream.of(doc.doc_id, source))
-        labels.append(target)
-    if not streams:
-        raise ValidationError("no document carries labels on both axes")
-    encoder, _, model = fit_split_model(streams, labels, list(range(len(streams))), seed,
-                                        **train_kwargs)
-    predictions = {}
-    for label in sorted(source_labels):
-        vector = transform(encoder, TokenStream.of("probe", [label]))
-        predictions[label] = predict_label(model, vector)
-    return predictions
+    streams, targets, _ = _label_streams(documents, *direction_axes(direction))
+    encoder, _, model = fit_split_model(streams, [target[0] for target in targets],
+                                        list(range(len(streams))), seed, **train_kwargs)
+    probes = sorted({label for stream in streams for label in stream.tokens})
+    vectors = transform_all(encoder, [TokenStream.of("probe", [label]) for label in probes])
+    return dict(zip(probes, predict_labels(model, vectors)))

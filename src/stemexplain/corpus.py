@@ -461,21 +461,30 @@ def save_corpus(documents: list[Document], path: str):
         handle.write(corpus_to_text(documents))
 
 
-def primary_label(doc: Document, axis: str) -> str | None:
-    """First label on the chosen axis ("arxiv" or "msc"), if any."""
-    if axis == "arxiv":
-        labels = doc.arxiv_categories
-    elif axis == "msc":
-        labels = doc.msc_codes
-    else:
-        raise ValidationError(f"unknown label axis {axis!r}")
-    return labels[0] if labels else None
-
-
 def axis_labels(doc: Document, axis: str) -> list[str]:
-    """All labels on the chosen axis."""
+    """All labels on the chosen axis ("arxiv" or "msc")."""
     if axis == "arxiv":
         return list(doc.arxiv_categories)
     if axis == "msc":
         return list(doc.msc_codes)
     raise ValidationError(f"unknown label axis {axis!r}")
+
+
+def primary_label(doc: Document, axis: str) -> str | None:
+    """First label on the chosen axis, if any."""
+    labels = axis_labels(doc, axis)
+    return labels[0] if labels else None
+
+
+def labeled_documents(documents: list[Document], class_axis: str) -> tuple[list[Document], list[str], int]:
+    """Documents with a primary label on the axis, their labels, and the
+    number of unlabeled documents skipped; none labeled is a ValidationError."""
+    kept, labels = [], []
+    for doc in documents:
+        label = primary_label(doc, class_axis)
+        if label is not None:
+            kept.append(doc)
+            labels.append(label)
+    if not kept:
+        raise ValidationError(f"no document carries a label on axis {class_axis!r}")
+    return kept, labels, len(documents) - len(kept)

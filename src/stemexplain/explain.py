@@ -31,9 +31,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classify import (LogRegModel, derive_seed, fit_split_model, labeled_documents, softmax,
-                       stratified_split)
-from .corpus import Document, primary_label
+from .classify import LogRegModel, derive_seed, fit_split_model, softmax, stratified_split
+from .corpus import Document, labeled_documents
 from .encode import STOPWORDS, TfIdfModel, TokenStream
 from .entropy import CountDistribution, shannon_entropy
 from .errors import DomainError, ValidationError
@@ -267,13 +266,10 @@ def _entity_stream(doc: Document, kind: str,
 def _documents_by_class(documents: list[Document],
                         class_axis: str) -> dict[str, list[Document]]:
     """Documents per primary label, labels and documents in id order."""
+    kept, labels, _ = labeled_documents(documents, class_axis)
     by_class: dict[str, list[Document]] = {}
-    for doc in documents:
-        label = primary_label(doc, class_axis)
-        if label is not None:
-            by_class.setdefault(label, []).append(doc)
-    if not by_class:
-        raise ValidationError(f"no document carries a label on axis {class_axis!r}")
+    for doc, label in zip(kept, labels):
+        by_class.setdefault(label, []).append(doc)
     return {label: sorted(by_class[label], key=lambda d: d.doc_id)
             for label in sorted(by_class)}
 

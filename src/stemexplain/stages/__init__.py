@@ -47,13 +47,10 @@ def load_gazetteers(config: dict, out: cli.StageWriter) -> dict:
 
 
 def load_source(config: dict, tag: str, out: cli.StageWriter):
-    """The symbol-name source ``augment.sources[tag]``."""
+    """The symbol-name source ``augment.sources[tag]``; callers pass a configured tag."""
     from .. import sources
 
-    ref = config["augment"]["sources"].get(tag)
-    if ref is None:
-        raise ConfigError(f"augment.sources has no entry {tag!r}")
-    return out.load_input(f"source:{tag}", ref, "symbol source",
+    return out.load_input(f"source:{tag}", config["augment"]["sources"][tag], "symbol source",
                           lambda path: sources.load_symbol_source(path, tag))
 
 

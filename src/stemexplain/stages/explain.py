@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 from .. import cli, explain
 from ..errors import ConfigError
 from . import load_concept_map, load_source, resolve_corpus
@@ -9,9 +11,10 @@ from . import load_concept_map, load_source, resolve_corpus
 
 def run(config: dict, out: cli.StageWriter) -> None:
     docs = resolve_corpus(config, out)
-    source_tag = config["explain"]["source"]
-    if source_tag is None:
-        raise ConfigError("explain.source must name one of augment.sources")
+    source_tag, tags = config["explain"]["source"], sorted(config["augment"]["sources"])
+    if source_tag not in tags:
+        raise ConfigError(f"explain.source is {json.dumps(source_tag)}; it must name one of "
+                          f"augment.sources ({', '.join(tags) or 'none configured'})")
     source = load_source(config, source_tag, out)
     concept_map = (None if config["augment"]["concept_map"] is None
                    else load_concept_map(config, out))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .corpus import Document, axis_labels, document_identifiers, primary_label
+from .corpus import Document, axis_labels, document_identifiers, labeled_documents
 from .entropy import CountDistribution, margin_uncertainty, shannon_entropy
 from .errors import DomainError, ValidationError
 
@@ -98,13 +98,10 @@ def build_distribution_library(documents: list[Document], class_axis: str = "arx
     """
     if not documents:
         raise ValidationError("cannot build distributions over an empty corpus")
-    library = DistributionLibrary(class_axis)
-    for doc in documents:
-        label = primary_label(doc, class_axis)
-        if label is None:
-            library.skipped_unlabeled += 1
-            continue
-        library.document_count += 1
+    labeled, labels, skipped = labeled_documents(documents, class_axis)
+    library = DistributionLibrary(class_axis, document_count=len(labeled),
+                                  skipped_unlabeled=skipped)
+    for doc, label in zip(labeled, labels):
         _bump(library.class_counts, label)
         occurrences = document_identifiers(doc)
         symbols = sorted({occ.symbol for occ in occurrences})
@@ -121,8 +118,6 @@ def build_distribution_library(documents: list[Document], class_axis: str = "arx
             _bump(library.name_identifier, name, symbol)
             _bump(library.identifier_class_name, symbol, label, name)
             _bump(library.name_class_identifier, name, label, symbol)
-    if library.document_count == 0:
-        raise ValidationError(f"no document carries a label on axis {class_axis!r}")
     return library
 
 

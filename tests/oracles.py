@@ -23,7 +23,11 @@ each formula once, when its segment is made, and keeps the layout per
 document).  ``check_tokens`` checks a token stream token by token.
 ``gradient_descent`` is the fixed-step solver the library used before
 L-BFGS, and ``expand_multilabel`` counts the (document, label) instances
-of the multi-label category prediction.  ``lime_explain`` builds its
+of the multi-label category prediction.  ``category_prediction_streams``
+and ``label_map_streams`` are the two loops that built the one-token label
+streams of ``predict_categories`` and ``classifier_label_map`` before one
+helper built both, and ``primary_labeled`` reads each document's first
+label straight off its label lists.  ``lime_explain`` builds its
 sample matrix by casting the mask draw and stacking an intercept column,
 where the library draws the masks into one preallocated design matrix.
 """
@@ -38,9 +42,10 @@ import mpmath
 import numpy as np
 
 from stemexplain.augment import _name_tokens
-from stemexplain.classify import LogRegModel, labeled_documents, loss_and_gradient, softmax
-from stemexplain.corpus import TEXT, IdentifierOccurrence, axis_labels
-from stemexplain.encode import STOPWORDS, lemmatize
+from stemexplain.classify import (LogRegModel, labeled_documents, loss_and_gradient, softmax,
+                                  truncate_label)
+from stemexplain.corpus import TEXT, IdentifierOccurrence, axis_labels, primary_label
+from stemexplain.encode import STOPWORDS, TokenStream, lemmatize
 from stemexplain.errors import ParseError, ToolkitError, ValidationError
 from stemexplain.explain import Explanation
 from stemexplain.formulas import _SCRIPT_TAGS, _classify, _local_tag, parse_formula
@@ -430,6 +435,57 @@ def expand_multilabel(documents, axis):
             continue
         pairs.extend((doc.doc_id, label) for label in labels)
     return pairs, skipped
+
+
+def category_prediction_streams(documents, source_axis, target_axis, label_mode="single",
+                                granularity="fine"):
+    """The documents ``predict_categories`` classifies, as it walked them
+    before one helper built the streams of both category experiments:
+    their truncated source labels as streams, their target labels (only the
+    first for ``label_mode`` "single") and the number skipped."""
+    doc_streams = []
+    doc_targets = []
+    skipped = 0
+    for doc in documents:
+        source = [truncate_label(c, source_axis, granularity) for c in axis_labels(doc, source_axis)]
+        target = [truncate_label(c, target_axis, granularity) for c in axis_labels(doc, target_axis)]
+        if not source or not target:
+            skipped += 1
+            continue
+        doc_streams.append(TokenStream.of(doc.doc_id, source))
+        doc_targets.append(target[:1] if label_mode == "single" else target)
+    if not doc_streams:
+        raise ValidationError("no document carries labels on both axes")
+    return doc_streams, doc_targets, skipped
+
+
+def label_map_streams(documents, source_axis, target_axis):
+    """The training streams, primary target labels and probe labels of
+    ``classifier_label_map``, as its own loop built them."""
+    streams = []
+    labels = []
+    source_labels = set()
+    for doc in documents:
+        source = axis_labels(doc, source_axis)
+        target = primary_label(doc, target_axis)
+        if not source or target is None:
+            continue
+        source_labels.update(source)
+        streams.append(TokenStream.of(doc.doc_id, source))
+        labels.append(target)
+    if not streams:
+        raise ValidationError("no document carries labels on both axes")
+    return streams, labels, source_labels
+
+
+def primary_labeled(documents, axis):
+    """(document, first label) of every document labeled on the axis, read
+    off the document's label lists, and the number of the others."""
+    labels_of = {"arxiv": lambda d: d.arxiv_categories, "msc": lambda d: d.msc_codes}[axis]
+    kept = [(doc, labels_of(doc)[0]) for doc in documents if labels_of(doc)]
+    if not kept:
+        raise ValidationError(f"no document carries a label on axis {axis!r}")
+    return kept, len(documents) - len(kept)
 
 
 def lime_explain(model, encoder, doc_id, tokens, target_class, num_samples=1000,

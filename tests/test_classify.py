@@ -4,8 +4,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stemexplain import classify
+from stemexplain import classify, corpus, explain
 from stemexplain.classify import (LabeledDataset, LogRegModel, classifier_label_map,
                                   derive_seed, evaluate_accuracy,
                                   labeled_documents, loss_and_gradient,
@@ -16,6 +18,7 @@ from stemexplain.classify import (LabeledDataset, LogRegModel, classifier_label_
 from stemexplain.corpus import record_to_document
 from stemexplain.encode import SparseVector, TokenStream, fit_tfidf, transform_all
 from stemexplain.errors import ConvergenceWarning, DomainError, ValidationError
+from stemexplain.stats import build_distribution_library
 from stemexplain.synth import demo_corpus
 
 from . import oracles
@@ -210,6 +213,15 @@ class TestPrediction:
         # classes stored as given; argmax on equal scores picks index 0
         assert predict_label(model, SparseVector((), ())) == "b-class"
 
+    def test_near_tie_is_decided_on_raw_scores(self):
+        # softmax rounds both probabilities to 0.5; the scores still differ
+        model = LogRegModel(["a", "b"], np.zeros((2, 1)), np.array([0.0, 1e-20]), {})
+        zero = SparseVector((), ())
+        assert oracles.argmax_predictions([[0.0], [0.0]], [0.0, 1e-20], ["a", "b"],
+                                          [((), ())]) == ["b"]
+        assert predict_labels(model, [zero]) == ["b"]
+        assert predict_label(model, zero) == predict_labels(model, [zero])[0]
+
     def test_accuracy_empty_rejected(self):
         model = train_logreg(separable_dataset())
         with pytest.raises(DomainError):
@@ -371,3 +383,76 @@ class TestClassifierLabelMap:
             for j in (1, 2, 3)}
         assert classifier_label_map(docs, "msc-from-arxiv", seed=1) == {
             "c-a": "20A01", "c-b": "21A02", "c-c": "22A02"}
+
+
+ARXIV_LABELS = ("math.AP", "math.CO", "math", "hep-th", "cs.LG")
+MSC_LABELS = ("35A01", "35B05", "05C10", "68T05")
+
+# Corpora of multi-label, unlabeled and one-axis-only documents.
+label_corpora = st.lists(
+    st.tuples(st.lists(st.sampled_from(ARXIV_LABELS), unique=True, max_size=3),
+              st.lists(st.sampled_from(MSC_LABELS), unique=True, max_size=3)),
+    max_size=8,
+).map(lambda labels: [record_to_document({
+    "id": f"d{i}", "arxiv": arxiv, "msc": msc,
+    "segments": [{"kind": "text", "content": "stub"}]}) for i, (arxiv, msc) in enumerate(labels)])
+
+
+def outcome(function, *args):
+    """The result of the call, or the text of the ValidationError it raised."""
+    try:
+        return function(*args)
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+class TestLabelRules:
+    @given(label_corpora, st.sampled_from(["arxiv-from-msc", "msc-from-arxiv"]),
+           st.sampled_from(["single", "multi"]), st.sampled_from(["fine", "coarse"]))
+    @settings(max_examples=200, deadline=None)
+    def test_category_streams_match_the_prediction_loop(self, docs, direction, label_mode,
+                                                        granularity):
+        axes = classify.direction_axes(direction)
+        expected = outcome(oracles.category_prediction_streams, docs, *axes, label_mode,
+                           granularity)
+        got = outcome(classify._label_streams, docs, *axes, granularity)
+        if isinstance(got, tuple) and label_mode == "single":
+            streams, targets, skipped = got
+            got = streams, [target[:1] for target in targets], skipped
+        assert got == expected
+
+    @given(label_corpora, st.sampled_from(["arxiv-from-msc", "msc-from-arxiv"]))
+    @settings(max_examples=200, deadline=None)
+    def test_fine_streams_match_the_label_map_loop(self, docs, direction):
+        axes = classify.direction_axes(direction)
+        expected = outcome(oracles.label_map_streams, docs, *axes)
+        got = outcome(classify._label_streams, docs, *axes)
+        if isinstance(got, tuple):
+            streams, targets, _ = got
+            got = (streams, [target[0] for target in targets],
+                   {label for stream in streams for label in stream.tokens})
+        assert got == expected
+
+    @given(label_corpora, st.sampled_from(["arxiv", "msc"]))
+    @settings(max_examples=200, deadline=None)
+    def test_labeled_documents_in_every_caller(self, docs, axis):
+        expected = outcome(oracles.primary_labeled, docs, axis)
+        got = outcome(labeled_documents, docs, axis)
+        if isinstance(got, tuple):
+            kept, labels, skipped = got
+            got = list(zip(kept, labels)), skipped
+        assert got == expected
+        assert labeled_documents is corpus.labeled_documents
+        if not docs:
+            return
+        library = outcome(build_distribution_library, docs, axis)
+        grouped = outcome(explain._documents_by_class, docs, axis)
+        if isinstance(expected, str):
+            assert library == grouped == expected
+            return
+        pairs, skipped = expected
+        assert (library.document_count, library.skipped_unlabeled) == (len(pairs), skipped)
+        by_class = {}
+        for doc, label in sorted(pairs, key=lambda pair: (pair[1], pair[0].doc_id)):
+            by_class.setdefault(label, []).append(doc)
+        assert grouped == by_class

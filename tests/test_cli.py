@@ -251,6 +251,29 @@ class TestMainErrors:
         assert code == 2
         assert "gazetteers" in stderr_record(err)["message"]
 
+    @pytest.mark.parametrize("source, sources, named", [
+        ("nope", True, "arxiv, wikidata, wikipedia"),
+        (None, True, "arxiv, wikidata, wikipedia"),
+        ("arxiv", False, "none configured"),
+    ])
+    def test_explain_source_outside_augment_sources_exits_2(self, capsys, tmp_path, source,
+                                                            sources, named):
+        fixtures = tmp_path / "fixtures"
+        assert run(capsys, "synth", "--seed", "1", "--out-dir", str(fixtures))[0] == 0
+        config = json.loads((fixtures / "demo_config.json").read_text())
+        config["explain"]["source"] = source
+        if not sources:
+            config["augment"]["sources"] = {}
+        path = fixtures / "c.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, err = run(capsys, "explain", "-c", str(path), "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        (line,) = err.strip().splitlines()
+        assert json.loads(line) == {
+            "error": "ConfigError",
+            "message": f"explain.source is {json.dumps(source)}; it must name one of "
+                       f"augment.sources ({named})"}
+
     def test_report_with_missing_sections_exits_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "report", "--seed", "1",
                            "--out-dir", str(tmp_path / "out"))
