@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-# train_logreg is re-exported: bench/tracing.py patches the trainer under
-# this module's name too.
+# train_logreg is re-exported: bench/test_bench.py reads it under this
+# module's name.
 from .classify import (derive_seed, fit_split_model, held_out_accuracy,  # noqa: F401
                        labeled_documents, stratified_split, train_logreg)
 from .corpus import Document
-from .encode import TokenStream
+from .encode import TokenStream, text_streams
 from .errors import ValidationError
 # Re-exported: bench/tracing.py spans the two loaders and distinct_symbols
 # under this module's name, and callers import the sources API from here too.
@@ -124,10 +124,10 @@ def run_augmentation_experiment(documents: list[Document], sources: list[SymbolN
     docs, labels, _ = labeled_documents(documents, class_axis)
     train_idx, test_idx = stratified_split(labels, test_fraction, derive_seed(seed, "augment"))
 
-    text_streams = [TokenStream.of(d.doc_id, d.text_tokens()) for d in docs]
+    text = text_streams(docs, remove_stopwords=False)
     symbol_streams = [TokenStream.of(d.doc_id, symbol_tokens(d)) for d in docs]
     both_streams = [TokenStream.of(d.doc_id, t.tokens + s.tokens)
-                    for d, t, s in zip(docs, text_streams, symbol_streams)]
+                    for d, t, s in zip(docs, text, symbol_streams)]
 
     def cell_accuracy(streams):
         _, vectors, model = fit_split_model(streams, labels, train_idx, seed, **train_kwargs)
@@ -138,7 +138,7 @@ def run_augmentation_experiment(documents: list[Document], sources: list[SymbolN
         for top_k in top_ks:
             augmented = [augment_identifiers(d, source, top_k) for d in docs]
             cells.append(AugmentationCell(source.name, top_k, cell_accuracy(augmented)))
-    return AugmentationReport(class_axis, cell_accuracy(text_streams),
+    return AugmentationReport(class_axis, cell_accuracy(text),
                               cell_accuracy(symbol_streams), cell_accuracy(both_streams),
                               tuple(cells), len(train_idx), len(test_idx))
 

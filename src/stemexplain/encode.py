@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from collections.abc import Collection
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
 from importlib import resources
 from operator import itemgetter
@@ -146,13 +146,23 @@ class TokenStream:
         return TokenStream(doc_id, tuple(tokens))
 
 
-def remove_stopwords(stream: TokenStream) -> TokenStream:
-    """Drop ``STOPWORDS`` tokens, preserving the order of the rest."""
-    return TokenStream(stream.doc_id, tuple(t for t in stream.tokens if t not in STOPWORDS))
+def text_streams(documents: Iterable, remove_stopwords: bool = True,
+                 lemmatized: bool = False) -> list[TokenStream]:
+    """Each document's ``text_tokens()`` in order, without ``STOPWORDS`` when
+    ``remove_stopwords``, then lemmatized when ``lemmatized``.
 
-
-def lemmatize_stream(stream: TokenStream) -> TokenStream:
-    return TokenStream(stream.doc_id, tuple(lemmatize(t) for t in stream.tokens))
+    Every text model is fitted on these streams: the ``classify`` stage's
+    with the ``encode`` settings, explain's with the defaults.
+    """
+    streams = []
+    for doc in documents:
+        tokens = doc.text_tokens()
+        if remove_stopwords:
+            tokens = [t for t in tokens if t not in STOPWORDS]
+        if lemmatized:
+            tokens = [lemmatize(t) for t in tokens]
+        streams.append(TokenStream.of(doc.doc_id, tokens))
+    return streams
 
 
 @dataclass(frozen=True)

@@ -50,11 +50,13 @@ class ConvergenceWarning(UserWarning):
 
 
 def read_utf8(path: str | os.PathLike[str]) -> str:
-    """The text of a UTF-8 file, as ``open(path, encoding="utf-8").read()`` returns it.
+    """The text of a UTF-8 file, as ``open(path, encoding="utf-8-sig").read()`` returns it.
 
-    ``"\\r\\n"`` and a lone ``"\\r"`` become ``"\\n"`` (universal newlines).
-    Bytes that are not UTF-8 raise ParseError naming the file, the line and
-    the byte offset of the first bad byte, never a UnicodeDecodeError.
+    One leading byte-order mark (U+FEFF) is dropped, so it is part of no
+    key.  ``"\\r\\n"`` and a lone ``"\\r"`` become ``"\\n"`` (universal
+    newlines).  Bytes that are not UTF-8 raise ParseError naming the file,
+    the line and the byte offset of the first bad byte, never a
+    UnicodeDecodeError.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -65,6 +67,7 @@ def read_utf8(path: str | os.PathLike[str]) -> str:
         line = before.count("\n") + before.count("\r") - before.count("\r\n") + 1
         raise ParseError(f"{path}: not valid UTF-8: byte 0x{data[exc.start]:02x} "
                          f"at offset {exc.start}", line) from None
+    text = text.removeprefix("\ufeff")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text

@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .classify import LogRegModel, derive_seed, fit_split_model, softmax, stratified_split
 from .corpus import Document, labeled_documents
-from .encode import STOPWORDS, TfIdfModel, TokenStream
+from .encode import TfIdfModel, TokenStream, text_streams
 from .entropy import CountDistribution, shannon_entropy
 from .errors import DomainError, ValidationError
 from .sources import ConceptCategoryMap, SymbolNameSource, build_math_streams
@@ -248,21 +248,6 @@ class EntityRanking:
     reused: int = 0  # MDisc explanations taken from ``explained``, not recomputed
 
 
-def _entity_stream(doc: Document, kind: str,
-                   math_streams: dict[str, list[str]] | None) -> list[str]:
-    """A document's entities of one kind: its non-stopword text tokens or its math stream.
-
-    The math stream is returned itself, not a copy; callers only read it.
-    """
-    if kind == TEXT_KIND:
-        return [t for t in doc.text_tokens() if t not in STOPWORDS]
-    if kind == MATH_KIND:
-        if math_streams is None or doc.doc_id not in math_streams:
-            raise ValidationError(f"no math token stream for document {doc.doc_id!r}")
-        return math_streams[doc.doc_id]
-    raise ValidationError(f"unknown feature kind {kind!r}")
-
-
 def _documents_by_class(documents: list[Document],
                         class_axis: str) -> dict[str, list[Document]]:
     """Documents per primary label, labels and documents in id order."""
@@ -290,25 +275,35 @@ def mdisc_documents(documents: list[Document], budget: int = 5, seed: int = 0,
 
 def rank_entities(documents: list[Document], model: LogRegModel, encoder: TfIdfModel,
                   mode: str, kind: str, budget: int = 5, seed: int = 0,
-                  math_streams: dict[str, list[str]] | None = None,
+                  streams: Mapping[str, Sequence[str]] | None = None,
                   class_axis: str = "arxiv", lime: LimeSettings = LimeSettings(),
                   explained: Mapping[str, TokenMagnitudes] | None = None, *,
                   buffers: LimeBuffers | None = None) -> EntityRanking:
     """Rank entities per class by frequency (MFreq) or surrogate weight (MDisc).
 
-    MFreq strength is the number of the class's documents containing
-    the entity.  MDisc samples up to ``budget`` documents per class
-    (seeded), explains each toward its class with ``lime`` and the seed
-    ``derive_seed(seed, "lime", doc_id)``, and averages absolute token
-    weights.  ``explained`` maps document ids to the ``TokenMagnitudes`` of
-    such explanations (``top_k=None``, same stream and model) that a
-    caller already has; they are used instead of explaining the document
-    again.  Classes without usable documents are omitted and reported in
-    the warnings.
+    ``streams`` maps document ids to their entities of ``kind``, the
+    tokens the model was fitted on; every document the ranking reads
+    must have one.  MFreq strength is the number of the class's
+    documents containing the entity.  MDisc samples up to ``budget``
+    documents per class (seeded), explains each toward its class with
+    ``lime`` and the seed ``derive_seed(seed, "lime", doc_id)``, and
+    averages absolute token weights.  ``explained`` maps document ids to
+    the ``TokenMagnitudes`` of such explanations (``top_k=None``, same
+    stream and model) that a caller already has; they are used instead
+    of explaining the document again.  Classes without usable documents
+    are omitted and reported in the warnings.
     ``buffers`` is handed to every ``lime_explain`` call.
     """
     if mode not in (MFREQ, MDISC):
         raise ValidationError(f"unknown ranking mode {mode!r}")
+    if kind not in (TEXT_KIND, MATH_KIND):
+        raise ValidationError(f"unknown feature kind {kind!r}")
+
+    def entities(doc: Document) -> Sequence[str]:
+        if streams is None or doc.doc_id not in streams:
+            raise ValidationError(f"no {kind.lower()} token stream for document {doc.doc_id!r}")
+        return streams[doc.doc_id]
+
     per_class = {}
     warnings = []
     reused = 0
@@ -316,7 +311,7 @@ def rank_entities(documents: list[Document], model: LogRegModel, encoder: TfIdfM
         strengths: dict[str, float] = {}
         if mode == MFREQ:
             for doc in docs:
-                for entity in set(_entity_stream(doc, kind, math_streams)):
+                for entity in set(entities(doc)):
                     strengths[entity] = strengths.get(entity, 0.0) + 1.0
         else:
             if label not in model.classes:
@@ -325,7 +320,7 @@ def rank_entities(documents: list[Document], model: LogRegModel, encoder: TfIdfM
             n_explained = 0
             sums: dict[str, float] = {}
             for doc in _mdisc_sample(docs, label, budget, seed):
-                stream = _entity_stream(doc, kind, math_streams)
+                stream = entities(doc)
                 if not any(t in encoder.vocabulary for t in stream):
                     warnings.append(f"document {doc.doc_id!r} has no in-vocabulary tokens; skipped")
                     continue
@@ -429,20 +424,22 @@ def compute_rankings(documents: list[Document],
     """All four rankings, keyed and ordered MDisc Text, MDisc Math, MFreq Text, MFreq Math.
 
     ``text_explanations`` (see ``rank_entities``' ``explained``) feed
-    the MDisc Text ranking only.  ``buffers`` serves every LIME call and
-    is released once the MDisc rankings, which make them all, are done.
+    the MDisc Text ranking only.  The Text entities are each document's
+    ``text_streams`` with their defaults.  ``buffers`` serves every LIME
+    call and is released once the MDisc rankings, which make them all,
+    are done.
     """
+    text = {stream.doc_id: stream.tokens for stream in text_streams(documents)}
+    fitted = {TEXT_KIND: (text_model, text_encoder, text, text_explanations),
+              MATH_KIND: (math_model, math_encoder, math_streams, None)}
     rankings = {}
     for mode in (MDISC, MFREQ):
         if mode == MFREQ and buffers is not None:
             buffers.release()
-        for kind in (TEXT_KIND, MATH_KIND):
-            model = text_model if kind == TEXT_KIND else math_model
-            encoder = text_encoder if kind == TEXT_KIND else math_encoder
+        for kind, (model, encoder, streams, explained) in fitted.items():
             rankings[(mode, kind)] = rank_entities(
-                documents, model, encoder, mode, kind, budget=budget, seed=seed,
-                math_streams=math_streams, class_axis=class_axis, lime=lime,
-                explained=text_explanations if kind == TEXT_KIND else None, buffers=buffers)
+                documents, model, encoder, mode, kind, budget=budget, seed=seed, streams=streams,
+                class_axis=class_axis, lime=lime, explained=explained, buffers=buffers)
     return rankings
 
 
@@ -475,7 +472,8 @@ def run_explain(documents: list[Document], source: SymbolNameSource,
                 source_top_k: int = 3, **train_kwargs) -> ExplainReport:
     """Fit a text and a math model on the ``classify`` split, explain and rank them.
 
-    The text model sees the stopword-filtered tokens the ranker explains.
+    The text model is fitted on ``text_streams`` with their defaults, the
+    tokens the ranker explains.
     Each document with an in-vocabulary token is explained once with
     ``lime`` (the table keeps ``top_k`` features).  With ``rank_samples``
     equal to ``lime``'s, MDisc Text reuses the explanations of its sample,
@@ -485,11 +483,10 @@ def run_explain(documents: list[Document], source: SymbolNameSource,
     """
     kept, labels, _ = labeled_documents(documents, class_axis)
     math_streams = build_math_streams(kept, source, source_top_k, concept_map)
-    text_streams = [TokenStream.of(d.doc_id, _entity_stream(d, TEXT_KIND, None)) for d in kept]
-    math_token_streams = [TokenStream.of(d.doc_id, _entity_stream(d, MATH_KIND, math_streams))
-                          for d in kept]
+    texts = text_streams(kept)
+    math_token_streams = [TokenStream.of(d.doc_id, math_streams[d.doc_id]) for d in kept]
     train_idx, _ = stratified_split(labels, test_fraction, derive_seed(seed, "classify"))
-    text_encoder, _, text_model = fit_split_model(text_streams, labels, train_idx, seed,
+    text_encoder, _, text_model = fit_split_model(texts, labels, train_idx, seed,
                                                   **train_kwargs)
     math_encoder, _, math_model = fit_split_model(math_token_streams, labels, train_idx, seed,
                                                   **train_kwargs)
@@ -500,7 +497,7 @@ def run_explain(documents: list[Document], source: SymbolNameSource,
     fidelities = []
     sample_weights: dict[str, TokenMagnitudes] = {}
     buffers = LimeBuffers()
-    for doc, label, stream in zip(kept, labels, text_streams):
+    for doc, label, stream in zip(kept, labels, texts):
         if not any(t in text_encoder.vocabulary for t in stream.tokens):
             continue  # nothing in vocabulary, nothing to explain
         explanation = lime_explain(

@@ -6,19 +6,11 @@ from .. import classify, cli, encode
 from . import resolve_corpus
 
 
-def _encoded_streams(docs: list, config: dict) -> list[encode.TokenStream]:
-    streams = [encode.TokenStream.of(doc.doc_id, doc.text_tokens()) for doc in docs]
-    if config["encode"]["remove_stopwords"]:
-        streams = [encode.remove_stopwords(stream) for stream in streams]
-    if config["encode"]["lemmatize"]:
-        streams = [encode.lemmatize_stream(stream) for stream in streams]
-    return streams
-
-
 def run(config: dict, out: cli.StageWriter) -> None:
     docs = resolve_corpus(config, out)
     kept, labels, skipped = classify.labeled_documents(docs, config["class_axis"])
-    streams = _encoded_streams(kept, config)
+    streams = encode.text_streams(kept, config["encode"]["remove_stopwords"],
+                                  config["encode"]["lemmatize"])
     train_idx, test_idx = classify.stratified_split(
         labels, config["split"]["test_fraction"], classify.derive_seed(config["seed"], "classify"))
     encoder, vectors, model = classify.fit_split_model(streams, labels, train_idx,

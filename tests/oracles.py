@@ -27,7 +27,10 @@ of the multi-label category prediction.  ``category_prediction_streams``
 and ``label_map_streams`` are the two loops that built the one-token label
 streams of ``predict_categories`` and ``classifier_label_map`` before one
 helper built both, and ``primary_labeled`` reads each document's first
-label straight off its label lists.  ``lime_explain`` builds its
+label straight off its label lists.  ``encoded_streams`` is the
+``classify`` stage's stopword and lemma loop and ``entity_stream`` the
+rankings' per-document stopword filter, from before ``encode.text_streams``
+held that rule for both.  ``lime_explain`` builds its
 sample matrix by casting the mask draw and stacking an intercept column,
 where the library draws the masks into one preallocated design matrix.
 """
@@ -486,6 +489,33 @@ def primary_labeled(documents, axis):
     if not kept:
         raise ValidationError(f"no document carries a label on axis {axis!r}")
     return kept, len(documents) - len(kept)
+
+
+def encoded_streams(docs, remove_stopwords=True, lemmatized=False):
+    """The ``classify`` stage's text streams as it built them before one
+    helper held the rule: a stream of all text tokens, then a new stream
+    without stopwords, then a new stream of lemmas."""
+    streams = [TokenStream.of(doc.doc_id, doc.text_tokens()) for doc in docs]
+    if remove_stopwords:
+        streams = [TokenStream(s.doc_id, tuple(t for t in s.tokens if t not in STOPWORDS))
+                   for s in streams]
+    if lemmatized:
+        streams = [TokenStream(s.doc_id, tuple(lemmatize(t) for t in s.tokens))
+                   for s in streams]
+    return streams
+
+
+def entity_stream(doc, kind, math_streams):
+    """A document's entities of one kind as the rankings read them before
+    they took one stream map per kind: its non-stopword text tokens, filtered
+    again on every call, or its math stream."""
+    if kind == "Text":
+        return [t for t in doc.text_tokens() if t not in STOPWORDS]
+    if kind == "Math":
+        if math_streams is None or doc.doc_id not in math_streams:
+            raise ValidationError(f"no math token stream for document {doc.doc_id!r}")
+        return math_streams[doc.doc_id]
+    raise ValidationError(f"unknown feature kind {kind!r}")
 
 
 def lime_explain(model, encoder, doc_id, tokens, target_class, num_samples=1000,

@@ -2,10 +2,10 @@
 
 ``bench/tracing.py`` wraps the functions its ``SPANNED`` and ``COUNTED``
 tables name, and ``bench/test_bench.py`` reads ``augment.train_logreg`` and
-``linker.lemmatize``.  Tier-1 does not run the benchmark's own tests, so a
-cleanup that deletes one of these names would pass here and break only
-``bench/run.py --trace 1``.  This test goes away when ROADMAP item 1 replaces
-the tracer's name tables with spans the program records itself.
+``linker.lemmatize``.  Tier-1 runs ``bench/test_bench.py`` too (``testpaths``
+in ``pyproject.toml``), but a missing name fails there inside a traced walk;
+this test names every missing one.  It goes away when ROADMAP item 3
+replaces the tracer's name tables with spans the program records itself.
 """
 
 import importlib

@@ -7,11 +7,13 @@ leaves ``out_dir`` as it was.  ``READERS`` lists each reader of an input
 file, the file it reads among the demo fixtures and the stage runs that
 read it.  Hypothesis writes one malformed file for a reader into a copy of
 the fixtures and runs one of those stages through ``cli.main``.  A few
-cases run as processes, where a traceback would show.
+cases run as processes, where a traceback would show.  A leading UTF-8
+byte-order mark is not malformed: every reader drops it.
 """
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import math
@@ -374,6 +376,41 @@ def test_stage_process_prints_one_record_and_no_traceback(tmp_path, reader, argv
     records = _records(result.stderr)
     assert len(records) == 1 and records[0]["error"] == READERS[reader].error
     assert _snapshot(out_dir) == before
+
+
+@pytest.mark.parametrize("reader, argv, first", [
+    ("config", ("classify",), ""),
+    ("corpus", ("stats",), ""),
+    ("gazetteer", ("link",), ""),
+    # rankings.tsv names the candidates of the first line's symbol
+    ("symbol source", ("explain",), ""),
+    # a phrase that occurs nowhere, which ablate_coverage.tsv names
+    ("concept map", ("ablate",), "wave function\tgr-qc\n"),
+    ("entropy table", ENTROPY_RUN, ""),
+], ids=["config", "corpus", "gazetteer", "symbol-source", "concept-map", "entropy-table"])
+def test_byte_order_mark_is_part_of_no_key(tmp_path, reader, argv, first):
+    """A file that starts with a UTF-8 byte-order mark, then ``first`` and the
+    demo file, reads as the file without the mark; its digest is still that of
+    its bytes."""
+    text = first + demo_fixtures()[READERS[reader].file]
+    outputs, manifests = [], []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        data = bom + text.encode("utf-8")
+        root = tmp_path / ("bom" if bom else "plain")
+        root.mkdir()
+        config, out_dir = _prepare(root, reader, data)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "-c", str(config), "--out-dir", str(out_dir)])
+        assert code == 0, stderr.getvalue()
+        (manifest,) = out_dir.glob("*manifest.json")
+        manifests.append(json.loads(manifest.read_text(encoding="utf-8")))
+        outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()
+                        if p not in (manifest, root / READERS[reader].file)})
+        if reader not in ("config", "entropy table"):
+            assert hashlib.sha256(data).hexdigest() in manifests[-1]["inputs"].values()
+    assert outputs[0] == outputs[1]
+    assert manifests[0]["outputs"] == manifests[1]["outputs"]
 
 
 def test_every_setting_has_config_faults():

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stemexplain.corpus import record_to_document
 from stemexplain.encode import (LEMMA_EXCEPTIONS, STOPWORDS, SparseVector,
                                 TfIdfModel, TokenStream, fit_tfidf, lemmatize,
-                                lemmatize_stream, load_lemma_exceptions,
-                                load_stopwords, remove_stopwords, tokenize,
-                                transform, transform_all)
+                                load_lemma_exceptions, load_stopwords, text_streams,
+                                tokenize, transform, transform_all)
 from stemexplain.errors import ValidationError
 
 from . import oracles
@@ -27,6 +27,20 @@ from .oracles import tfidf_vectors
 # forms are ASCII or longer; Latin, Greek and CJK letters; combining marks;
 # non-ASCII digits.
 _TRICKY = "aZz09_-=. \t\n\u00a0\u212a\u2126\u0130\u00df\u00e9\u00c9\u03a3\u03c2\u4e2d\u0301\u0663\uff11\u2028"
+
+# Stopwords, plurals the lemmatizer rewrites or keeps, and non-ASCII tokens.
+_STREAM_WORDS = ["the", "of", "is", "are", "and", "vortices", "lattices", "classes",
+                 "radius", "atlases", "series", "ψ", "schrödinger", "émiles", "größe",
+                 "中文", "E=mc2", "well-known"]
+
+
+def text_document(*texts, doc_id="d"):
+    """A document whose text segments are ``texts``, with a formula between them."""
+    segments = []
+    for text in texts:
+        segments += [{"kind": "text", "content": text},
+                     {"kind": "formula", "content": "<mi>x</mi>"}]
+    return record_to_document({"id": doc_id, "arxiv": [], "msc": [], "segments": segments})
 
 
 class TestTokenize:
@@ -71,19 +85,37 @@ class TestStopwords:
         assert len(STOPWORDS) == 151
 
     def test_removal_preserves_order(self):
-        stream = TokenStream.of("d", ["of", "the", "axion"])
-        assert remove_stopwords(stream).tokens == ("axion",)
+        assert text_streams([text_document("of the axion")])[0].tokens == ("axion",)
 
     def test_no_stopwords_unchanged(self):
-        stream = TokenStream.of("d", ["axion", "condensate"])
-        assert remove_stopwords(stream) == stream
+        doc = text_document("axion condensate")
+        assert text_streams([doc]) == [TokenStream.of("d", ["axion", "condensate"])]
 
     def test_all_stopwords_empty(self):
-        stream = TokenStream.of("d", ["the", "of", "is"])
-        assert remove_stopwords(stream).tokens == ()
+        assert text_streams([text_document("the of is")])[0].tokens == ()
 
     def test_loader_matches_constant(self):
         assert load_stopwords() == STOPWORDS
+
+
+class TestTextStreams:
+    @given(st.lists(st.lists(st.lists(st.one_of(st.sampled_from(_STREAM_WORDS),
+                                                   st.text(alphabet="aeisyéψ-_ ", max_size=8)),
+                                         max_size=6).map(" ".join), max_size=3),
+                    max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_classify_stage_loop(self, texts_per_doc):
+        docs = [text_document(*texts, doc_id=f"d{i}") for i, texts in enumerate(texts_per_doc)]
+        for remove_stopwords in (False, True):
+            for lemmatized in (False, True):
+                assert (text_streams(docs, remove_stopwords, lemmatized)
+                        == oracles.encoded_streams(docs, remove_stopwords, lemmatized))
+
+    def test_defaults_drop_stopwords_only(self):
+        doc = text_document("the vortices of", "lattices")
+        assert text_streams([doc]) == [TokenStream.of("d", ["vortices", "lattices"])]
+        assert (text_streams([doc], remove_stopwords=False, lemmatized=True)[0].tokens
+                == ("the", "vortex", "of", "lattice"))
 
 
 class TestLemmatize:
@@ -134,8 +166,9 @@ class TestLemmatize:
             assert lemmatize(lemma) == lemma
 
     def test_stream_helper(self):
-        stream = TokenStream.of("d", ["vortices", "form", "lattices"])
-        assert lemmatize_stream(stream).tokens == ("vortex", "form", "lattice")
+        doc = text_document("vortices form lattices")
+        assert (text_streams([doc], remove_stopwords=False, lemmatized=True)[0].tokens
+                == ("vortex", "form", "lattice"))
 
 
 class TestTokenStream:

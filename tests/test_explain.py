@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stemexplain
+from stemexplain import classify as classify_mod
 from stemexplain import cli
 from stemexplain import explain as explain_mod
+from stemexplain.cli import SETTINGS
 from stemexplain.classify import (LabeledDataset, LogRegModel, derive_seed,
                                   train_logreg)
 from stemexplain.corpus import load_corpus, primary_label, record_to_document
-from stemexplain.encode import STOPWORDS, TfIdfModel, TokenStream, fit_tfidf, transform
+from stemexplain.encode import TfIdfModel, TokenStream, fit_tfidf, text_streams, transform
 from stemexplain.errors import DomainError, ValidationError
 from stemexplain.explain import (CLS_ENT, ENT_CLS, MATH_KIND, MDISC, MFREQ,
                                  REPORT_ROWS, TEXT_KIND, EntityRanking, LimeBuffers,
@@ -346,6 +349,11 @@ def labeled_docs():
     return docs
 
 
+def text_entities(docs):
+    """Each document's Text entities, as ``compute_rankings`` maps them."""
+    return {stream.doc_id: stream.tokens for stream in text_streams(docs)}
+
+
 def fit_on(docs, streams):
     encoder = fit_tfidf(streams)
     labels = [d.arxiv_categories[0] for d in docs]
@@ -359,7 +367,8 @@ class TestRankEntities:
         docs = labeled_docs()
         model, encoder = fit_on(docs, [TokenStream.of(d.doc_id, d.text_tokens())
                                        for d in docs])
-        ranking = rank_entities(docs, model, encoder, MFREQ, TEXT_KIND)
+        ranking = rank_entities(docs, model, encoder, MFREQ, TEXT_KIND,
+                                streams=text_entities(docs))
         strengths = dict(ranking.per_class["quant-ph"])
         assert strengths["wave"] == 3.0
         assert strengths["packet"] == 1.0
@@ -370,6 +379,7 @@ class TestRankEntities:
         model, encoder = fit_on(docs, [TokenStream.of(d.doc_id, d.text_tokens())
                                        for d in docs])
         ranking = rank_entities(docs, model, encoder, MDISC, TEXT_KIND,
+                                streams=text_entities(docs),
                                 lime=LimeSettings(num_samples=400), seed=2)
         assert ranking.per_class["quant-ph"][0][0] == "wave"
         assert ranking.per_class["astro-ph"][0][0] == "star"
@@ -379,7 +389,7 @@ class TestRankEntities:
         docs = labeled_docs()
         model, encoder = fit_on(docs, [TokenStream.of(d.doc_id, d.text_tokens())
                                        for d in docs])
-        small = rank_entities(docs, model, encoder, MDISC, TEXT_KIND,
+        small = rank_entities(docs, model, encoder, MDISC, TEXT_KIND, streams=text_entities(docs),
                               budget=1, lime=LimeSettings(num_samples=200), seed=2)
         # one document per class still yields a ranking
         assert set(small.per_class) == {"quant-ph", "astro-ph"}
@@ -390,6 +400,10 @@ class TestRankEntities:
                                        for d in docs])
         with pytest.raises(ValidationError):
             rank_entities(docs, model, encoder, MFREQ, MATH_KIND)
+        partial = {d.doc_id: ["psi"] for d in docs[1:]}
+        with pytest.raises(ValidationError,
+                           match="^no math token stream for document 'quant-ph-0'$"):
+            rank_entities(docs, model, encoder, MFREQ, MATH_KIND, streams=partial)
 
     def test_math_streams_feed_math_kind(self):
         docs = labeled_docs()
@@ -398,7 +412,7 @@ class TestRankEntities:
         model, encoder = fit_on(docs, [TokenStream.of(d.doc_id, streams[d.doc_id])
                                        for d in docs])
         ranking = rank_entities(docs, model, encoder, MFREQ, MATH_KIND,
-                                math_streams=streams)
+                                streams=streams)
         assert dict(ranking.per_class["quant-ph"]) == {"psi": 3.0}
 
     def test_unknown_mode_rejected(self):
@@ -406,7 +420,8 @@ class TestRankEntities:
         model, encoder = fit_on(docs, [TokenStream.of(d.doc_id, d.text_tokens())
                                        for d in docs])
         with pytest.raises(ValidationError):
-            rank_entities(docs, model, encoder, "MWild", TEXT_KIND)
+            rank_entities(docs, model, encoder, "MWild", TEXT_KIND,
+                          streams=text_entities(docs))
 
     def test_class_unknown_to_model_warned_and_omitted(self):
         docs = labeled_docs()
@@ -416,6 +431,7 @@ class TestRankEntities:
             "id": "gr-0", "arxiv": ["gr-qc"], "msc": [],
             "segments": [{"kind": "text", "content": "metric tensor waves"}]})
         ranking = rank_entities(docs + [extra], model, encoder, MDISC, TEXT_KIND,
+                                streams=text_entities(docs + [extra]),
                                 lime=LimeSettings(num_samples=200), seed=2)
         assert "gr-qc" not in ranking.per_class
         assert any("gr-qc" in w for w in ranking.warnings)
@@ -425,14 +441,16 @@ class TestRankEntities:
         model, encoder = fit_on(docs, [TokenStream.of(d.doc_id, d.text_tokens())
                                        for d in docs])
         lime = LimeSettings(num_samples=200, kernel_width=0.6, ridge=2.0)
+        streams = text_entities(docs)
         known = {d.doc_id: TokenMagnitudes.of(lime_explain(
-                     model, encoder, d.doc_id, [t for t in d.text_tokens() if t not in STOPWORDS],
+                     model, encoder, d.doc_id, streams[d.doc_id],
                      d.arxiv_categories[0], top_k=None, seed=derive_seed(2, "lime", d.doc_id),
                      num_samples=200, kernel_width=0.6, ridge=2.0))
                  for d in docs[1:]}
-        fresh = rank_entities(docs, model, encoder, MDISC, TEXT_KIND, lime=lime, seed=2)
+        fresh = rank_entities(docs, model, encoder, MDISC, TEXT_KIND, lime=lime, seed=2,
+                              streams=streams)
         reused = rank_entities(docs, model, encoder, MDISC, TEXT_KIND, lime=lime, seed=2,
-                               explained=known)
+                               streams=streams, explained=known)
         assert (fresh.reused, reused.reused) == (0, len(docs) - 1)
         assert reused.per_class == fresh.per_class
 
@@ -447,7 +465,7 @@ class TestRankEntities:
                             num_samples=200, top_k=None, seed=derive_seed(2, "lime", doc.doc_id))
         with pytest.raises(ValidationError, match=doc.doc_id):
             rank_entities(docs, model, encoder, MDISC, TEXT_KIND, seed=2,
-                          lime=LimeSettings(num_samples=200),
+                          streams=text_entities(docs), lime=LimeSettings(num_samples=200),
                           explained={doc.doc_id: TokenMagnitudes.of(replace(made, **change))})
 
 
@@ -527,6 +545,38 @@ class TestEntropyReport:
         assert report.value("MFreqMathClsEnt") > 0.0
         with pytest.raises(KeyError):
             report.value("NoSuchRow")
+
+
+# Stopwords, plurals and non-ASCII tokens; labels on one axis, the other or neither.
+_RANKED_WORDS = ["the", "of", "and", "is", "wave", "waves", "star", "stars", "ψ", "größe"]
+_RANKED_LABELS = [([], []), (["quant-ph"], []), (["astro-ph", "quant-ph"], ["81V10"]),
+                  ([], ["85A04"])]
+
+
+class TestComputeRankings:
+    @given(st.lists(st.tuples(st.lists(st.sampled_from(_RANKED_WORDS), max_size=8),
+                              st.sampled_from(_RANKED_LABELS)), min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_text_map_is_each_labeled_documents_entity_stream(self, drawn):
+        docs = [record_to_document({
+                    "id": f"d{i}", "arxiv": arxiv, "msc": msc,
+                    "segments": [{"kind": "text", "content": " ".join(words)}]})
+                for i, (words, (arxiv, msc)) in enumerate(drawn)]
+        math_streams = {doc.doc_id: ["psi"] for doc in docs}
+        seen = {}
+
+        def spy(documents, model, encoder, mode, kind, **kwargs):
+            seen[(mode, kind)] = kwargs["streams"]
+            return EntityRanking(mode, kind, {})
+
+        with mock.patch.object(explain_mod, "rank_entities", spy):
+            compute_rankings(docs, None, None, None, None, math_streams)
+        labeled = [doc for doc in docs if doc.arxiv_categories]
+        for mode in (MDISC, MFREQ):
+            assert seen[(mode, MATH_KIND)] is math_streams
+            text = seen[(mode, TEXT_KIND)]
+            for doc in labeled:
+                assert list(text[doc.doc_id]) == oracles.entity_stream(doc, TEXT_KIND, None)
 
 
 @pytest.fixture(scope="module")
@@ -625,6 +675,39 @@ class TestExplainStage:
         assert full == (sample if ranking_samples == 40 else set())
         assert report["lime"]["ranking_explanations_reused"] == len(full)
 
+    def test_explain_fits_the_classify_stage_text_model(self, demo_fixtures, tmp_path,
+                                                       monkeypatch):
+        """Under default ``encode`` settings, explain's text fit gets the
+        ``classify`` stage's streams, labels and training rows."""
+        records = [json.loads(line) for line in
+                   (demo_fixtures / "demo_corpus.jsonl").read_text(encoding="utf-8").splitlines()]
+        for record in records:  # stopwords and plurals for the rule to act on
+            for segment in record["segments"]:
+                if segment["kind"] == "text":
+                    segment["content"] = f"The {segment['content']} of the classes"
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        path, config = explain_config(demo_fixtures, tmp_path.name, {"num_samples": 20},
+                                      num_samples=20)
+        config["corpus"] = str(corpus)
+        config["encode"] = {"remove_stopwords": SETTINGS["encode.remove_stopwords"][0],
+                            "lemmatize": SETTINGS["encode.lemmatize"][0]}
+        path.write_text(json.dumps(config), encoding="utf-8")
+        fits = []
+        fit = classify_mod.fit_split_model
+
+        def spy(streams, labels, train_idx, *args, **kwargs):
+            fits.append((list(streams), list(labels), list(train_idx)))
+            return fit(streams, labels, train_idx, *args, **kwargs)
+
+        monkeypatch.setattr(classify_mod, "fit_split_model", spy)
+        monkeypatch.setattr(explain_mod, "fit_split_model", spy)
+        for stage in ("classify", "explain"):
+            assert cli.main([stage, "-c", str(path), "--out-dir", str(tmp_path / stage)]) == 0
+        classify_fit, text_fit, _ = fits
+        assert "the" not in classify_fit[0][0].tokens and "classes" in classify_fit[0][0].tokens
+        assert text_fit == classify_fit
+
     def test_singular_surrogate_exits_4(self, demo_fixtures, tmp_path, capsys):
         path, _ = explain_config(demo_fixtures, tmp_path.name, {"ridge": 0, "num_samples": 5})
         code = cli.main(["explain", "-c", str(path), "--out-dir", str(tmp_path / "out")])
@@ -670,7 +753,7 @@ class TestExplainStage:
         for label, docs in sorted(class_documents(demo_fixtures).items()):
             sums, count = {}, 0
             for doc in sorted(docs, key=lambda d: d.doc_id):
-                stream = [t for t in doc.text_tokens() if t not in STOPWORDS]
+                stream = oracles.entity_stream(doc, TEXT_KIND, None)
                 explanation = oracles.lime_explain(
                     model, encoder, doc.doc_id, stream, label,
                     num_samples=ranking_samples, kernel_width=0.5, ridge=3.0, top_k=None,
