@@ -6,20 +6,16 @@ variant, and fits a weighted ridge surrogate whose sample weights decay
 with cosine distance from the original vector through the kernel
 exp(-d^2 / width^2).  The surrogate coefficients are the token
 weights of the explanation.  ``LimeSettings`` holds the sample count,
-kernel width and ridge that every caller passes the same way, and
-``LimeBuffers`` the two work arrays that successive calls reuse.
+kernel width and ridge, and ``LimeBuffers`` the two work arrays that
+successive calls reuse.
 
-``rank_entities`` aggregates either document frequencies (MFreq) or
-mean absolute surrogate weights (MDisc) into per-class entity rankings,
-and ``class_entity_entropy`` condenses a ranking into a single entropy
-in one of two directions: ClsEnt averages the class-distribution
-entropy of the top entities, EntCls averages the entropy of each
-class's top entity strengths.
-
-``run_explain`` is the explain stage's computation: it fits a text and a
-math model, explains the text model on every document, ranks entities
-four ways and returns the rows of the stage's tables.  All of its LIME
-calls share one ``LimeBuffers``.
+``plan_lime`` lists the LIME calls of a run, the table's and the MDisc
+rankings', and ``run_plan`` makes them.  ``rank_entities`` aggregates
+document frequencies (MFreq) or mean absolute surrogate weights (MDisc)
+into per-class entity rankings, and ``class_entity_entropy`` condenses a
+ranking into one entropy: ClsEnt averages the class-distribution entropy
+of the top entities, EntCls the entropy of each class's top entity
+strengths.  ``run_explain`` is the explain stage's computation.
 """
 
 from __future__ import annotations
@@ -27,7 +23,8 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,7 +185,11 @@ def lime_explain(model: LogRegModel, encoder: TfIdfModel, doc_id: str,
     # similarity reduces to norm(masked) / norm(original).
     original_norm = float(np.sqrt(squares.sum()))
     distances = 1.0 - norms / original_norm
-    sample_weights = np.exp(-(distances ** 2) / (kernel_width ** 2))
+    with np.errstate(all="ignore"):  # a tiny width underflows every weight to 0
+        sample_weights = np.exp(-(distances ** 2) / (kernel_width ** 2))
+    if not sample_weights.sum() > 0:
+        raise DomainError(f"every LIME sample weight of document {doc_id!r} is 0: "
+                          f"lime.kernel_width {kernel_width} is too small")
 
     weighted = np.multiply(design, sample_weights[:, None],
                            out=second.reshape(num_samples, width))
@@ -216,25 +217,15 @@ def lime_explain(model: LogRegModel, encoder: TfIdfModel, doc_id: str,
 
 
 # ---------------------------------------------------------------------------
-# Entity rankings
+# Entity rankings and the plan of their LIME calls
 
 
-@dataclass(frozen=True, eq=False)
-class TokenMagnitudes:
-    """What an MDisc ranking reads of an explanation: how it was made, and
-    its tokens and absolute weights in rank order (``magnitudes``, float64)."""
+class TokenMagnitudes(NamedTuple):
+    """What an MDisc ranking reads of an explanation: its tokens and their
+    absolute weights in rank order (``magnitudes``, float64)."""
 
-    target_class: str
-    seed: int
-    num_samples: int
     tokens: tuple[str, ...]
     magnitudes: np.ndarray
-
-    @classmethod
-    def of(cls, explanation: Explanation) -> TokenMagnitudes:
-        return cls(explanation.target_class, explanation.seed, explanation.num_samples,
-                   tuple(token for token, _ in explanation.features),
-                   np.abs(np.array([weight for _, weight in explanation.features])))
 
 
 @dataclass(frozen=True)
@@ -245,7 +236,29 @@ class EntityRanking:
     kind: str
     per_class: dict[str, tuple[tuple[str, float], ...]]
     warnings: tuple[str, ...] = ()
-    reused: int = 0  # MDisc explanations taken from ``explained``, not recomputed
+
+
+@dataclass(slots=True)
+class LimeRequest:
+    """One ``lime_explain`` call, of ``tokens`` toward ``target`` with ``lime``
+    and the seed ``derive_seed(seed, "lime", doc_id)``, and what its consumers
+    keep: the table's rows, the ``TokenMagnitudes`` MDisc sums, or both."""
+
+    kind: str
+    doc_id: str
+    tokens: Sequence[str]
+    target: str
+    lime: LimeSettings
+    table: bool = False
+    magnitudes: bool = False
+
+
+class LimePlan(NamedTuple):
+    """Every LIME call of a run, in call order, and per kind the MDisc
+    sample (explained document ids per class) and its warnings."""
+
+    requests: tuple[LimeRequest, ...]
+    samples: dict[str, tuple[dict[str, list[str]], tuple[str, ...]]]
 
 
 def _documents_by_class(documents: list[Document],
@@ -259,97 +272,119 @@ def _documents_by_class(documents: list[Document],
             for label in sorted(by_class)}
 
 
-def _mdisc_sample(docs: list[Document], label: str, budget: int, seed: int) -> list[Document]:
-    """Up to ``budget`` of a class's documents (seeded), in id order."""
-    rng = random.Random(derive_seed(seed, "mdisc", label))
-    chosen = docs if len(docs) <= budget else rng.sample(docs, budget)
-    return sorted(chosen, key=lambda d: d.doc_id)
+def _entities(streams: Mapping[str, Sequence[str]] | None, kind: str,
+              doc: Document) -> Sequence[str]:
+    if streams is None or doc.doc_id not in streams:
+        raise ValidationError(f"no {kind.lower()} token stream for document {doc.doc_id!r}")
+    return streams[doc.doc_id]
 
 
-def mdisc_documents(documents: list[Document], budget: int = 5, seed: int = 0,
-                    class_axis: str = "arxiv") -> set[str]:
-    """Ids of the documents an MDisc ranking over ``documents`` may explain."""
-    return {doc.doc_id for label, docs in _documents_by_class(documents, class_axis).items()
-            for doc in _mdisc_sample(docs, label, budget, seed)}
+def plan_lime(documents: list[Document], fitted: Mapping[str, tuple[LogRegModel, TfIdfModel]],
+              streams: Mapping[str, Mapping[str, Sequence[str]]], budget: int = 5,
+              seed: int = 0, lime: LimeSettings = LimeSettings(), class_axis: str = "arxiv",
+              table: LimeSettings | None = None) -> LimePlan:
+    """The LIME calls of the table (with ``table`` settings), then of each
+    kind's MDisc ranking, which samples up to ``budget`` documents per class
+    (seeded).  ``fitted`` and ``streams`` map a kind to its (model, encoder)
+    and to each document's entities; documents without an in-vocabulary one
+    are skipped.  Requests of equal (kind, document, class, settings) merge."""
+    requests: dict[tuple, LimeRequest] = {}
+
+    def ask(kind: str, doc: Document, label: str, settings: LimeSettings) -> LimeRequest | None:
+        tokens = _entities(streams[kind], kind, doc)
+        if not any(t in fitted[kind][1].vocabulary for t in tokens):
+            return None
+        return requests.setdefault((kind, doc.doc_id, label, settings),
+                                   LimeRequest(kind, doc.doc_id, tokens, label, settings))
+
+    for doc, label in zip(*labeled_documents(documents, class_axis)[:2]) if table else ():
+        if request := ask(TEXT_KIND, doc, label, table):
+            request.table = True
+    sampled = {label: docs if len(docs) <= budget
+               else random.Random(derive_seed(seed, "mdisc", label)).sample(docs, budget)
+               for label, docs in _documents_by_class(documents, class_axis).items()}
+    samples = {}
+    for kind, (model, _) in fitted.items():
+        chosen, warnings = {}, []
+        for label, docs in sampled.items():
+            if label not in model.classes:
+                warnings.append(f"class {label!r} unknown to the classifier; omitted")
+                continue
+            for doc in sorted(docs, key=lambda d: d.doc_id):
+                if (request := ask(kind, doc, label, lime)) is None:
+                    warnings.append(f"document {doc.doc_id!r} has no in-vocabulary tokens; skipped")
+                    continue
+                request.magnitudes = True
+                chosen.setdefault(label, []).append(doc.doc_id)
+            if label not in chosen:
+                warnings.append(f"class {label!r} has no explainable documents; omitted")
+        samples[kind] = (chosen, tuple(warnings))
+    return LimePlan(tuple(requests.values()), samples)
 
 
-def rank_entities(documents: list[Document], model: LogRegModel, encoder: TfIdfModel,
-                  mode: str, kind: str, budget: int = 5, seed: int = 0,
+def run_plan(plan: LimePlan, fitted: Mapping[str, tuple[LogRegModel, TfIdfModel]],
+             seed: int = 0, top_k: int | None = 10,
+             ) -> tuple[list[tuple], list[float], dict[tuple[str, str], TokenMagnitudes]]:
+    """Make the plan's calls in order through one ``LimeBuffers``, dropped
+    after the last.  Returns the table's rows (doc, class, fidelity, position,
+    token, weight), made as each call returns, its fidelities, and the MDisc
+    ``TokenMagnitudes`` by (kind, document id)."""
+    rows, fidelities, magnitudes = [], [], {}
+    buffers = LimeBuffers()
+    for request in plan.requests:
+        model, encoder = fitted[request.kind]
+        explanation = lime_explain(
+            model, encoder, request.doc_id, request.tokens, request.target,
+            **asdict(request.lime), top_k=None if request.magnitudes else top_k,
+            seed=derive_seed(seed, "lime", request.doc_id), buffers=buffers)
+        if request.table:
+            rows.extend((request.doc_id, request.target, explanation.fidelity, position, token,
+                         weight) for position, (token, weight)
+                        in enumerate(explanation.features[:top_k], start=1))
+            fidelities.append(explanation.fidelity)
+        if request.magnitudes:
+            features = explanation.features
+            magnitudes[request.kind, request.doc_id] = TokenMagnitudes(
+                tuple(t for t, _ in features), np.abs(np.array([w for _, w in features])))
+    return rows, fidelities, magnitudes
+
+
+def rank_entities(documents: list[Document], mode: str, kind: str,
                   streams: Mapping[str, Sequence[str]] | None = None,
-                  class_axis: str = "arxiv", lime: LimeSettings = LimeSettings(),
-                  explained: Mapping[str, TokenMagnitudes] | None = None, *,
-                  buffers: LimeBuffers | None = None) -> EntityRanking:
-    """Rank entities per class by frequency (MFreq) or surrogate weight (MDisc).
-
-    ``streams`` maps document ids to their entities of ``kind``, the
-    tokens the model was fitted on; every document the ranking reads
-    must have one.  MFreq strength is the number of the class's
-    documents containing the entity.  MDisc samples up to ``budget``
-    documents per class (seeded), explains each toward its class with
-    ``lime`` and the seed ``derive_seed(seed, "lime", doc_id)``, and
-    averages absolute token weights.  ``explained`` maps document ids to
-    the ``TokenMagnitudes`` of such explanations (``top_k=None``, same
-    stream and model) that a caller already has; they are used instead
-    of explaining the document again.  Classes without usable documents
-    are omitted and reported in the warnings.
-    ``buffers`` is handed to every ``lime_explain`` call.
-    """
+                  class_axis: str = "arxiv", plan: LimePlan | None = None,
+                  magnitudes: Mapping[tuple[str, str], TokenMagnitudes] | None = None,
+                  ) -> EntityRanking:
+    """Rank entities per class by frequency (MFreq) or surrogate weight (MDisc):
+    the number of the class's documents whose ``streams`` entry (by id)
+    holds the entity, or its mean ``magnitudes`` over the ``plan``'s sample
+    of the class.  Classes without entities are omitted and warned about."""
     if mode not in (MFREQ, MDISC):
         raise ValidationError(f"unknown ranking mode {mode!r}")
     if kind not in (TEXT_KIND, MATH_KIND):
         raise ValidationError(f"unknown feature kind {kind!r}")
-
-    def entities(doc: Document) -> Sequence[str]:
-        if streams is None or doc.doc_id not in streams:
-            raise ValidationError(f"no {kind.lower()} token stream for document {doc.doc_id!r}")
-        return streams[doc.doc_id]
-
-    per_class = {}
-    warnings = []
-    reused = 0
-    for label, docs in _documents_by_class(documents, class_axis).items():
-        strengths: dict[str, float] = {}
-        if mode == MFREQ:
-            for doc in docs:
-                for entity in set(entities(doc)):
-                    strengths[entity] = strengths.get(entity, 0.0) + 1.0
-        else:
-            if label not in model.classes:
-                warnings.append(f"class {label!r} unknown to the classifier; omitted")
-                continue
-            n_explained = 0
+    found: dict[str, dict[str, float]] = {}
+    if mode == MDISC:
+        sample, warnings = plan.samples[kind]
+        for label, ids in sample.items():
             sums: dict[str, float] = {}
-            for doc in _mdisc_sample(docs, label, budget, seed):
-                stream = entities(doc)
-                if not any(t in encoder.vocabulary for t in stream):
-                    warnings.append(f"document {doc.doc_id!r} has no in-vocabulary tokens; skipped")
-                    continue
-                doc_seed = derive_seed(seed, "lime", doc.doc_id)
-                weights = explained.get(doc.doc_id) if explained else None
-                if weights is None:
-                    weights = TokenMagnitudes.of(lime_explain(
-                        model, encoder, doc.doc_id, stream, label,
-                        num_samples=lime.num_samples, kernel_width=lime.kernel_width,
-                        ridge=lime.ridge, top_k=None, seed=doc_seed, buffers=buffers))
-                elif ((weights.target_class, weights.seed, weights.num_samples)
-                      != (label, doc_seed, lime.num_samples)):
-                    raise ValidationError(f"explanation of document {doc.doc_id!r} was not "
-                                          f"made toward {label!r} with these settings")
-                else:
-                    reused += 1
-                n_explained += 1
-                for token, magnitude in zip(weights.tokens, weights.magnitudes.tolist()):
+            for tokens, weights in (magnitudes[kind, doc_id] for doc_id in ids):
+                for token, magnitude in zip(tokens, weights.tolist()):
                     sums[token] = sums.get(token, 0.0) + magnitude
-            if n_explained == 0:
-                warnings.append(f"class {label!r} has no explainable documents; omitted")
-                continue
-            strengths = {t: s / n_explained for t, s in sums.items()}
+            found[label] = {t: s / len(ids) for t, s in sums.items()}
+    else:
+        warnings = ()
+        for label, docs in _documents_by_class(documents, class_axis).items():
+            counts = found[label] = {}
+            for doc in docs:
+                for entity in set(_entities(streams, kind, doc)):
+                    counts[entity] = counts.get(entity, 0.0) + 1.0
+    per_class, warnings = {}, list(warnings)
+    for label, strengths in found.items():
         if not strengths:
             warnings.append(f"class {label!r} has no entities; omitted")
             continue
-        ordered = sorted(strengths.items(), key=lambda kv: (-kv[1], kv[0]))
-        per_class[label] = tuple(ordered)
-    return EntityRanking(mode, kind, per_class, tuple(warnings), reused)
+        per_class[label] = tuple(sorted(strengths.items(), key=lambda kv: (-kv[1], kv[0])))
+    return EntityRanking(mode, kind, per_class, tuple(warnings))
 
 
 def class_entity_entropy(ranking: EntityRanking, direction: str, top_m: int = 20) -> float:
@@ -406,10 +441,7 @@ class EntropyReport:
     reference: dict = field(default_factory=lambda: dict(FULL_SCALE_REFERENCE))
 
     def value(self, label: str) -> float:
-        for row_label, value in self.rows:
-            if row_label == label:
-                return value
-        raise KeyError(label)
+        return dict(self.rows)[label]
 
 
 def compute_rankings(documents: list[Document],
@@ -417,40 +449,25 @@ def compute_rankings(documents: list[Document],
                      math_model: LogRegModel, math_encoder: TfIdfModel,
                      math_streams: dict[str, list[str]], budget: int = 5,
                      seed: int = 0, lime: LimeSettings = LimeSettings(),
-                     class_axis: str = "arxiv",
-                     text_explanations: Mapping[str, TokenMagnitudes] | None = None, *,
-                     buffers: LimeBuffers | None = None,
-                     ) -> dict[tuple[str, str], EntityRanking]:
+                     class_axis: str = "arxiv") -> dict[tuple[str, str], EntityRanking]:
     """All four rankings, keyed and ordered MDisc Text, MDisc Math, MFreq Text, MFreq Math.
-
-    ``text_explanations`` (see ``rank_entities``' ``explained``) feed
-    the MDisc Text ranking only.  The Text entities are each document's
-    ``text_streams`` with their defaults.  ``buffers`` serves every LIME
-    call and is released once the MDisc rankings, which make them all,
-    are done.
-    """
-    text = {stream.doc_id: stream.tokens for stream in text_streams(documents)}
-    fitted = {TEXT_KIND: (text_model, text_encoder, text, text_explanations),
-              MATH_KIND: (math_model, math_encoder, math_streams, None)}
-    rankings = {}
-    for mode in (MDISC, MFREQ):
-        if mode == MFREQ and buffers is not None:
-            buffers.release()
-        for kind, (model, encoder, streams, explained) in fitted.items():
-            rankings[(mode, kind)] = rank_entities(
-                documents, model, encoder, mode, kind, budget=budget, seed=seed, streams=streams,
-                class_axis=class_axis, lime=lime, explained=explained, buffers=buffers)
-    return rankings
+    The Text entities are each document's ``text_streams`` with their defaults."""
+    streams = {TEXT_KIND: {stream.doc_id: stream.tokens for stream in text_streams(documents)},
+               MATH_KIND: math_streams}
+    fitted = {TEXT_KIND: (text_model, text_encoder), MATH_KIND: (math_model, math_encoder)}
+    plan = plan_lime(documents, fitted, streams, budget, seed, lime, class_axis)
+    magnitudes = run_plan(plan, fitted, seed)[2]
+    return {(mode, kind): rank_entities(documents, mode, kind, streams[kind], class_axis,
+                                        plan, magnitudes)
+            for mode in (MDISC, MFREQ) for kind in (TEXT_KIND, MATH_KIND)}
 
 
 def build_entropy_report(rankings: dict[tuple[str, str], EntityRanking],
                          top_m: int = 20) -> EntropyReport:
     """The eight-row entropy table over MDisc/MFreq x Text/Math x direction."""
-    rows = []
-    for mode, kind, direction in REPORT_ROWS:
-        value = class_entity_entropy(rankings[(mode, kind)], direction, top_m)
-        rows.append((f"{mode}{kind}{direction}", value))
-    return EntropyReport(tuple(rows), top_m)
+    return EntropyReport(tuple(
+        (f"{mode}{kind}{direction}", class_entity_entropy(rankings[mode, kind], direction, top_m))
+        for mode, kind, direction in REPORT_ROWS), top_m)
 
 
 @dataclass(frozen=True)
@@ -473,49 +490,32 @@ def run_explain(documents: list[Document], source: SymbolNameSource,
     """Fit a text and a math model on the ``classify`` split, explain and rank them.
 
     The text model is fitted on ``text_streams`` with their defaults, the
-    tokens the ranker explains.
-    Each document with an in-vocabulary token is explained once with
-    ``lime`` (the table keeps ``top_k`` features).  With ``rank_samples``
-    equal to ``lime``'s, MDisc Text reuses the explanations of its sample,
-    of which the run keeps the ``TokenMagnitudes`` only.  Every LIME call of
-    the run, table and rankings, shares one buffer pair, released before
-    the MFreq rankings.
+    Text entities.  One plan holds every LIME call: the table's, with
+    ``lime`` (it keeps ``top_k`` rows), and the MDisc rankings', with
+    ``rank_samples`` samples; with ``lime``'s count the two share calls.
     """
     kept, labels, _ = labeled_documents(documents, class_axis)
     math_streams = build_math_streams(kept, source, source_top_k, concept_map)
     texts = text_streams(kept)
-    math_token_streams = [TokenStream.of(d.doc_id, math_streams[d.doc_id]) for d in kept]
     train_idx, _ = stratified_split(labels, test_fraction, derive_seed(seed, "classify"))
     text_encoder, _, text_model = fit_split_model(texts, labels, train_idx, seed,
                                                   **train_kwargs)
-    math_encoder, _, math_model = fit_split_model(math_token_streams, labels, train_idx, seed,
-                                                  **train_kwargs)
+    math_encoder, _, math_model = fit_split_model(
+        [TokenStream.of(d.doc_id, math_streams[d.doc_id]) for d in kept], labels, train_idx,
+        seed, **train_kwargs)
 
-    rank_lime = replace(lime, num_samples=rank_samples)
-    reusable = mdisc_documents(kept, budget, seed, class_axis) if rank_lime == lime else set()
-    explanation_rows = []
-    fidelities = []
-    sample_weights: dict[str, TokenMagnitudes] = {}
-    buffers = LimeBuffers()
-    for doc, label, stream in zip(kept, labels, texts):
-        if not any(t in text_encoder.vocabulary for t in stream.tokens):
-            continue  # nothing in vocabulary, nothing to explain
-        explanation = lime_explain(
-            text_model, text_encoder, doc.doc_id, list(stream.tokens), label,
-            num_samples=lime.num_samples, kernel_width=lime.kernel_width, ridge=lime.ridge,
-            top_k=None if doc.doc_id in reusable else top_k,
-            seed=derive_seed(seed, "lime", doc.doc_id), buffers=buffers)
-        explanation_rows.extend(
-            (doc.doc_id, label, explanation.fidelity, position, token, weight)
-            for position, (token, weight) in enumerate(explanation.features[:top_k], start=1))
-        fidelities.append(explanation.fidelity)
-        if doc.doc_id in reusable:
-            sample_weights[doc.doc_id] = TokenMagnitudes.of(explanation)
-
-    rankings = compute_rankings(
-        kept, text_model, text_encoder, math_model, math_encoder, math_streams,
-        budget=budget, seed=seed, lime=rank_lime, class_axis=class_axis,
-        text_explanations=sample_weights, buffers=buffers)
+    fitted = {TEXT_KIND: (text_model, text_encoder), MATH_KIND: (math_model, math_encoder)}
+    streams = {TEXT_KIND: {stream.doc_id: stream.tokens for stream in texts},
+               MATH_KIND: math_streams}
+    plan = plan_lime(kept, fitted, streams, budget, seed, replace(lime, num_samples=rank_samples),
+                     class_axis, table=lime)
+    explanation_rows, fidelities, magnitudes = run_plan(plan, fitted, seed, top_k)
+    reused = sum(r.table and r.magnitudes for r in plan.requests)
+    rankings = {(MDISC, kind): rank_entities(kept, MDISC, kind, plan=plan, magnitudes=magnitudes)
+                for kind in fitted}
+    del plan, magnitudes  # like the buffer pair, dropped before the MFreq rankings
+    rankings.update({(MFREQ, kind): rank_entities(kept, MFREQ, kind, streams[kind], class_axis)
+                     for kind in fitted})
     ranking_rows = [(mode, kind, label, position, entity, strength)
                     for (mode, kind), ranking in rankings.items()
                     for label in sorted(ranking.per_class)
@@ -526,6 +526,6 @@ def run_explain(documents: list[Document], source: SymbolNameSource,
         {f"{mode}_{kind}": list(ranking.warnings) for (mode, kind), ranking in rankings.items()},
         {"documents_explained": len(fidelities),
          "documents_skipped": len(kept) - len(fidelities),
-         "ranking_explanations_reused": rankings[(MDISC, TEXT_KIND)].reused,
+         "ranking_explanations_reused": reused,
          "fidelity_min": min(fidelities, default=None),
          "fidelity_mean": sum(fidelities) / len(fidelities) if fidelities else None})

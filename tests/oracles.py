@@ -33,11 +33,16 @@ rankings' per-document stopword filter, from before ``encode.text_streams``
 held that rule for both.  ``lime_explain`` builds its
 sample matrix by casting the mask draw and stacking an intercept column,
 where the library draws the masks into one preallocated design matrix.
+``explain_loops`` is ``run_explain`` as two loops, from before one plan
+held every LIME call of a run: the table loop, which asked
+``mdisc_documents`` which explanations to keep whole, and the MDisc
+ranking (``rank_mdisc``), which reused those and explained the rest.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import re
 from dataclasses import dataclass, field
 
@@ -45,12 +50,12 @@ import mpmath
 import numpy as np
 
 from stemexplain.augment import _name_tokens
-from stemexplain.classify import (LogRegModel, labeled_documents, loss_and_gradient, softmax,
-                                  truncate_label)
+from stemexplain.classify import (LogRegModel, derive_seed, fit_split_model, labeled_documents,
+                                  loss_and_gradient, softmax, stratified_split, truncate_label)
 from stemexplain.corpus import TEXT, IdentifierOccurrence, axis_labels, primary_label
-from stemexplain.encode import STOPWORDS, TokenStream, lemmatize
+from stemexplain.encode import STOPWORDS, TokenStream, lemmatize, text_streams
 from stemexplain.errors import ParseError, ToolkitError, ValidationError
-from stemexplain.explain import Explanation
+from stemexplain.explain import Explanation, LimeSettings
 from stemexplain.formulas import _SCRIPT_TAGS, _classify, _local_tag, parse_formula
 from stemexplain.linker import (DEFAULT_EVAL_MODES, LEMMATIZED, VARIANTS, EntityLink,
                                 FormulaConceptLink, GazetteerEntry, LinkEvalReport, ModeCounts,
@@ -577,3 +582,137 @@ def lime_explain(model, encoder, doc_id, tokens, target_class, num_samples=1000,
         ranked = ranked[:top_k]
     return Explanation(doc_id, target_class, tuple((t, float(w)) for t, w in ranked),
                        intercept, fidelity, num_samples, kernel_width, seed)
+
+
+def mdisc_documents(documents, budget, seed, class_axis="arxiv"):
+    """Ids of the documents an MDisc ranking over ``documents`` may explain:
+    up to ``budget`` per primary label (seeded), as the table loop asked."""
+    by_class = {}
+    for doc, label in zip(*labeled_documents(documents, class_axis)[:2]):
+        by_class.setdefault(label, []).append(doc)
+    chosen = set()
+    for label in sorted(by_class):
+        docs = sorted(by_class[label], key=lambda d: d.doc_id)
+        rng = random.Random(derive_seed(seed, "mdisc", label))
+        chosen.update(d.doc_id for d in (docs if len(docs) <= budget
+                                          else rng.sample(docs, budget)))
+    return chosen
+
+
+def rank_mdisc(documents, model, encoder, streams, budget, seed, class_axis, lime, explained,
+               calls):
+    """An MDisc ranking's per-class strengths, warnings and reuse count, as
+    ``rank_entities`` made them before one plan held every LIME call: it
+    takes the ``explained`` explanations (by document id) that match its
+    class and settings and explains the other sampled documents itself.
+    ``calls`` gets every explanation it makes."""
+    by_class = {}
+    for doc, label in zip(*labeled_documents(documents, class_axis)[:2]):
+        by_class.setdefault(label, []).append(doc)
+    per_class, warnings, reused = {}, [], 0
+    for label in sorted(by_class):
+        if label not in model.classes:
+            warnings.append(f"class {label!r} unknown to the classifier; omitted")
+            continue
+        docs = sorted(by_class[label], key=lambda d: d.doc_id)
+        rng = random.Random(derive_seed(seed, "mdisc", label))
+        sample = sorted(docs if len(docs) <= budget else rng.sample(docs, budget),
+                        key=lambda d: d.doc_id)
+        sums, n_explained = {}, 0
+        for doc in sample:
+            stream = streams[doc.doc_id]
+            if not any(t in encoder.vocabulary for t in stream):
+                warnings.append(f"document {doc.doc_id!r} has no in-vocabulary tokens; skipped")
+                continue
+            doc_seed = derive_seed(seed, "lime", doc.doc_id)
+            explanation = explained.get(doc.doc_id)
+            if explanation is None:
+                explanation = lime_explain(model, encoder, doc.doc_id, list(stream), label,
+                                           lime.num_samples, lime.kernel_width, lime.ridge,
+                                           top_k=None, seed=doc_seed)
+                calls.append(explanation)
+            elif ((explanation.target_class, explanation.seed, explanation.num_samples)
+                  != (label, doc_seed, lime.num_samples)):
+                raise ValidationError(f"explanation of document {doc.doc_id!r} was not "
+                                      f"made toward {label!r} with these settings")
+            else:
+                reused += 1
+            n_explained += 1
+            for token, weight in explanation.features:
+                sums[token] = sums.get(token, 0.0) + abs(weight)
+        if n_explained == 0:
+            warnings.append(f"class {label!r} has no explainable documents; omitted")
+            continue
+        per_class[label] = tuple(sorted(((t, s / n_explained) for t, s in sums.items()),
+                                        key=lambda kv: (-kv[1], kv[0])))
+    return per_class, warnings, reused
+
+
+def explain_loops(documents, source, concept_map, seed=0, class_axis="arxiv",
+                  test_fraction=0.2, lime=None, top_k=10, rank_samples=1000, budget=5,
+                  top_m=20, source_top_k=3):
+    """``run_explain``'s rows, rankings, warnings and ``lime`` block from the
+    two loops it ran before one plan held every LIME call, and its LIME
+    calls.  The table loop explains each explainable document, the MDisc
+    Text sample (``mdisc_documents``) with every feature when the ranking's
+    settings equal the table's; ``rank_mdisc`` reuses those and explains
+    the rest, then the MDisc Math sample."""
+    lime = lime or LimeSettings()
+    kept, labels, _ = labeled_documents(documents, class_axis)
+    math_streams = build_math_streams(kept, source, source_top_k, concept_map)
+    texts = text_streams(kept)
+    train_idx, _ = stratified_split(labels, test_fraction, derive_seed(seed, "classify"))
+    text_encoder, _, text_model = fit_split_model(texts, labels, train_idx, seed)
+    math_encoder, _, math_model = fit_split_model(
+        [TokenStream.of(d.doc_id, math_streams[d.doc_id]) for d in kept], labels, train_idx,
+        seed)
+    rank_lime = LimeSettings(rank_samples, lime.kernel_width, lime.ridge)
+    reusable = mdisc_documents(kept, budget, seed, class_axis) if rank_lime == lime else set()
+    rows, fidelities, explained, calls = [], [], {}, []
+    for doc, label, stream in zip(kept, labels, texts):
+        if not any(t in text_encoder.vocabulary for t in stream.tokens):
+            continue
+        explanation = lime_explain(text_model, text_encoder, doc.doc_id, list(stream.tokens),
+                                   label, lime.num_samples, lime.kernel_width, lime.ridge,
+                                   top_k=None if doc.doc_id in reusable else top_k,
+                                   seed=derive_seed(seed, "lime", doc.doc_id))
+        calls.append(explanation)
+        rows.extend((doc.doc_id, label, explanation.fidelity, position, token, weight)
+                    for position, (token, weight)
+                    in enumerate(explanation.features[:top_k], start=1))
+        fidelities.append(explanation.fidelity)
+        if doc.doc_id in reusable:
+            explained[doc.doc_id] = explanation
+    text = {stream.doc_id: stream.tokens for stream in text_streams(kept)}
+    rankings, warnings, reused = {}, {}, 0
+    for kind, model, encoder, streams, given in (
+            ("Text", text_model, text_encoder, text, explained),
+            ("Math", math_model, math_encoder, math_streams, {})):
+        per_class, warned, count = rank_mdisc(kept, model, encoder, streams, budget, seed,
+                                              class_axis, rank_lime, given, calls)
+        rankings["MDisc", kind], warnings[f"MDisc_{kind}"] = per_class, warned
+        reused += count if kind == "Text" else 0
+    for kind, streams in (("Text", text), ("Math", math_streams)):
+        per_class, warned = {}, []
+        for label in sorted(set(labels)):
+            counts = {}
+            for doc, doc_label in zip(kept, labels):
+                if doc_label == label:
+                    for entity in set(streams[doc.doc_id]):
+                        counts[entity] = counts.get(entity, 0.0) + 1.0
+            if not counts:
+                warned.append(f"class {label!r} has no entities; omitted")
+                continue
+            per_class[label] = tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
+        rankings["MFreq", kind], warnings[f"MFreq_{kind}"] = per_class, warned
+    ranking_rows = [(mode, kind, label, position, entity, strength)
+                    for (mode, kind), per_class in rankings.items()
+                    for label in sorted(per_class)
+                    for position, (entity, strength)
+                    in enumerate(per_class[label][:top_m], start=1)]
+    block = {"documents_explained": len(fidelities),
+             "documents_skipped": len(kept) - len(fidelities),
+             "ranking_explanations_reused": reused,
+             "fidelity_min": min(fidelities, default=None),
+             "fidelity_mean": sum(fidelities) / len(fidelities) if fidelities else None}
+    return rows, ranking_rows, warnings, block, len(calls)

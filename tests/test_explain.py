@@ -25,10 +25,10 @@ from stemexplain.corpus import load_corpus, primary_label, record_to_document
 from stemexplain.encode import TfIdfModel, TokenStream, fit_tfidf, text_streams, transform
 from stemexplain.errors import DomainError, ValidationError
 from stemexplain.explain import (CLS_ENT, ENT_CLS, MATH_KIND, MDISC, MFREQ,
-                                 REPORT_ROWS, TEXT_KIND, EntityRanking, LimeBuffers,
+                                 REPORT_ROWS, TEXT_KIND, EntityRanking, LimeBuffers, LimePlan,
                                  LimeSettings, TokenMagnitudes, build_entropy_report,
                                  class_entity_entropy, compute_rankings, lime_explain,
-                                 rank_entities, run_explain)
+                                 plan_lime, rank_entities, run_explain, run_plan)
 from stemexplain.sources import SymbolNameSource, load_concept_map, load_symbol_source
 
 from . import oracles
@@ -264,56 +264,57 @@ class TestLimeMemory:
         assert repeat <= 0.25
 
     @staticmethod
-    def held_after_table(docs, rank_samples):
-        """Traced bytes ``run_explain`` holds when its table loop is done (at
-        its ``compute_rankings`` call, where the run is stopped), and the
+    def held_by_results(docs, rank_samples):
+        """Traced bytes that the results of ``run_explain``'s ``run_plan``
+        call hold when it returns (the run is stopped there), and the
         features of the MDisc Text sample: the distinct in-vocabulary tokens
         of its documents."""
         held, encoders = [], []
 
-        class TableDone(Exception):
+        class PlanDone(Exception):
             pass
 
-        def stop(documents, text_model, text_encoder, *args, **kwargs):
-            held.append(tracemalloc.get_traced_memory()[0])
-            encoders.append(text_encoder)
-            raise TableDone
+        def stop(plan, fitted, *args, **kwargs):
+            before = tracemalloc.get_traced_memory()[0]
+            results = run(plan, fitted, *args, **kwargs)
+            held.append(tracemalloc.get_traced_memory()[0] - before)
+            encoders.append(fitted[TEXT_KIND][1])
+            del results
+            raise PlanDone
 
         source = SymbolNameSource("arxiv", {"x": (("wave function", 1.0),),
                                             "y": (("luminosity", 1.0),)})
-        compute = explain_mod.compute_rankings
-        explain_mod.compute_rankings = stop
+        run = explain_mod.run_plan
+        explain_mod.run_plan = stop
         tracemalloc.start()
         try:
-            before = tracemalloc.get_traced_memory()[0]
-            with pytest.raises(TableDone):
+            with pytest.raises(PlanDone):
                 run_explain(docs, source, None, seed=4, lime=LimeSettings(num_samples=20),
                             rank_samples=rank_samples, budget=10)
         finally:
-            explain_mod.compute_rankings = compute
+            explain_mod.run_plan = run
             tracemalloc.stop()
-        sample = explain_mod.mdisc_documents(docs, budget=10, seed=4)
+        sample = oracles.mdisc_documents(docs, budget=10, seed=4)
         features = sum(len({t for t in doc.text_tokens() if t in encoders[0].vocabulary})
                        for doc in docs if doc.doc_id in sample)
-        return held[0] - before, features
+        return held[0], features
 
     def test_held_table_memory_does_not_grow_per_feature(self):
-        """Between a run whose MDisc Text ranking reuses the table's
-        explanations and one that does not, the held memory differs by what
-        the sample documents keep; per extra sample feature that is one
-        token reference and one float64, not a (token, weight) pair.  The
-        pairs outnumber the interpreter's 2,000 free tuples, which
+        """What the executor returns grows, per feature of the MDisc Text
+        sample, by one token reference and one float64, not a (token,
+        weight) pair: with the table's sample count (20), the sample's
+        explanations are the table's; with another (30), they are made apart.
+        The pairs outnumber the interpreter's 2,000 free tuples, which
         tracemalloc does not see being reused."""
-        extra = []
-        for words in (40, 200):
-            docs = pool_documents(words)
-            self.held_after_table(docs, rank_samples=30)  # token layouts, first-use caches
-            with_sample, features = self.held_after_table(docs, rank_samples=20)
-            without_sample, _ = self.held_after_table(docs, rank_samples=30)
-            extra.append((with_sample - without_sample, features))
-        (small, small_features), (large, large_features) = extra
-        assert large_features - small_features > 2000
-        assert (large - small) / (large_features - small_features) <= 24
+        for rank_samples in (20, 30):
+            extra = []
+            for words in (40, 200):
+                docs = pool_documents(words)
+                self.held_by_results(docs, rank_samples)  # token layouts, first-use caches
+                extra.append(self.held_by_results(docs, rank_samples))
+            (small, small_features), (large, large_features) = extra
+            assert large_features - small_features > 2000
+            assert (large - small) / (large_features - small_features) <= 24, rank_samples
 
 
 def pool_documents(words: int, per_class: int = 8) -> list:
@@ -362,13 +363,21 @@ def fit_on(docs, streams):
     return train_logreg(data), encoder
 
 
+def mdisc_ranking(docs, model, encoder, kind=TEXT_KIND, streams=None, budget=5, seed=2,
+                  lime=LimeSettings(num_samples=200), table=None):
+    """A plan for the MDisc ranking of one kind (and the table, with
+    ``table`` settings), the ranking made from its results, and the plan."""
+    streams = text_entities(docs) if streams is None else streams
+    fitted = {kind: (model, encoder)}
+    plan = plan_lime(docs, fitted, {kind: streams}, budget, seed, lime, table=table)
+    magnitudes = run_plan(plan, fitted, seed)[2]
+    return rank_entities(docs, MDISC, kind, streams, plan=plan, magnitudes=magnitudes), plan
+
+
 class TestRankEntities:
     def test_mfreq_counts_documents_not_occurrences(self):
         docs = labeled_docs()
-        model, encoder = fit_on(docs, [TokenStream.of(d.doc_id, d.text_tokens())
-                                       for d in docs])
-        ranking = rank_entities(docs, model, encoder, MFREQ, TEXT_KIND,
-                                streams=text_entities(docs))
+        ranking = rank_entities(docs, MFREQ, TEXT_KIND, streams=text_entities(docs))
         strengths = dict(ranking.per_class["quant-ph"])
         assert strengths["wave"] == 3.0
         assert strengths["packet"] == 1.0
@@ -378,9 +387,7 @@ class TestRankEntities:
         docs = labeled_docs()
         model, encoder = fit_on(docs, [TokenStream.of(d.doc_id, d.text_tokens())
                                        for d in docs])
-        ranking = rank_entities(docs, model, encoder, MDISC, TEXT_KIND,
-                                streams=text_entities(docs),
-                                lime=LimeSettings(num_samples=400), seed=2)
+        ranking, _ = mdisc_ranking(docs, model, encoder, lime=LimeSettings(num_samples=400))
         assert ranking.per_class["quant-ph"][0][0] == "wave"
         assert ranking.per_class["astro-ph"][0][0] == "star"
         assert ranking.warnings == ()
@@ -389,9 +396,10 @@ class TestRankEntities:
         docs = labeled_docs()
         model, encoder = fit_on(docs, [TokenStream.of(d.doc_id, d.text_tokens())
                                        for d in docs])
-        small = rank_entities(docs, model, encoder, MDISC, TEXT_KIND, streams=text_entities(docs),
-                              budget=1, lime=LimeSettings(num_samples=200), seed=2)
-        # one document per class still yields a ranking
+        small, plan = mdisc_ranking(docs, model, encoder, budget=1)
+        # one document per class is explained, and still yields a ranking
+        assert [len(ids) for ids in plan.samples[TEXT_KIND][0].values()] == [1, 1]
+        assert len(plan.requests) == 2
         assert set(small.per_class) == {"quant-ph", "astro-ph"}
 
     def test_math_kind_requires_streams(self):
@@ -399,29 +407,25 @@ class TestRankEntities:
         model, encoder = fit_on(docs, [TokenStream.of(d.doc_id, d.text_tokens())
                                        for d in docs])
         with pytest.raises(ValidationError):
-            rank_entities(docs, model, encoder, MFREQ, MATH_KIND)
+            rank_entities(docs, MFREQ, MATH_KIND)
         partial = {d.doc_id: ["psi"] for d in docs[1:]}
-        with pytest.raises(ValidationError,
-                           match="^no math token stream for document 'quant-ph-0'$"):
-            rank_entities(docs, model, encoder, MFREQ, MATH_KIND, streams=partial)
+        message = "^no math token stream for document 'quant-ph-0'$"
+        with pytest.raises(ValidationError, match=message):
+            rank_entities(docs, MFREQ, MATH_KIND, streams=partial)
+        with pytest.raises(ValidationError, match=message):  # the plan reads them too
+            plan_lime(docs, {MATH_KIND: (model, encoder)}, {MATH_KIND: partial})
 
     def test_math_streams_feed_math_kind(self):
         docs = labeled_docs()
         streams = {d.doc_id: ["psi"] if d.arxiv_categories[0] == "quant-ph"
                    else ["lum"] for d in docs}
-        model, encoder = fit_on(docs, [TokenStream.of(d.doc_id, streams[d.doc_id])
-                                       for d in docs])
-        ranking = rank_entities(docs, model, encoder, MFREQ, MATH_KIND,
-                                streams=streams)
+        ranking = rank_entities(docs, MFREQ, MATH_KIND, streams=streams)
         assert dict(ranking.per_class["quant-ph"]) == {"psi": 3.0}
 
     def test_unknown_mode_rejected(self):
         docs = labeled_docs()
-        model, encoder = fit_on(docs, [TokenStream.of(d.doc_id, d.text_tokens())
-                                       for d in docs])
         with pytest.raises(ValidationError):
-            rank_entities(docs, model, encoder, "MWild", TEXT_KIND,
-                          streams=text_entities(docs))
+            rank_entities(docs, "MWild", TEXT_KIND, streams=text_entities(docs))
 
     def test_class_unknown_to_model_warned_and_omitted(self):
         docs = labeled_docs()
@@ -430,43 +434,40 @@ class TestRankEntities:
         extra = record_to_document({
             "id": "gr-0", "arxiv": ["gr-qc"], "msc": [],
             "segments": [{"kind": "text", "content": "metric tensor waves"}]})
-        ranking = rank_entities(docs + [extra], model, encoder, MDISC, TEXT_KIND,
-                                streams=text_entities(docs + [extra]),
-                                lime=LimeSettings(num_samples=200), seed=2)
+        ranking, plan = mdisc_ranking(docs + [extra], model, encoder)
         assert "gr-qc" not in ranking.per_class
-        assert any("gr-qc" in w for w in ranking.warnings)
+        assert ranking.warnings == ("class 'gr-qc' unknown to the classifier; omitted",)
+        assert "gr-0" not in {request.doc_id for request in plan.requests}
 
     def test_mdisc_reuses_given_explanations(self):
+        """With the table's settings, the MDisc ranking keeps the table's
+        explanations of its sample: one request each, and the ranking of a
+        plan without the table."""
         docs = labeled_docs()
         model, encoder = fit_on(docs, [TokenStream.of(d.doc_id, d.text_tokens())
                                        for d in docs])
         lime = LimeSettings(num_samples=200, kernel_width=0.6, ridge=2.0)
-        streams = text_entities(docs)
-        known = {d.doc_id: TokenMagnitudes.of(lime_explain(
-                     model, encoder, d.doc_id, streams[d.doc_id],
-                     d.arxiv_categories[0], top_k=None, seed=derive_seed(2, "lime", d.doc_id),
-                     num_samples=200, kernel_width=0.6, ridge=2.0))
-                 for d in docs[1:]}
-        fresh = rank_entities(docs, model, encoder, MDISC, TEXT_KIND, lime=lime, seed=2,
-                              streams=streams)
-        reused = rank_entities(docs, model, encoder, MDISC, TEXT_KIND, lime=lime, seed=2,
-                               streams=streams, explained=known)
-        assert (fresh.reused, reused.reused) == (0, len(docs) - 1)
-        assert reused.per_class == fresh.per_class
+        fresh, alone = mdisc_ranking(docs, model, encoder, lime=lime)
+        reused, merged = mdisc_ranking(docs, model, encoder, lime=lime, table=lime)
+        assert [(r.table, r.magnitudes) for r in alone.requests] == [(False, True)] * len(docs)
+        assert [(r.table, r.magnitudes) for r in merged.requests] == [(True, True)] * len(docs)
+        assert reused == fresh
 
-    @pytest.mark.parametrize("change", [{"target_class": "astro-ph"}, {"num_samples": 100},
-                                        {"seed": 0}])
+    @pytest.mark.parametrize("change", [{"num_samples": 100}, {"kernel_width": 0.5},
+                                        {"ridge": 3.0}])
     def test_explanation_made_otherwise_rejected(self, change):
+        """A table explanation made with other settings is not taken for the
+        MDisc ranking: the ranking explains its sample itself."""
         docs = labeled_docs()
         model, encoder = fit_on(docs, [TokenStream.of(d.doc_id, d.text_tokens())
                                        for d in docs])
-        doc = docs[0]  # quant-ph
-        made = lime_explain(model, encoder, doc.doc_id, doc.text_tokens(), "quant-ph",
-                            num_samples=200, top_k=None, seed=derive_seed(2, "lime", doc.doc_id))
-        with pytest.raises(ValidationError, match=doc.doc_id):
-            rank_entities(docs, model, encoder, MDISC, TEXT_KIND, seed=2,
-                          streams=text_entities(docs), lime=LimeSettings(num_samples=200),
-                          explained={doc.doc_id: TokenMagnitudes.of(replace(made, **change))})
+        lime = LimeSettings(num_samples=200)
+        fresh, _ = mdisc_ranking(docs, model, encoder, lime=lime)
+        ranking, plan = mdisc_ranking(docs, model, encoder, lime=lime,
+                                      table=replace(lime, **change))
+        assert [(r.table, r.magnitudes) for r in plan.requests] == (
+            [(True, False)] * len(docs) + [(False, True)] * len(docs))
+        assert ranking == fresh
 
 
 class TestClassEntityEntropy:
@@ -563,20 +564,90 @@ class TestComputeRankings:
                     "segments": [{"kind": "text", "content": " ".join(words)}]})
                 for i, (words, (arxiv, msc)) in enumerate(drawn)]
         math_streams = {doc.doc_id: ["psi"] for doc in docs}
-        seen = {}
+        planned, seen = [], {}
 
-        def spy(documents, model, encoder, mode, kind, **kwargs):
-            seen[(mode, kind)] = kwargs["streams"]
+        def plan(documents, fitted, streams, *args):
+            planned.append(streams)
+            return LimePlan((), {})
+
+        def spy(documents, mode, kind, streams, *args):
+            seen[(mode, kind)] = streams
             return EntityRanking(mode, kind, {})
 
-        with mock.patch.object(explain_mod, "rank_entities", spy):
+        with mock.patch.object(explain_mod, "plan_lime", plan), \
+                mock.patch.object(explain_mod, "rank_entities", spy):
             compute_rankings(docs, None, None, None, None, math_streams)
         labeled = [doc for doc in docs if doc.arxiv_categories]
+        (streams,) = planned
         for mode in (MDISC, MFREQ):
-            assert seen[(mode, MATH_KIND)] is math_streams
+            assert seen[(mode, MATH_KIND)] is streams[MATH_KIND] is math_streams
             text = seen[(mode, TEXT_KIND)]
+            assert text is streams[TEXT_KIND]
             for doc in labeled:
                 assert list(text[doc.doc_id]) == oracles.entity_stream(doc, TEXT_KIND, None)
+
+
+# Shared words, one word of the document's own (out of vocabulary when the
+# document is held out) and symbols, some of which the source does not name.
+_PLAN_WORDS = ["wave", "star", "field", "spin", "dust", "orbit"]
+_PLAN_SOURCE = SymbolNameSource("arxiv", {"x": (("wave function", 1.0),),
+                                          "y": (("luminosity", 1.0),)})
+
+
+@st.composite
+def plan_corpora(draw):
+    labels = draw(st.lists(st.sampled_from(["astro-ph", "gr-qc", "quant-ph"]),
+                           min_size=2, max_size=12))
+    return [record_to_document({
+        "id": f"d{i:02d}", "arxiv": [label], "msc": [],
+        "segments": [{"kind": "text", "content": " ".join(draw(st.lists(
+                          st.sampled_from(_PLAN_WORDS + [f"own{i}"]), max_size=6)))}]
+                    + [{"kind": "formula", "content": f"<mi>{symbol}</mi>"}
+                       for symbol in draw(st.lists(st.sampled_from("xyz"), max_size=2))]})
+        for i, label in enumerate(labels)]
+
+
+def outcome(function, *args, **kwargs):
+    """The result of the call, or the type and text of the error it raised."""
+    try:
+        return function(*args, **kwargs)
+    except (ValidationError, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestLimePlan:
+    @settings(max_examples=100, deadline=None)
+    @given(docs=plan_corpora(), seed=st.integers(0, 2 ** 32 - 1),
+           samples=st.sampled_from([(20, 20), (20, 30), (30, 20)]),
+           kernel_width=st.none() | st.sampled_from([0.5, 2.0]), top_k=st.sampled_from([1, 3]),
+           budget=st.integers(1, 4))
+    def test_plan_equals_the_two_loops(self, docs, seed, samples, kernel_width, top_k, budget):
+        """The plan gives the rows, rankings, warnings, ``lime`` block and
+        LIME call count of the table loop and the MDisc loops it replaced.
+        The entropy report, which an empty ranking stops, is left out."""
+        lime = LimeSettings(num_samples=samples[0], kernel_width=kernel_width)
+        options = dict(seed=seed, lime=lime, top_k=top_k, rank_samples=samples[1],
+                       budget=budget, top_m=100)
+        calls = []
+        library = explain_mod.lime_explain
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return library(*args, **kwargs)
+
+        with mock.patch.object(explain_mod, "lime_explain", counted), \
+                mock.patch.object(explain_mod, "build_entropy_report", lambda *args, **kw: None):
+            got = outcome(run_explain, docs, _PLAN_SOURCE, None, **options)
+        expected = outcome(oracles.explain_loops, docs, _PLAN_SOURCE, None, **options)
+        if isinstance(expected, tuple) and len(expected) == 2:  # both raised
+            assert got == expected
+            return
+        rows, ranking_rows, warnings, block, n_calls = expected
+        assert got.explanation_rows == rows
+        assert got.ranking_rows == ranking_rows
+        assert got.warnings == warnings
+        assert got.lime == block
+        assert len(calls) == n_calls
 
 
 @pytest.fixture(scope="module")
@@ -612,20 +683,28 @@ class TestExplainStage:
 
     @pytest.fixture
     def spied(self, monkeypatch):
-        calls, rankings = [], []
-        lime, compute = explain_mod.lime_explain, explain_mod.compute_rankings
+        """Every LIME call, each ranking by (mode, kind), and what the
+        executor returned."""
+        calls, rankings, results = [], {}, []
+        lime, rank, run = explain_mod.lime_explain, explain_mod.rank_entities, explain_mod.run_plan
 
         def spy_lime(*args, **kwargs):
             calls.append((args, kwargs))
             return lime(*args, **kwargs)
 
-        def spy_compute(*args, **kwargs):
-            rankings.append(compute(*args, **kwargs))
-            return rankings[-1]
+        def spy_rank(*args, **kwargs):
+            ranking = rank(*args, **kwargs)
+            rankings[ranking.mode, ranking.kind] = ranking
+            return ranking
+
+        def spy_run(*args, **kwargs):
+            results.append(run(*args, **kwargs))
+            return results[-1]
 
         monkeypatch.setattr(explain_mod, "lime_explain", spy_lime)
-        monkeypatch.setattr(explain_mod, "compute_rankings", spy_compute)
-        return calls, rankings
+        monkeypatch.setattr(explain_mod, "rank_entities", spy_rank)
+        monkeypatch.setattr(explain_mod, "run_plan", spy_run)
+        return calls, rankings, results
 
     def run(self, config_path, out_dir):
         assert cli.main(["explain", "-c", str(config_path), "--out-dir", str(out_dir)]) == 0
@@ -638,7 +717,7 @@ class TestExplainStage:
     ])
     def test_lime_call_count(self, demo_fixtures, tmp_path, spied, lime,
                              ranking_samples, reused):
-        calls, _ = spied
+        calls, _, _ = spied
         path, config = explain_config(demo_fixtures, tmp_path.name, lime,
                                       num_samples=ranking_samples)
         report = self.run(path, tmp_path / "out")
@@ -661,7 +740,7 @@ class TestExplainStage:
     @pytest.mark.parametrize("ranking_samples", [40, 30])
     def test_only_the_mdisc_text_sample_keeps_all_features(self, demo_fixtures, tmp_path,
                                                             spied, ranking_samples):
-        calls, _ = spied
+        calls, _, results = spied
         path, config = explain_config(demo_fixtures, tmp_path.name, {"num_samples": 40},
                                       num_samples=ranking_samples)
         report = self.run(path, tmp_path / "out")
@@ -670,10 +749,17 @@ class TestExplainStage:
         assert all(kwargs["top_k"] in (None, config["lime"]["top_k"])
                    for _, kwargs in table_calls)
         docs = [doc for docs in class_documents(demo_fixtures).values() for doc in docs]
-        sample = explain_mod.mdisc_documents(docs, config["explain"]["budget"],
-                                             config["seed"])
+        sample = oracles.mdisc_documents(docs, config["explain"]["budget"], config["seed"])
         assert full == (sample if ranking_samples == 40 else set())
         assert report["lime"]["ranking_explanations_reused"] == len(full)
+        # the executor keeps the table's rows, and magnitudes of the MDisc samples only
+        ((rows, fidelities, magnitudes),) = results
+        lines = (tmp_path / "out" / "explanations.tsv").read_text().splitlines()[1:]
+        assert len(rows) == len(lines) and len(fidelities) == len(table_calls)
+        assert set(magnitudes) == {(kind, doc_id) for kind in (TEXT_KIND, MATH_KIND)
+                                   for doc_id in sample}
+        assert all(isinstance(held, TokenMagnitudes) and held.magnitudes.dtype == np.float64
+                   and len(held.tokens) == len(held.magnitudes) for held in magnitudes.values())
 
     def test_explain_fits_the_classify_stage_text_model(self, demo_fixtures, tmp_path,
                                                        monkeypatch):
@@ -716,6 +802,25 @@ class TestExplainStage:
         assert record["error"] == "DomainError"
         assert "singular" in record["message"]
 
+    @pytest.mark.parametrize("kernel_width", [0.001, 1e-160])
+    def test_vanishing_sample_weights_exit_4(self, demo_fixtures, tmp_path, kernel_width):
+        """A kernel width so small that every sample weight is 0 is named as
+        the cause, in one JSON record and no numpy warning on stderr."""
+        path, _ = explain_config(demo_fixtures, tmp_path.name,
+                                 {"num_samples": 50, "kernel_width": kernel_width},
+                                 num_samples=50)
+        src = str(Path(stemexplain.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "stemexplain", "explain", "-c", str(path),
+             "--out-dir", str(tmp_path / "out")], capture_output=True, text=True,
+            timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        assert result.returncode == 4, result.stderr
+        (line,) = result.stderr.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "DomainError"
+        assert f"lime.kernel_width {kernel_width} is too small" in record["message"]
+        assert "'astro-ph-000'" in record["message"]
+
     # S * (F + 1) float64 elements need more than 2**47 bytes, beyond any
     # process's address space, so the allocation fails before a page is touched.
     OUT_OF_MEMORY = {"num_samples": 2 ** 45}
@@ -743,7 +848,7 @@ class TestExplainStage:
     @pytest.mark.parametrize("ranking_samples", [40, 30])
     def test_mdisc_text_uses_lime_settings(self, demo_fixtures, tmp_path, spied,
                                            ranking_samples):
-        calls, rankings = spied
+        calls, rankings, _ = spied
         lime = {"num_samples": 40, "kernel_width": 0.5, "ridge": 3.0}
         path, config = explain_config(demo_fixtures, tmp_path.name, lime,
                                       num_samples=ranking_samples, budget=100)
@@ -763,8 +868,7 @@ class TestExplainStage:
                     sums[token] = sums.get(token, 0.0) + abs(weight)
             expected[label] = tuple(sorted(((t, s / count) for t, s in sums.items()),
                                            key=lambda kv: (-kv[1], kv[0])))
-        (ranked,) = rankings
-        assert ranked[(MDISC, TEXT_KIND)].per_class == expected
+        assert rankings[MDISC, TEXT_KIND].per_class == expected
 
     @pytest.mark.parametrize("rank_samples", [40, 30])
     def test_shared_buffers_give_the_same_report(self, demo_fixtures, monkeypatch,
