@@ -9,13 +9,16 @@ weights of the explanation.  ``LimeSettings`` holds the sample count,
 kernel width and ridge, and ``LimeBuffers`` the two work arrays that
 successive calls reuse.
 
+``explain_inputs`` turns the labeled documents into what the rest reads:
+their ids and primary labels, and each kind's entity stream by id.
 ``plan_lime`` lists the LIME calls of a run, the table's and the MDisc
 rankings', and ``run_plan`` makes them.  ``rank_entities`` aggregates
 document frequencies (MFreq) or mean absolute surrogate weights (MDisc)
 into per-class entity rankings, and ``class_entity_entropy`` condenses a
 ranking into one entropy: ClsEnt averages the class-distribution entropy
 of the top entities, EntCls the entropy of each class's top entity
-strengths.  ``run_explain`` is the explain stage's computation.
+strengths.  ``run_explain`` is the explain stage's computation on those
+inputs.
 """
 
 from __future__ import annotations
@@ -185,8 +188,12 @@ def lime_explain(model: LogRegModel, encoder: TfIdfModel, doc_id: str,
     # similarity reduces to norm(masked) / norm(original).
     original_norm = float(np.sqrt(squares.sum()))
     distances = 1.0 - norms / original_norm
+    try:  # a power, not width * width: the two round apart for some widths
+        squared_width = float(kernel_width ** 2)
+    except OverflowError:  # no double holds the square: every weight is exp(-0) = 1
+        squared_width = math.inf
     with np.errstate(all="ignore"):  # a tiny width underflows every weight to 0
-        sample_weights = np.exp(-(distances ** 2) / (kernel_width ** 2))
+        sample_weights = np.exp(-(distances ** 2) / squared_width)
     if not sample_weights.sum() > 0:
         raise DomainError(f"every LIME sample weight of document {doc_id!r} is 0: "
                           f"lime.kernel_width {kernel_width} is too small")
@@ -261,61 +268,90 @@ class LimePlan(NamedTuple):
     samples: dict[str, tuple[dict[str, list[str]], tuple[str, ...]]]
 
 
-def _documents_by_class(documents: list[Document],
-                        class_axis: str) -> dict[str, list[Document]]:
-    """Documents per primary label, labels and documents in id order."""
+class ExplainInputs(NamedTuple):
+    """What ``run_explain`` reads of the labeled documents: their ids and
+    primary labels in corpus order, and per kind each document's entities
+    by id (``streams``)."""
+
+    doc_ids: list[str]
+    labels: list[str]
+    streams: dict[str, Mapping[str, Sequence[str]]]
+
+
+def _labeled_inputs(kept: list[Document], labels: list[str],
+                    math_streams: Mapping[str, Sequence[str]]) -> ExplainInputs:
+    """The Text entities are each document's ``text_streams`` with their defaults."""
+    return ExplainInputs([doc.doc_id for doc in kept], labels, {
+        TEXT_KIND: {stream.doc_id: stream.tokens for stream in text_streams(kept)},
+        MATH_KIND: math_streams})
+
+
+def explain_inputs(documents: list[Document], source: SymbolNameSource,
+                   concept_map: ConceptCategoryMap | None, class_axis: str = "arxiv",
+                   source_top_k: int = 3) -> ExplainInputs:
+    """The documents labeled on ``class_axis`` as ``run_explain`` reads them;
+    the Math entities are their ``build_math_streams``.  Nothing returned
+    refers to a ``Document``."""
     kept, labels, _ = labeled_documents(documents, class_axis)
-    by_class: dict[str, list[Document]] = {}
-    for doc, label in zip(kept, labels):
-        by_class.setdefault(label, []).append(doc)
-    return {label: sorted(by_class[label], key=lambda d: d.doc_id)
-            for label in sorted(by_class)}
+    return _labeled_inputs(kept, labels, build_math_streams(kept, source, source_top_k,
+                                                            concept_map))
+
+
+def _ids_by_class(doc_ids: Sequence[str], labels: Sequence[str]) -> dict[str, list[str]]:
+    """Document ids per label, labels and ids sorted."""
+    by_class: dict[str, list[str]] = {}
+    for doc_id, label in zip(doc_ids, labels):
+        by_class.setdefault(label, []).append(doc_id)
+    return {label: sorted(by_class[label]) for label in sorted(by_class)}
 
 
 def _entities(streams: Mapping[str, Sequence[str]] | None, kind: str,
-              doc: Document) -> Sequence[str]:
-    if streams is None or doc.doc_id not in streams:
-        raise ValidationError(f"no {kind.lower()} token stream for document {doc.doc_id!r}")
-    return streams[doc.doc_id]
+              doc_id: str) -> Sequence[str]:
+    if streams is None or doc_id not in streams:
+        raise ValidationError(f"no {kind.lower()} token stream for document {doc_id!r}")
+    return streams[doc_id]
 
 
-def plan_lime(documents: list[Document], fitted: Mapping[str, tuple[LogRegModel, TfIdfModel]],
+def plan_lime(doc_ids: Sequence[str], labels: Sequence[str],
+              fitted: Mapping[str, tuple[LogRegModel, TfIdfModel]],
               streams: Mapping[str, Mapping[str, Sequence[str]]], budget: int = 5,
-              seed: int = 0, lime: LimeSettings = LimeSettings(), class_axis: str = "arxiv",
+              seed: int = 0, lime: LimeSettings = LimeSettings(),
               table: LimeSettings | None = None) -> LimePlan:
     """The LIME calls of the table (with ``table`` settings), then of each
     kind's MDisc ranking, which samples up to ``budget`` documents per class
-    (seeded).  ``fitted`` and ``streams`` map a kind to its (model, encoder)
-    and to each document's entities; documents without an in-vocabulary one
-    are skipped.  Requests of equal (kind, document, class, settings) merge."""
+    (seeded).  ``doc_ids`` and ``labels`` are the documents and their
+    primary labels, in the table's order.  ``fitted`` and ``streams`` map a
+    kind to its (model, encoder) and to each document's entities by id;
+    documents without an in-vocabulary one are skipped.  Requests of equal
+    (kind, document, class, settings) merge."""
     requests: dict[tuple, LimeRequest] = {}
 
-    def ask(kind: str, doc: Document, label: str, settings: LimeSettings) -> LimeRequest | None:
-        tokens = _entities(streams[kind], kind, doc)
+    def ask(kind: str, doc_id: str, label: str, settings: LimeSettings) -> LimeRequest | None:
+        tokens = _entities(streams[kind], kind, doc_id)
         if not any(t in fitted[kind][1].vocabulary for t in tokens):
             return None
-        return requests.setdefault((kind, doc.doc_id, label, settings),
-                                   LimeRequest(kind, doc.doc_id, tokens, label, settings))
+        return requests.setdefault((kind, doc_id, label, settings),
+                                   LimeRequest(kind, doc_id, tokens, label, settings))
 
-    for doc, label in zip(*labeled_documents(documents, class_axis)[:2]) if table else ():
-        if request := ask(TEXT_KIND, doc, label, table):
+    for doc_id, label in zip(doc_ids, labels) if table else ():
+        if request := ask(TEXT_KIND, doc_id, label, table):
             request.table = True
-    sampled = {label: docs if len(docs) <= budget
-               else random.Random(derive_seed(seed, "mdisc", label)).sample(docs, budget)
-               for label, docs in _documents_by_class(documents, class_axis).items()}
+    sampled = {label: ids if len(ids) <= budget
+               else random.Random(derive_seed(seed, "mdisc", label)).sample(ids, budget)
+               for label, ids in _ids_by_class(doc_ids, labels).items()}
     samples = {}
     for kind, (model, _) in fitted.items():
         chosen, warnings = {}, []
-        for label, docs in sampled.items():
+        for label, ids in sampled.items():
             if label not in model.classes:
                 warnings.append(f"class {label!r} unknown to the classifier; omitted")
                 continue
-            for doc in sorted(docs, key=lambda d: d.doc_id):
-                if (request := ask(kind, doc, label, lime)) is None:
-                    warnings.append(f"document {doc.doc_id!r} has no in-vocabulary tokens; skipped")
+            for doc_id in sorted(ids):
+                if (request := ask(kind, doc_id, label, lime)) is None:
+                    warnings.append(f"document {doc_id!r} has no in-vocabulary tokens; skipped")
                     continue
                 request.magnitudes = True
-                chosen.setdefault(label, []).append(doc.doc_id)
+                chosen.setdefault(label, []).append(doc_id)
             if label not in chosen:
                 warnings.append(f"class {label!r} has no explainable documents; omitted")
         samples[kind] = (chosen, tuple(warnings))
@@ -349,15 +385,16 @@ def run_plan(plan: LimePlan, fitted: Mapping[str, tuple[LogRegModel, TfIdfModel]
     return rows, fidelities, magnitudes
 
 
-def rank_entities(documents: list[Document], mode: str, kind: str,
+def rank_entities(doc_ids: Sequence[str], labels: Sequence[str], mode: str, kind: str,
                   streams: Mapping[str, Sequence[str]] | None = None,
-                  class_axis: str = "arxiv", plan: LimePlan | None = None,
+                  plan: LimePlan | None = None,
                   magnitudes: Mapping[tuple[str, str], TokenMagnitudes] | None = None,
                   ) -> EntityRanking:
     """Rank entities per class by frequency (MFreq) or surrogate weight (MDisc):
-    the number of the class's documents whose ``streams`` entry (by id)
-    holds the entity, or its mean ``magnitudes`` over the ``plan``'s sample
-    of the class.  Classes without entities are omitted and warned about."""
+    the number of the class's documents (``doc_ids`` with their primary
+    ``labels``) whose ``streams`` entry (by id) holds the entity, or its
+    mean ``magnitudes`` over the ``plan``'s sample of the class.  Classes
+    without entities are omitted and warned about."""
     if mode not in (MFREQ, MDISC):
         raise ValidationError(f"unknown ranking mode {mode!r}")
     if kind not in (TEXT_KIND, MATH_KIND):
@@ -373,10 +410,10 @@ def rank_entities(documents: list[Document], mode: str, kind: str,
             found[label] = {t: s / len(ids) for t, s in sums.items()}
     else:
         warnings = ()
-        for label, docs in _documents_by_class(documents, class_axis).items():
+        for label, ids in _ids_by_class(doc_ids, labels).items():
             counts = found[label] = {}
-            for doc in docs:
-                for entity in set(_entities(streams, kind, doc)):
+            for doc_id in ids:
+                for entity in set(_entities(streams, kind, doc_id)):
                     counts[entity] = counts.get(entity, 0.0) + 1.0
     per_class, warnings = {}, list(warnings)
     for label, strengths in found.items():
@@ -450,15 +487,16 @@ def compute_rankings(documents: list[Document],
                      math_streams: dict[str, list[str]], budget: int = 5,
                      seed: int = 0, lime: LimeSettings = LimeSettings(),
                      class_axis: str = "arxiv") -> dict[tuple[str, str], EntityRanking]:
-    """All four rankings, keyed and ordered MDisc Text, MDisc Math, MFreq Text, MFreq Math.
-    The Text entities are each document's ``text_streams`` with their defaults."""
-    streams = {TEXT_KIND: {stream.doc_id: stream.tokens for stream in text_streams(documents)},
-               MATH_KIND: math_streams}
+    """All four rankings of the documents labeled on ``class_axis``, keyed
+    and ordered MDisc Text, MDisc Math, MFreq Text, MFreq Math.  The Text
+    entities are each document's ``text_streams`` with their defaults."""
+    doc_ids, labels, streams = _labeled_inputs(*labeled_documents(documents, class_axis)[:2],
+                                               math_streams)
     fitted = {TEXT_KIND: (text_model, text_encoder), MATH_KIND: (math_model, math_encoder)}
-    plan = plan_lime(documents, fitted, streams, budget, seed, lime, class_axis)
+    plan = plan_lime(doc_ids, labels, fitted, streams, budget, seed, lime)
     magnitudes = run_plan(plan, fitted, seed)[2]
-    return {(mode, kind): rank_entities(documents, mode, kind, streams[kind], class_axis,
-                                        plan, magnitudes)
+    return {(mode, kind): rank_entities(doc_ids, labels, mode, kind, streams[kind], plan,
+                                        magnitudes)
             for mode in (MDISC, MFREQ) for kind in (TEXT_KIND, MATH_KIND)}
 
 
@@ -481,40 +519,37 @@ class ExplainReport:
     lime: dict
 
 
-def run_explain(documents: list[Document], source: SymbolNameSource,
-                concept_map: ConceptCategoryMap | None, seed: int = 0,
-                class_axis: str = "arxiv", test_fraction: float = 0.2,
+def run_explain(inputs: ExplainInputs, seed: int = 0, test_fraction: float = 0.2,
                 lime: LimeSettings = LimeSettings(), top_k: int | None = 10,
                 rank_samples: int = 1000, budget: int = 5, top_m: int = 20,
-                source_top_k: int = 3, **train_kwargs) -> ExplainReport:
+                **train_kwargs) -> ExplainReport:
     """Fit a text and a math model on the ``classify`` split, explain and rank them.
 
-    The text model is fitted on ``text_streams`` with their defaults, the
-    Text entities.  One plan holds every LIME call: the table's, with
-    ``lime`` (it keeps ``top_k`` rows), and the MDisc rankings', with
-    ``rank_samples`` samples; with ``lime``'s count the two share calls.
+    ``inputs`` (``explain_inputs``) is all that is read of the corpus.
+    Each model is fitted on its kind's entities.  One plan holds every
+    LIME call: the table's, with ``lime`` (it keeps ``top_k`` rows), and
+    the MDisc rankings', with ``rank_samples`` samples; with ``lime``'s
+    count the two share calls.
     """
-    kept, labels, _ = labeled_documents(documents, class_axis)
-    math_streams = build_math_streams(kept, source, source_top_k, concept_map)
-    texts = text_streams(kept)
+    doc_ids, labels, streams = inputs
     train_idx, _ = stratified_split(labels, test_fraction, derive_seed(seed, "classify"))
-    text_encoder, _, text_model = fit_split_model(texts, labels, train_idx, seed,
-                                                  **train_kwargs)
-    math_encoder, _, math_model = fit_split_model(
-        [TokenStream.of(d.doc_id, math_streams[d.doc_id]) for d in kept], labels, train_idx,
-        seed, **train_kwargs)
 
-    fitted = {TEXT_KIND: (text_model, text_encoder), MATH_KIND: (math_model, math_encoder)}
-    streams = {TEXT_KIND: {stream.doc_id: stream.tokens for stream in texts},
-               MATH_KIND: math_streams}
-    plan = plan_lime(kept, fitted, streams, budget, seed, replace(lime, num_samples=rank_samples),
-                     class_axis, table=lime)
+    def fit(kind: str) -> tuple[LogRegModel, TfIdfModel]:
+        encoder, _, model = fit_split_model(
+            [TokenStream.of(doc_id, streams[kind][doc_id]) for doc_id in doc_ids], labels,
+            train_idx, seed, **train_kwargs)
+        return model, encoder  # the encoded streams are not kept
+
+    fitted = {kind: fit(kind) for kind in (TEXT_KIND, MATH_KIND)}
+    plan = plan_lime(doc_ids, labels, fitted, streams, budget, seed,
+                     replace(lime, num_samples=rank_samples), table=lime)
     explanation_rows, fidelities, magnitudes = run_plan(plan, fitted, seed, top_k)
     reused = sum(r.table and r.magnitudes for r in plan.requests)
-    rankings = {(MDISC, kind): rank_entities(kept, MDISC, kind, plan=plan, magnitudes=magnitudes)
+    rankings = {(MDISC, kind): rank_entities(doc_ids, labels, MDISC, kind, plan=plan,
+                                             magnitudes=magnitudes)
                 for kind in fitted}
     del plan, magnitudes  # like the buffer pair, dropped before the MFreq rankings
-    rankings.update({(MFREQ, kind): rank_entities(kept, MFREQ, kind, streams[kind], class_axis)
+    rankings.update({(MFREQ, kind): rank_entities(doc_ids, labels, MFREQ, kind, streams[kind])
                      for kind in fitted})
     ranking_rows = [(mode, kind, label, position, entity, strength)
                     for (mode, kind), ranking in rankings.items()
@@ -525,7 +560,7 @@ def run_explain(documents: list[Document], source: SymbolNameSource,
         explanation_rows, ranking_rows, build_entropy_report(rankings, top_m=top_m),
         {f"{mode}_{kind}": list(ranking.warnings) for (mode, kind), ranking in rankings.items()},
         {"documents_explained": len(fidelities),
-         "documents_skipped": len(kept) - len(fidelities),
+         "documents_skipped": len(doc_ids) - len(fidelities),
          "ranking_explanations_reused": reused,
          "fidelity_min": min(fidelities, default=None),
          "fidelity_mean": sum(fidelities) / len(fidelities) if fidelities else None})

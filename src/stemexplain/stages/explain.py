@@ -19,12 +19,14 @@ def run(config: dict, out: cli.StageWriter) -> None:
     concept_map = (None if config["augment"]["concept_map"] is None
                    else load_concept_map(config, out))
     lime, settings = config["lime"], config["explain"]
+    inputs = explain.explain_inputs(docs, source, concept_map, config["class_axis"],
+                                    settings["source_top_k"])
+    del docs  # every Document is garbage before the first fit
     report = explain.run_explain(
-        docs, source, concept_map, seed=config["seed"], class_axis=config["class_axis"],
-        test_fraction=config["split"]["test_fraction"],
+        inputs, seed=config["seed"], test_fraction=config["split"]["test_fraction"],
         lime=explain.LimeSettings(lime["num_samples"], lime["kernel_width"], lime["ridge"]),
         top_k=lime["top_k"], rank_samples=settings["num_samples"], budget=settings["budget"],
-        top_m=settings["top_m"], source_top_k=settings["source_top_k"], **config["logreg"])
+        top_m=settings["top_m"], **config["logreg"])
     out.tsv("explanations.tsv", ["doc", "class", "fidelity", "position", "token", "weight"],
             report.explanation_rows)
     out.tsv("rankings.tsv", ["mode", "kind", "class", "position", "entity", "strength"],

@@ -18,6 +18,7 @@ from stemexplain.classify import (LabeledDataset, LogRegModel, classifier_label_
 from stemexplain.corpus import record_to_document
 from stemexplain.encode import SparseVector, TokenStream, fit_tfidf, transform_all
 from stemexplain.errors import ConvergenceWarning, DomainError, ValidationError
+from stemexplain.sources import SymbolNameSource
 from stemexplain.stats import build_distribution_library
 from stemexplain.synth import demo_corpus
 
@@ -446,13 +447,16 @@ class TestLabelRules:
         if not docs:
             return
         library = outcome(build_distribution_library, docs, axis)
-        grouped = outcome(explain._documents_by_class, docs, axis)
+        inputs = outcome(explain.explain_inputs, docs, SymbolNameSource("empty", {}), None,
+                         axis)
         if isinstance(expected, str):
-            assert library == grouped == expected
+            assert library == inputs == expected
             return
         pairs, skipped = expected
         assert (library.document_count, library.skipped_unlabeled) == (len(pairs), skipped)
+        assert list(zip(inputs.doc_ids, inputs.labels)) == [(d.doc_id, label)
+                                                            for d, label in pairs]
         by_class = {}
         for doc, label in sorted(pairs, key=lambda pair: (pair[1], pair[0].doc_id)):
-            by_class.setdefault(label, []).append(doc)
-        assert grouped == by_class
+            by_class.setdefault(label, []).append(doc.doc_id)
+        assert explain._ids_by_class(inputs.doc_ids, inputs.labels) == by_class

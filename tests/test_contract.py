@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
@@ -431,3 +432,44 @@ def test_config_fault_exits_2_on_every_stage(tmp_path, path, value):
         lines = stderr.getvalue().removesuffix("\n").split("\n")
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError", argv
     assert not out_dir.exists()
+
+
+# The extreme legal values of each numeric kind of setting: the smallest
+# positive double and the largest value the kind accepts.  The count kinds
+# are left out: a huge one is a huge allocation or run time, and the
+# out-of-memory tests in test_explain.py cover the first.
+EXTREMES = {
+    "number >= 0": (math.ulp(0.0), sys.float_info.max),
+    "number > 0": (math.ulp(0.0), sys.float_info.max),
+    "fraction": (math.ulp(0.0), math.nextafter(1.0, 0.0)),
+}
+# The stage run for a setting of each section; one that fits a single model
+# under the setting, so a stalled fit warns once.
+READING_STAGE = {"split": "classify", "logreg": "classify", "lime": "explain"}
+EXTREME_VALUES = [(path, value) for path, (_, kind, _) in SETTINGS.items()
+                  for value in EXTREMES.get(kind.removesuffix(" or null"), ())]
+
+
+def test_every_numeric_setting_has_extreme_values():
+    paths = {path for path, _ in EXTREME_VALUES}
+    assert paths >= {"split.test_fraction", "logreg.l2", "logreg.tolerance",
+                     "lime.kernel_width", "lime.ridge"}
+    assert {path.partition(".")[0] for path in paths} <= set(READING_STAGE)
+
+
+@pytest.mark.parametrize("path, value", EXTREME_VALUES,
+                         ids=[f"{path}={value!r}" for path, value in EXTREME_VALUES])
+def test_extreme_legal_value_ends_with_a_documented_code(tmp_path, path, value):
+    """The stage that reads the setting exits 0, 2, 3 or 4 with at most one
+    JSON record on stderr and no traceback.  The LIME sample counts are
+    small to keep the runs short."""
+    config = _with_fault(json.loads(demo_fixtures()["demo_config.json"]), path, value)
+    config["lime"]["num_samples"] = config["explain"]["num_samples"] = 20
+    config_path, out_dir = _prepare(tmp_path, "config", json.dumps(config).encode("utf-8"))
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main([READING_STAGE[path.partition(".")[0]], "-c", str(config_path),
+                     "--out-dir", str(out_dir)])
+    assert code in (0, 2, 3, 4), stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()
+    assert len(_records(stderr.getvalue())) <= 1

@@ -1,10 +1,12 @@
 """Surrogate explanations and entity-ranking entropy summaries."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 import stemexplain
 from stemexplain import classify as classify_mod
 from stemexplain import cli
+from stemexplain import corpus as corpus_mod
 from stemexplain import explain as explain_mod
 from stemexplain.cli import SETTINGS
 from stemexplain.classify import (LabeledDataset, LogRegModel, derive_seed,
@@ -27,8 +30,8 @@ from stemexplain.errors import DomainError, ValidationError
 from stemexplain.explain import (CLS_ENT, ENT_CLS, MATH_KIND, MDISC, MFREQ,
                                  REPORT_ROWS, TEXT_KIND, EntityRanking, LimeBuffers, LimePlan,
                                  LimeSettings, TokenMagnitudes, build_entropy_report,
-                                 class_entity_entropy, compute_rankings, lime_explain,
-                                 plan_lime, rank_entities, run_explain, run_plan)
+                                 class_entity_entropy, compute_rankings, explain_inputs,
+                                 lime_explain, plan_lime, rank_entities, run_explain, run_plan)
 from stemexplain.sources import SymbolNameSource, load_concept_map, load_symbol_source
 
 from . import oracles
@@ -113,6 +116,17 @@ class TestLimeExplain:
         explanation = lime_explain(model, encoder, "d",
                                    ["wave", "packet", "spreads"], "quant", seed=1)
         assert explanation.kernel_width == pytest.approx(0.75 * np.sqrt(3))
+
+    @pytest.mark.parametrize("kernel_width", [1e200, sys.float_info.max, 10 ** 200])
+    def test_width_whose_square_is_no_double_weighs_samples_alike(self, kernel_width):
+        """Every sample weight is exp(-0) = 1, as under an infinite width."""
+        model, encoder = fit_two_class()
+        tokens = ["wave", "packet", "spreads"]
+        huge = lime_explain(model, encoder, "d", tokens, "quant", num_samples=50,
+                            kernel_width=kernel_width, seed=3)
+        limit = lime_explain(model, encoder, "d", tokens, "quant", num_samples=50,
+                             kernel_width=float("inf"), seed=3)
+        assert huge == replace(limit, kernel_width=kernel_width)
 
     def test_fidelity_reasonable_on_near_linear_model(self):
         model, encoder = fit_two_class()
@@ -289,8 +303,9 @@ class TestLimeMemory:
         tracemalloc.start()
         try:
             with pytest.raises(PlanDone):
-                run_explain(docs, source, None, seed=4, lime=LimeSettings(num_samples=20),
-                            rank_samples=rank_samples, budget=10)
+                run_explain(explain_inputs(docs, source, None), seed=4,
+                            lime=LimeSettings(num_samples=20), rank_samples=rank_samples,
+                            budget=10)
         finally:
             explain_mod.run_plan = run
             tracemalloc.stop()
@@ -355,6 +370,11 @@ def text_entities(docs):
     return {stream.doc_id: stream.tokens for stream in text_streams(docs)}
 
 
+def ids_and_labels(docs):
+    """The documents' ids and primary arXiv labels, as the rankings read them."""
+    return [d.doc_id for d in docs], [d.arxiv_categories[0] for d in docs]
+
+
 def fit_on(docs, streams):
     encoder = fit_tfidf(streams)
     labels = [d.arxiv_categories[0] for d in docs]
@@ -369,15 +389,18 @@ def mdisc_ranking(docs, model, encoder, kind=TEXT_KIND, streams=None, budget=5, 
     ``table`` settings), the ranking made from its results, and the plan."""
     streams = text_entities(docs) if streams is None else streams
     fitted = {kind: (model, encoder)}
-    plan = plan_lime(docs, fitted, {kind: streams}, budget, seed, lime, table=table)
+    plan = plan_lime(*ids_and_labels(docs), fitted, {kind: streams}, budget, seed, lime,
+                     table=table)
     magnitudes = run_plan(plan, fitted, seed)[2]
-    return rank_entities(docs, MDISC, kind, streams, plan=plan, magnitudes=magnitudes), plan
+    return rank_entities(*ids_and_labels(docs), MDISC, kind, streams, plan=plan,
+                         magnitudes=magnitudes), plan
 
 
 class TestRankEntities:
     def test_mfreq_counts_documents_not_occurrences(self):
         docs = labeled_docs()
-        ranking = rank_entities(docs, MFREQ, TEXT_KIND, streams=text_entities(docs))
+        ranking = rank_entities(*ids_and_labels(docs), MFREQ, TEXT_KIND,
+                                streams=text_entities(docs))
         strengths = dict(ranking.per_class["quant-ph"])
         assert strengths["wave"] == 3.0
         assert strengths["packet"] == 1.0
@@ -407,25 +430,27 @@ class TestRankEntities:
         model, encoder = fit_on(docs, [TokenStream.of(d.doc_id, d.text_tokens())
                                        for d in docs])
         with pytest.raises(ValidationError):
-            rank_entities(docs, MFREQ, MATH_KIND)
+            rank_entities(*ids_and_labels(docs), MFREQ, MATH_KIND)
         partial = {d.doc_id: ["psi"] for d in docs[1:]}
         message = "^no math token stream for document 'quant-ph-0'$"
         with pytest.raises(ValidationError, match=message):
-            rank_entities(docs, MFREQ, MATH_KIND, streams=partial)
+            rank_entities(*ids_and_labels(docs), MFREQ, MATH_KIND, streams=partial)
         with pytest.raises(ValidationError, match=message):  # the plan reads them too
-            plan_lime(docs, {MATH_KIND: (model, encoder)}, {MATH_KIND: partial})
+            plan_lime(*ids_and_labels(docs), {MATH_KIND: (model, encoder)},
+                      {MATH_KIND: partial})
 
     def test_math_streams_feed_math_kind(self):
         docs = labeled_docs()
         streams = {d.doc_id: ["psi"] if d.arxiv_categories[0] == "quant-ph"
                    else ["lum"] for d in docs}
-        ranking = rank_entities(docs, MFREQ, MATH_KIND, streams=streams)
+        ranking = rank_entities(*ids_and_labels(docs), MFREQ, MATH_KIND, streams=streams)
         assert dict(ranking.per_class["quant-ph"]) == {"psi": 3.0}
 
     def test_unknown_mode_rejected(self):
         docs = labeled_docs()
         with pytest.raises(ValidationError):
-            rank_entities(docs, "MWild", TEXT_KIND, streams=text_entities(docs))
+            rank_entities(*ids_and_labels(docs), "MWild", TEXT_KIND,
+                          streams=text_entities(docs))
 
     def test_class_unknown_to_model_warned_and_omitted(self):
         docs = labeled_docs()
@@ -566,23 +591,30 @@ class TestComputeRankings:
         math_streams = {doc.doc_id: ["psi"] for doc in docs}
         planned, seen = [], {}
 
-        def plan(documents, fitted, streams, *args):
-            planned.append(streams)
+        def plan(doc_ids, labels, fitted, streams, *args):
+            planned.append((doc_ids, labels, streams))
             return LimePlan((), {})
 
-        def spy(documents, mode, kind, streams, *args):
-            seen[(mode, kind)] = streams
+        def spy(doc_ids, labels, mode, kind, streams, *args):
+            seen[(mode, kind)] = (doc_ids, labels, streams)
             return EntityRanking(mode, kind, {})
 
+        labeled = [doc for doc in docs if doc.arxiv_categories]
         with mock.patch.object(explain_mod, "plan_lime", plan), \
                 mock.patch.object(explain_mod, "rank_entities", spy):
+            if not labeled:
+                with pytest.raises(ValidationError, match="no document carries a label"):
+                    compute_rankings(docs, None, None, None, None, math_streams)
+                return
             compute_rankings(docs, None, None, None, None, math_streams)
-        labeled = [doc for doc in docs if doc.arxiv_categories]
-        (streams,) = planned
+        ((doc_ids, labels, streams),) = planned
+        assert doc_ids == [doc.doc_id for doc in labeled]
+        assert labels == [doc.arxiv_categories[0] for doc in labeled]
         for mode in (MDISC, MFREQ):
-            assert seen[(mode, MATH_KIND)] is streams[MATH_KIND] is math_streams
-            text = seen[(mode, TEXT_KIND)]
-            assert text is streams[TEXT_KIND]
+            assert seen[(mode, MATH_KIND)] == (doc_ids, labels, math_streams)
+            assert seen[(mode, MATH_KIND)][2] is streams[MATH_KIND] is math_streams
+            ids, _, text = seen[(mode, TEXT_KIND)]
+            assert text is streams[TEXT_KIND] and ids == doc_ids
             for doc in labeled:
                 assert list(text[doc.doc_id]) == oracles.entity_stream(doc, TEXT_KIND, None)
 
@@ -637,7 +669,8 @@ class TestLimePlan:
 
         with mock.patch.object(explain_mod, "lime_explain", counted), \
                 mock.patch.object(explain_mod, "build_entropy_report", lambda *args, **kw: None):
-            got = outcome(run_explain, docs, _PLAN_SOURCE, None, **options)
+            got = outcome(lambda: run_explain(explain_inputs(docs, _PLAN_SOURCE, None),
+                                              **options))
         expected = outcome(oracles.explain_loops, docs, _PLAN_SOURCE, None, **options)
         if isinstance(expected, tuple) and len(expected) == 2:  # both raised
             assert got == expected
@@ -821,6 +854,48 @@ class TestExplainStage:
         assert f"lime.kernel_width {kernel_width} is too small" in record["message"]
         assert "'astro-ph-000'" in record["message"]
 
+    @pytest.mark.parametrize("kernel_width", [1e200, sys.float_info.max])
+    def test_huge_kernel_width_runs(self, demo_fixtures, tmp_path, kernel_width):
+        """A legal width whose square no double holds explains with equal
+        sample weights: exit 0 and nothing on stderr."""
+        path, _ = explain_config(demo_fixtures, tmp_path.name,
+                                 {"num_samples": 50, "kernel_width": kernel_width},
+                                 num_samples=50)
+        src = str(Path(stemexplain.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "stemexplain", "explain", "-c", str(path),
+             "--out-dir", str(tmp_path / "out")], capture_output=True, text=True,
+            timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        assert (result.returncode, result.stderr) == (0, "")
+
+    def test_no_document_is_alive_once_the_streams_exist(self, demo_fixtures, tmp_path,
+                                                          monkeypatch):
+        """The stage lets go of the corpus once its streams are built: no
+        loaded ``Document`` is alive at either fit or when the plan runs."""
+        loaded, alive = [], []
+        load, fit, run = corpus_mod.load_corpus, explain_mod.fit_split_model, explain_mod.run_plan
+
+        def spy_load(path):
+            docs = load(path)
+            loaded.extend(weakref.ref(doc) for doc in docs)
+            return docs
+
+        def count_alive(function, name):
+            def spy(*args, **kwargs):
+                gc.collect()
+                alive.append((name, sum(ref() is not None for ref in loaded)))
+                return function(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(corpus_mod, "load_corpus", spy_load)
+        monkeypatch.setattr(explain_mod, "fit_split_model", count_alive(fit, "fit"))
+        monkeypatch.setattr(explain_mod, "run_plan", count_alive(run, "run_plan"))
+        path, _ = explain_config(demo_fixtures, tmp_path.name, {"num_samples": 20},
+                                 num_samples=20)
+        self.run(path, tmp_path / "out")
+        assert len(loaded) == 120
+        assert alive == [("fit", 0), ("fit", 0), ("run_plan", 0)]
+
     # S * (F + 1) float64 elements need more than 2**47 bytes, beyond any
     # process's address space, so the allocation fails before a page is touched.
     OUT_OF_MEMORY = {"num_samples": 2 ** 45}
@@ -878,7 +953,7 @@ class TestExplainStage:
         concept_map = load_concept_map(str(demo_fixtures / "concept_map.tsv"))
 
         def report():
-            return run_explain(docs, source, concept_map, seed=3,
+            return run_explain(explain_inputs(docs, source, concept_map), seed=3,
                                lime=LimeSettings(num_samples=40, kernel_width=0.7),
                                rank_samples=rank_samples, budget=3)
 
