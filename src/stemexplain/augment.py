@@ -112,6 +112,14 @@ class AugmentationReport:
     reference: dict = field(default_factory=lambda: dict(FULL_SCALE_REFERENCE))
 
 
+def _fit_accuracy(streams: list[TokenStream], labels: list[str], train_idx: list[int],
+                  test_idx: list[int], seed: int, **train_kwargs) -> float:
+    """Held-out accuracy of a model fitted on ``streams``; the fit's vectors
+    and model are garbage once this returns."""
+    _, vectors, model = fit_split_model(streams, labels, train_idx, seed, **train_kwargs)
+    return held_out_accuracy(model, vectors, labels, train_idx, test_idx)[0]
+
+
 def run_augmentation_experiment(documents: list[Document], sources: list[SymbolNameSource],
                                 top_ks: list[int], seed: int = 0, class_axis: str = "arxiv",
                                 test_fraction: float = 0.2, **train_kwargs) -> AugmentationReport:
@@ -119,28 +127,28 @@ def run_augmentation_experiment(documents: list[Document], sources: list[SymbolN
 
     All cells share one seeded stratified document split, so their
     accuracies are comparable.  Baselines: text only, identifier symbol
-    occurrences only, and text plus symbol occurrences.
+    occurrences only, and text plus symbol occurrences.  The fits run
+    one at a time, cells first, and each baseline's streams are built
+    only once the cells are done.
     """
     docs, labels, _ = labeled_documents(documents, class_axis)
     train_idx, test_idx = stratified_split(labels, test_fraction, derive_seed(seed, "augment"))
 
+    def accuracy(streams: list[TokenStream]) -> float:
+        return _fit_accuracy(streams, labels, train_idx, test_idx, seed, **train_kwargs)
+
+    cells = tuple(AugmentationCell(source.name, top_k, accuracy(
+                      [augment_identifiers(d, source, top_k) for d in docs]))
+                  for source in sources for top_k in top_ks)
     text = text_streams(docs, remove_stopwords=False)
-    symbol_streams = [TokenStream.of(d.doc_id, symbol_tokens(d)) for d in docs]
-    both_streams = [TokenStream.of(d.doc_id, t.tokens + s.tokens)
-                    for d, t, s in zip(docs, text, symbol_streams)]
-
-    def cell_accuracy(streams):
-        _, vectors, model = fit_split_model(streams, labels, train_idx, seed, **train_kwargs)
-        return held_out_accuracy(model, vectors, labels, train_idx, test_idx)[0]
-
-    cells = []
-    for source in sources:
-        for top_k in top_ks:
-            augmented = [augment_identifiers(d, source, top_k) for d in docs]
-            cells.append(AugmentationCell(source.name, top_k, cell_accuracy(augmented)))
-    return AugmentationReport(class_axis, cell_accuracy(text),
-                              cell_accuracy(symbol_streams), cell_accuracy(both_streams),
-                              tuple(cells), len(train_idx), len(test_idx))
+    text_only = accuracy(text)
+    symbols = [TokenStream.of(d.doc_id, symbol_tokens(d)) for d in docs]
+    both = [TokenStream.of(t.doc_id, t.tokens + s.tokens) for t, s in zip(text, symbols)]
+    del text  # the text fit's streams go before the symbols fit
+    symbols_only = accuracy(symbols)
+    del symbols
+    return AugmentationReport(class_axis, text_only, symbols_only, accuracy(both), cells,
+                              len(train_idx), len(test_idx))
 
 
 @dataclass(frozen=True)
@@ -195,16 +203,15 @@ def run_ablation_experiment(documents: list[Document], concept_map: ConceptCateg
     train_idx, test_idx = stratified_split(labels, test_fraction, derive_seed(seed, "ablate"))
     violations = concept_coverage_violations(documents, concept_map, class_axis)
 
-    rows = []
-    text_volume = None
-    for mode in ABLATION_MODES:
+    def volume_and_accuracy(mode: str) -> tuple[int, float]:
         streams = [ablate(d, mode, math_tokens) for d in docs]
-        volume = sum(len(s.tokens) for s in streams)
-        if mode == TEXT_MODE:
-            text_volume = volume
-        _, vectors, model = fit_split_model(streams, labels, train_idx, seed, **train_kwargs)
-        accuracy = held_out_accuracy(model, vectors, labels, train_idx, test_idx)[0]
-        cost = volume / text_volume if text_volume else 0.0
-        rows.append(AblationRow(mode, accuracy, cost))
-    return AblationReport(class_axis, tuple(rows), tuple(violations),
-                          len(train_idx), len(test_idx))
+        return (sum(len(s.tokens) for s in streams),
+                _fit_accuracy(streams, labels, train_idx, test_idx, seed, **train_kwargs))
+
+    # One mode at a time: a mode's streams, vectors and model are garbage
+    # before the next mode's streams are built.
+    results = [volume_and_accuracy(mode) for mode in ABLATION_MODES]
+    text_volume = results[ABLATION_MODES.index(TEXT_MODE)][0]
+    rows = tuple(AblationRow(mode, accuracy, volume / text_volume if text_volume else 0.0)
+                 for mode, (volume, accuracy) in zip(ABLATION_MODES, results))
+    return AblationReport(class_axis, rows, tuple(violations), len(train_idx), len(test_idx))

@@ -17,8 +17,9 @@ document frequencies (MFreq) or mean absolute surrogate weights (MDisc)
 into per-class entity rankings, and ``class_entity_entropy`` condenses a
 ranking into one entropy: ClsEnt averages the class-distribution entropy
 of the top entities, EntCls the entropy of each class's top entity
-strengths.  ``run_explain`` is the explain stage's computation on those
-inputs.
+strengths; ``reduce_ranking`` keeps the part of a ranking that its rows
+and both entropies read.  ``run_explain`` is the explain stage's
+computation on those inputs.
 """
 
 from __future__ import annotations
@@ -424,6 +425,30 @@ def rank_entities(doc_ids: Sequence[str], labels: Sequence[str], mode: str, kind
     return EntityRanking(mode, kind, per_class, tuple(warnings))
 
 
+def _ranked_entities(per_class: Mapping[str, Sequence[tuple[str, float]]]) -> list[str]:
+    """The entities with positive strength, by total positive strength over
+    the classes (descending), ties by name: ClsEnt reads the first top-m."""
+    totals: dict[str, float] = {}
+    for entities in per_class.values():
+        for entity, strength in entities:
+            if strength > 0:
+                totals[entity] = totals.get(entity, 0.0) + strength
+    return sorted(totals, key=lambda e: (-totals[e], e))
+
+
+def reduce_ranking(ranking: EntityRanking, top_m: int) -> EntityRanking:
+    """The part of ``ranking`` that its ``top_m`` rows and both entropies read:
+    each class's first ``top_m`` entries and every entry of the global top
+    ``top_m`` entities, in ranking order.  Every class stays, so rows,
+    entropies and their errors equal the full ranking's."""
+    if top_m < 1:  # a slice to a non-positive bound is no prefix
+        return ranking
+    top = set(_ranked_entities(ranking.per_class)[:top_m])
+    return replace(ranking, per_class={
+        label: entities[:top_m] + tuple(entry for entry in entities[top_m:] if entry[0] in top)
+        for label, entities in ranking.per_class.items()})
+
+
 def class_entity_entropy(ranking: EntityRanking, direction: str, top_m: int = 20) -> float:
     """Condense a ranking into one entropy, in bits.
 
@@ -435,14 +460,10 @@ def class_entity_entropy(ranking: EntityRanking, direction: str, top_m: int = 20
     if not ranking.per_class:
         raise DomainError("entropy undefined for an empty ranking")
     if direction == CLS_ENT:
-        totals: dict[str, float] = {}
-        for entities in ranking.per_class.values():
-            for entity, strength in entities:
-                if strength > 0:
-                    totals[entity] = totals.get(entity, 0.0) + strength
-        if not totals:
+        ranked = _ranked_entities(ranking.per_class)
+        if not ranked:
             raise DomainError("no entity has positive strength")
-        top = sorted(totals, key=lambda e: (-totals[e], e))[:top_m]
+        top = ranked[:top_m]
         spread: dict[str, dict[str, float]] = {entity: {} for entity in top}
         for label, entities in ranking.per_class.items():
             for entity, strength in entities:
@@ -541,16 +562,20 @@ def run_explain(inputs: ExplainInputs, seed: int = 0, test_fraction: float = 0.2
         return model, encoder  # the encoded streams are not kept
 
     fitted = {kind: fit(kind) for kind in (TEXT_KIND, MATH_KIND)}
+
+    def ranked(mode: str, kind: str, **read) -> EntityRanking:
+        """Cut to what its rows and entropies read as soon as it is made."""
+        return reduce_ranking(rank_entities(doc_ids, labels, mode, kind, **read), top_m)
+
+    # The MFreq rankings come before the LIME calls, so that no full ranking
+    # is held beside the LIME work or after it.
+    mfreq = {(MFREQ, kind): ranked(MFREQ, kind, streams=streams[kind]) for kind in fitted}
     plan = plan_lime(doc_ids, labels, fitted, streams, budget, seed,
                      replace(lime, num_samples=rank_samples), table=lime)
     explanation_rows, fidelities, magnitudes = run_plan(plan, fitted, seed, top_k)
     reused = sum(r.table and r.magnitudes for r in plan.requests)
-    rankings = {(MDISC, kind): rank_entities(doc_ids, labels, MDISC, kind, plan=plan,
-                                             magnitudes=magnitudes)
-                for kind in fitted}
-    del plan, magnitudes  # like the buffer pair, dropped before the MFreq rankings
-    rankings.update({(MFREQ, kind): rank_entities(doc_ids, labels, MFREQ, kind, streams[kind])
-                     for kind in fitted})
+    rankings = {**{(MDISC, kind): ranked(MDISC, kind, plan=plan, magnitudes=magnitudes)
+                   for kind in fitted}, **mfreq}
     ranking_rows = [(mode, kind, label, position, entity, strength)
                     for (mode, kind), ranking in rankings.items()
                     for label in sorted(ranking.per_class)

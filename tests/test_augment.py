@@ -1,7 +1,11 @@
 """Symbol-name augmentation, ablation streams, and their experiments."""
 
+import gc
+import weakref
+
 import pytest
 
+from stemexplain import augment as augment_mod
 from stemexplain.augment import (ABLATION_MODES, MATH_MODE, TEXT_MINUS_MATH,
                                  TEXT_MODE, TEXT_PLUS_MATH, ConceptCategoryMap,
                                  SymbolNameSource, ablate, augment_identifiers,
@@ -231,6 +235,51 @@ class TestExperiments:
                                     "segments": [{"kind": "text", "content": "hi"}]})]
         with pytest.raises(ValidationError):
             run_augmentation_experiment(bare, [], [1])
+
+
+class TestFitLifetimes:
+    """Each experiment holds one fit's working set at a time: when a fit
+    starts, no stream, vector or model of an earlier fit is alive."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """("fit", earlier objects alive) per fit, and each baseline stream
+        build of the augmentation experiment, in call order."""
+        events, earlier = [], []
+        fit = augment_mod.fit_split_model
+
+        def spy_fit(streams, *args, **kwargs):
+            gc.collect()
+            events.append(("fit", sum(ref() is not None for ref in earlier)))
+            encoder, vectors, model = fit(streams, *args, **kwargs)
+            earlier.extend(weakref.ref(item) for item in [*streams, *vectors, model])
+            return encoder, vectors, model
+
+        def logged(name):
+            function = getattr(augment_mod, name)
+
+            def spy(*args, **kwargs):
+                events.append((name,))
+                return function(*args, **kwargs)
+            monkeypatch.setattr(augment_mod, name, spy)
+
+        monkeypatch.setattr(augment_mod, "fit_split_model", spy_fit)
+        logged("text_streams")
+        logged("symbol_tokens")
+        return events
+
+    def test_ablation_modes_fit_one_at_a_time(self, events):
+        run_ablation_experiment(planted_corpus(), planted_map(), seed=5)
+        assert events == [("fit", 0)] * len(ABLATION_MODES)
+
+    def test_augmentation_baselines_built_after_the_cells(self, events):
+        source = SymbolNameSource.from_counts("glossary", {"E": {"energy": 3.0}})
+        docs = planted_corpus()
+        run_augmentation_experiment(docs, [source], [1, 2], seed=5)
+        # two cell fits, then the text baseline's streams and fit, then the
+        # symbol streams (one call per document) and the last two fits
+        assert events == ([("fit", 0)] * 2 + [("text_streams",), ("fit", 0)]
+                          + [("symbol_tokens",)] * len(docs) + [("fit", 0)] * 2)
 
 
 class TestTokenizedOnce:

@@ -31,7 +31,8 @@ from stemexplain.explain import (CLS_ENT, ENT_CLS, MATH_KIND, MDISC, MFREQ,
                                  REPORT_ROWS, TEXT_KIND, EntityRanking, LimeBuffers, LimePlan,
                                  LimeSettings, TokenMagnitudes, build_entropy_report,
                                  class_entity_entropy, compute_rankings, explain_inputs,
-                                 lime_explain, plan_lime, rank_entities, run_explain, run_plan)
+                                 lime_explain, plan_lime, rank_entities, reduce_ranking,
+                                 run_explain, run_plan)
 from stemexplain.sources import SymbolNameSource, load_concept_map, load_symbol_source
 
 from . import oracles
@@ -573,6 +574,74 @@ class TestEntropyReport:
             report.value("NoSuchRow")
 
 
+# Few entities and classes, so that they share entities; tied, zero and
+# unrounded strengths.
+_REDUCED_STRENGTHS = st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0, 2.0]) | st.floats(0.0, 4.0)
+
+
+@st.composite
+def full_rankings(draw, mode=MFREQ, kind=TEXT_KIND):
+    """A ranking as ``rank_entities`` makes it: per class, distinct entities
+    sorted by strength (descending), then name."""
+    per_class = {}
+    for label in draw(st.lists(st.sampled_from(["x", "y", "z"]), unique=True, max_size=3)):
+        strengths = draw(st.dictionaries(st.sampled_from("abcdefg"), _REDUCED_STRENGTHS,
+                                         max_size=7))
+        per_class[label] = tuple(sorted(strengths.items(), key=lambda kv: (-kv[1], kv[0])))
+    return EntityRanking(mode, kind, per_class, tuple(draw(st.lists(st.just("w"), max_size=1))))
+
+
+def ranking_rows(ranking, top_m):
+    """The ranking's rows as ``run_explain`` writes them."""
+    return [(label, position, entity, strength) for label in sorted(ranking.per_class)
+            for position, (entity, strength)
+            in enumerate(ranking.per_class[label][:top_m], start=1)]
+
+
+class TestReduceRanking:
+    """A ranking cut to what its rows and entropies read gives the full
+    ranking's rows, entropies, entropy report and errors."""
+
+    def test_keeps_each_class_prefix_and_every_entry_of_the_top_entities(self):
+        ranking = EntityRanking(MFREQ, TEXT_KIND, {
+            "a": (("x", 5.0), ("y", 4.0), ("z", 1.0), ("w", 1.0)),
+            "b": (("w", 9.0), ("z", 0.5), ("x", 0.1))}, ("warned",))
+        # totals: w 10, x 5.1, y 4, z 1.5; the top entity is w
+        assert reduce_ranking(ranking, 1) == EntityRanking(MFREQ, TEXT_KIND, {
+            "a": (("x", 5.0), ("w", 1.0)), "b": (("w", 9.0),)}, ("warned",))
+        assert reduce_ranking(ranking, 4) == ranking
+
+    def test_non_positive_top_m_keeps_the_ranking(self):
+        ranking = EntityRanking(MFREQ, TEXT_KIND, {"a": (("x", 1.0), ("y", 1.0))})
+        assert reduce_ranking(ranking, 0) is ranking
+        assert reduce_ranking(ranking, -1) is ranking
+
+    @settings(max_examples=300, deadline=None)
+    @given(ranking=full_rankings(), top_m=st.integers(1, 8))
+    @example(ranking=EntityRanking(MFREQ, TEXT_KIND, {"x": (("a", 1.0), ("b", 1.0)),
+                                                       "y": (("b", 1.0), ("a", 1.0))}),
+             top_m=1)
+    def test_rows_and_entropies_equal_the_full_rankings(self, ranking, top_m):
+        reduced = reduce_ranking(ranking, top_m)
+        assert (reduced.mode, reduced.kind, reduced.warnings) == (
+            ranking.mode, ranking.kind, ranking.warnings)
+        assert list(reduced.per_class) == list(ranking.per_class)
+        assert ranking_rows(reduced, top_m) == ranking_rows(ranking, top_m)
+        for direction in (CLS_ENT, ENT_CLS):
+            assert (outcome(class_entity_entropy, reduced, direction, top_m)
+                    == outcome(class_entity_entropy, ranking, direction, top_m))
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=st.tuples(*(full_rankings(mode, kind) for mode, kind, direction
+                             in REPORT_ROWS if direction == CLS_ENT)),
+           top_m=st.integers(1, 4))
+    def test_entropy_report_equals_the_full_rankings(self, drawn, top_m):
+        full = {(ranking.mode, ranking.kind): ranking for ranking in drawn}
+        reduced = {key: reduce_ranking(ranking, top_m) for key, ranking in full.items()}
+        assert (outcome(build_entropy_report, reduced, top_m)
+                == outcome(build_entropy_report, full, top_m))
+
+
 # Stopwords, plurals and non-ASCII tokens; labels on one axis, the other or neither.
 _RANKED_WORDS = ["the", "of", "and", "is", "wave", "waves", "star", "stars", "ψ", "größe"]
 _RANKED_LABELS = [([], []), (["quant-ph"], []), (["astro-ph", "quant-ph"], ["81V10"]),
@@ -895,6 +964,54 @@ class TestExplainStage:
         self.run(path, tmp_path / "out")
         assert len(loaded) == 120
         assert alive == [("fit", 0), ("fit", 0), ("run_plan", 0)]
+
+    def test_mfreq_rankings_come_between_the_fits_and_the_lime_calls(
+            self, demo_fixtures, tmp_path, monkeypatch):
+        events = []
+
+        def logged(name, event):
+            function = getattr(explain_mod, name)
+
+            def spy(*args, **kwargs):
+                result = function(*args, **kwargs)
+                events.append(event(result))
+                return result
+            monkeypatch.setattr(explain_mod, name, spy)
+
+        logged("fit_split_model", lambda _: "fit")
+        logged("rank_entities", lambda ranking: f"{ranking.mode} {ranking.kind}")
+        logged("plan_lime", lambda _: "plan_lime")
+        logged("run_plan", lambda _: "run_plan")
+        path, _ = explain_config(demo_fixtures, tmp_path.name, {"num_samples": 20},
+                                 num_samples=20)
+        self.run(path, tmp_path / "out")
+        assert events == ["fit", "fit", "MFreq Text", "MFreq Math", "plan_lime", "run_plan",
+                          "MDisc Text", "MDisc Math"]
+
+    def test_no_full_ranking_is_alive_when_the_plan_runs(self, demo_fixtures, tmp_path,
+                                                         monkeypatch):
+        """Both MFreq rankings are made before the LIME calls and cut to what
+        their rows and entropies read: when ``run_plan`` starts, neither
+        ranking ``rank_entities`` returned is alive."""
+        made, alive = [], []
+        rank, run = explain_mod.rank_entities, explain_mod.run_plan
+
+        def spy_rank(*args, **kwargs):
+            ranking = rank(*args, **kwargs)
+            made.append(weakref.ref(ranking))
+            return ranking
+
+        def spy_run(*args, **kwargs):
+            gc.collect()
+            alive.append((len(made), sum(ref() is not None for ref in made)))
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(explain_mod, "rank_entities", spy_rank)
+        monkeypatch.setattr(explain_mod, "run_plan", spy_run)
+        path, _ = explain_config(demo_fixtures, tmp_path.name, {"num_samples": 20},
+                                 num_samples=20, top_m=2)
+        self.run(path, tmp_path / "out")
+        assert alive == [(2, 0)]
 
     # S * (F + 1) float64 elements need more than 2**47 bytes, beyond any
     # process's address space, so the allocation fails before a page is touched.
