@@ -11,7 +11,7 @@ their names are importable from here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # train_logreg is re-exported: bench/test_bench.py reads it under this
 # module's name.
@@ -27,8 +27,8 @@ from .sources import (ConceptCategoryMap, SymbolNameSource, _name_tokens,  # noq
                       load_symbol_source)
 from .tokenizer import tokenize
 
-# Full-scale reference accuracies for the experiments this module
-# mirrors at desk scale; recorded as report metadata only.
+# Full-scale reference accuracies for the experiments this module mirrors
+# at desk scale; stage metadata only.
 FULL_SCALE_REFERENCE = {
     "text_only": 0.806,
     "text_plus_symbols": 0.230,
@@ -109,14 +109,13 @@ class AugmentationReport:
     cells: tuple[AugmentationCell, ...]
     n_train: int
     n_test: int
-    reference: dict = field(default_factory=lambda: dict(FULL_SCALE_REFERENCE))
 
 
 def _fit_accuracy(streams: list[TokenStream], labels: list[str], train_idx: list[int],
-                  test_idx: list[int], seed: int, **train_kwargs) -> float:
+                  test_idx: list[int], **train_kwargs) -> float:
     """Held-out accuracy of a model fitted on ``streams``; the fit's vectors
     and model are garbage once this returns."""
-    _, vectors, model = fit_split_model(streams, labels, train_idx, seed, **train_kwargs)
+    _, vectors, model = fit_split_model(streams, labels, train_idx, **train_kwargs)
     return held_out_accuracy(model, vectors, labels, train_idx, test_idx)[0]
 
 
@@ -135,7 +134,7 @@ def run_augmentation_experiment(documents: list[Document], sources: list[SymbolN
     train_idx, test_idx = stratified_split(labels, test_fraction, derive_seed(seed, "augment"))
 
     def accuracy(streams: list[TokenStream]) -> float:
-        return _fit_accuracy(streams, labels, train_idx, test_idx, seed, **train_kwargs)
+        return _fit_accuracy(streams, labels, train_idx, test_idx, **train_kwargs)
 
     cells = tuple(AugmentationCell(source.name, top_k, accuracy(
                       [augment_identifiers(d, source, top_k) for d in docs]))
@@ -165,7 +164,6 @@ class AblationReport:
     coverage_violations: tuple[tuple[str, str], ...]  # (phrase, class) pairs
     n_train: int
     n_test: int
-    reference: dict = field(default_factory=lambda: dict(FULL_SCALE_REFERENCE))
 
 
 def concept_coverage_violations(documents: list[Document], concept_map: ConceptCategoryMap,
@@ -206,7 +204,7 @@ def run_ablation_experiment(documents: list[Document], concept_map: ConceptCateg
     def volume_and_accuracy(mode: str) -> tuple[int, float]:
         streams = [ablate(d, mode, math_tokens) for d in docs]
         return (sum(len(s.tokens) for s in streams),
-                _fit_accuracy(streams, labels, train_idx, test_idx, seed, **train_kwargs))
+                _fit_accuracy(streams, labels, train_idx, test_idx, **train_kwargs))
 
     # One mode at a time: a mode's streams, vectors and model are garbage
     # before the next mode's streams are built.

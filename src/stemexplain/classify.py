@@ -6,8 +6,8 @@ two-loop recursion over the last few curvature pairs gives the search
 direction and an Armijo backtracking line search the step length.  It
 is the only solver; the former fixed-step gradient descent lives in
 ``tests/oracles.py`` as the reference the tests measure L-BFGS against.
-The fit is deterministic, so the same data, hyperparameters, and seed
-always reproduce bit-identical weights.
+The fit is deterministic, so the same data and hyperparameters always
+reproduce bit-identical weights.
 
 Every model is fitted through ``fit_split_model``: tf-idf on the
 training rows, then the classifier on their vectors.  Multi-label
@@ -195,14 +195,14 @@ def _lbfgs(x, y, weights, bias, l2, max_iterations, tolerance):
 
 
 def train_logreg(data: LabeledDataset, l2: float = 1e-4, max_iterations: int = 500,
-                 tolerance: float = 1e-6, seed: int = 0) -> LogRegModel:
+                 tolerance: float = 1e-6) -> LogRegModel:
     """Fit the classifier with L-BFGS, the only solver.
 
-    Starts from zero weights and stops when the loss changes by less
-    than ``tolerance`` or after ``max_iterations`` steps; a fit that
-    hits the cap emits a ``ConvergenceWarning``.  Requires at least two
-    distinct labels.  The fixed-step gradient descent the tests compare
-    against is ``gradient_descent`` in ``tests/oracles.py``.
+    Starts from zero weights, so the fit reads no seed, and stops when the
+    loss changes by less than ``tolerance`` or after ``max_iterations``
+    steps; a fit that hits the cap emits a ``ConvergenceWarning``.
+    Requires at least two distinct labels.  The fixed-step gradient descent
+    the tests compare against is ``gradient_descent`` in ``tests/oracles.py``.
     """
     classes = data.classes()
     if len(classes) < 2:
@@ -219,7 +219,7 @@ def train_logreg(data: LabeledDataset, l2: float = 1e-4, max_iterations: int = 5
             f"lbfgs fit stopped after {iterations} iterations at loss {loss:.6g} "
             f"without converging", iterations, loss), stacklevel=2)
     metadata = {"solver": "lbfgs", "iterations": iterations, "final_loss": loss,
-                "grad_norm": grad_norm, "converged": converged, "l2": l2, "seed": seed}
+                "grad_norm": grad_norm, "converged": converged, "l2": l2}
     return LogRegModel(classes, weights, bias, metadata)
 
 
@@ -250,12 +250,14 @@ def predict_label(model: LogRegModel, vector: SparseVector) -> str:
     return predict_labels(model, [vector])[0]
 
 
-def evaluate_accuracy(model: LogRegModel, data: LabeledDataset) -> float:
-    if not data.vectors:
+def _accuracy(predicted: list[str], labels: list[str]) -> float:
+    if not labels:
         raise DomainError("accuracy undefined on an empty dataset")
-    predicted = predict_labels(model, data.vectors)
-    hits = sum(1 for guess, label in zip(predicted, data.labels) if guess == label)
-    return hits / len(data.vectors)
+    return sum(guess == label for guess, label in zip(predicted, labels)) / len(labels)
+
+
+def evaluate_accuracy(model: LogRegModel, data: LabeledDataset) -> float:
+    return _accuracy(predict_labels(model, data.vectors), data.labels)
 
 
 def subset_accuracy(model: LogRegModel, vectors: list[SparseVector], labels: list[str],
@@ -267,16 +269,16 @@ def subset_accuracy(model: LogRegModel, vectors: list[SparseVector], labels: lis
 
 
 def held_out_accuracy(model: LogRegModel, vectors: list[SparseVector], labels: list[str],
-                      train_idx: list[int], test_idx: list[int]) -> tuple[float, str]:
-    """Accuracy on the test rows, or on the training rows when the split
-    left no test rows; returns (accuracy, "test" or "train")."""
-    if test_idx:
-        return subset_accuracy(model, vectors, labels, test_idx), "test"
-    return subset_accuracy(model, vectors, labels, train_idx), "train"
+                      train_idx: list[int], test_idx: list[int]) -> tuple[float, str, list[str]]:
+    """Accuracy on the test rows, or on the training rows when the split left
+    none: (accuracy, "test" or "train", the predicted label of each row)."""
+    rows, evaluated_on = (test_idx, "test") if test_idx else (train_idx, "train")
+    predicted = predict_labels(model, [vectors[i] for i in rows])
+    return _accuracy(predicted, [labels[i] for i in rows]), evaluated_on, predicted
 
 
 def fit_split_model(streams: list[TokenStream], labels: list[str], train_idx: list[int],
-                    seed: int = 0, **train_kwargs) -> tuple[TfIdfModel, list[SparseVector], LogRegModel]:
+                    **train_kwargs) -> tuple[TfIdfModel, list[SparseVector], LogRegModel]:
     """Fit tf-idf and the classifier on the training rows; encode every stream.
 
     The only caller of ``train_logreg`` in the package.  Returns
@@ -286,7 +288,7 @@ def fit_split_model(streams: list[TokenStream], labels: list[str], train_idx: li
     vectors = transform_all(encoder, streams)
     train = LabeledDataset([vectors[i] for i in train_idx], [labels[i] for i in train_idx],
                            dim=len(encoder.vocabulary))
-    return encoder, vectors, train_logreg(train, seed=seed, **train_kwargs)
+    return encoder, vectors, train_logreg(train, **train_kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -412,14 +414,14 @@ def predict_categories(documents: list[Document], direction: str,
             (train_idx if d in in_train else test_idx).append(len(streams))
             streams.append(stream)
             labels.append(label)
-    _, vectors, model = fit_split_model(streams, labels, train_idx, seed, **train_kwargs)
-    accuracy, evaluated_on = held_out_accuracy(model, vectors, labels, train_idx, test_idx)
+    _, vectors, model = fit_split_model(streams, labels, train_idx, **train_kwargs)
+    accuracy, evaluated_on, _ = held_out_accuracy(model, vectors, labels, train_idx, test_idx)
     return CategoryPredictionReport(direction, label_mode, granularity, accuracy,
                                     subset_accuracy(model, vectors, labels, train_idx),
                                     len(train_idx), len(test_idx), skipped, evaluated_on)
 
 
-def classifier_label_map(documents: list[Document], direction: str, seed: int = 0,
+def classifier_label_map(documents: list[Document], direction: str,
                          **train_kwargs) -> dict[str, str]:
     """Train on the full corpus and map each source label to a prediction.
 
@@ -431,7 +433,7 @@ def classifier_label_map(documents: list[Document], direction: str, seed: int = 
     """
     streams, targets, _ = _label_streams(documents, *direction_axes(direction))
     encoder, _, model = fit_split_model(streams, [target[0] for target in targets],
-                                        list(range(len(streams))), seed, **train_kwargs)
+                                        list(range(len(streams))), **train_kwargs)
     probes = sorted({label for stream in streams for label in stream.tokens})
     vectors = transform_all(encoder, [TokenStream.of("probe", [label]) for label in probes])
     return dict(zip(probes, predict_labels(model, vectors)))

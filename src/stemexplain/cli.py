@@ -1,9 +1,9 @@
 """Command-line pipeline over corpus files.
 
-Each subcommand runs one stage: it resolves its inputs, makes one library
-call and writes its tables into the output directory, then a stage
-manifest.  ``report`` stitches the stage tables into one markdown report plus
-an overall manifest.  All outputs are plain TSV, JSON, JSONL, or markdown,
+Each subcommand runs one stage: it resolves its inputs, computes its tables
+with one or more library calls, writes them into the output directory, then
+a stage manifest.  ``report`` stitches the stage tables into one markdown
+report plus an overall manifest.  All outputs are plain TSV, JSON, JSONL, or markdown,
 and are byte-identical across runs with the same config and input bytes,
 regardless of where the output directory lives: manifests record content
 digests and relative names, never paths.

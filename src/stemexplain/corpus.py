@@ -13,12 +13,12 @@ the statistics and evaluation layers: identifier names per formula,
 entity-linking relevance (with optional expected targets), and
 formula-concept relevance scores.
 
-Each document's input work is done once per process.  A formula segment
-parses its markup when it is made (loading a corpus validates every
-formula that way) and keeps the identifier symbols, so
-``document_identifiers`` never parses again.  One corpus load parses each
-distinct markup once: formula segments with equal markup share the
-symbols of the first, kept in a map that lives only as long as the load.
+Each document's input work is done once per process.  Every segment, from
+a corpus file or from code, is made by ``Segment``: a formula segment parses
+its markup and checks its identifiers there, so ``document_identifiers``
+never parses again.  One corpus load parses each distinct markup once,
+through a map that lives only as long as the load.  Segments and documents
+can be copied and pickled.
 
 A document tokenizes its text segments on the first ``token_layout`` or
 ``text_tokens`` call and keeps the layout together with the segments it
@@ -61,17 +61,27 @@ def formula_id(fid: str | None, index: int) -> str:
 class Segment(namedtuple("Segment", ("kind", "content", "fid", "identifiers"))):
     """One stretch of a document: prose text or formula markup.
 
-    A formula segment parses its markup once, when it is made, and keeps
-    the identifier symbols in document order; malformed markup raises
-    ParseError.  ``identifiers`` is empty for text segments.  Segments
-    are immutable and compare by value.
+    A formula segment keeps its identifier symbols in document order, parsed
+    when it is made unless ``parsed`` (markup -> symbols, filled here) holds
+    them; malformed markup or a symbol with a tab, CR or LF raises ParseError.
+    Text segments have no identifiers.  Segments are immutable and compare by value.
     """
 
     __slots__ = ()
 
-    def __new__(cls, kind: str, content: str, fid: str | None = None) -> Segment:
-        identifiers = tuple(extract_identifiers(content)) if kind == FORMULA else ()
+    def __new__(cls, kind: str, content: str, fid: str | None = None,
+                parsed: dict[str, tuple[str, ...]] | None = None) -> Segment:
+        parsed = {} if parsed is None else parsed
+        identifiers = parsed.get(content) if kind == FORMULA else ()
+        if identifiers is None:
+            identifiers = tuple(extract_identifiers(content))
+            for symbol in identifiers:
+                _check_cell(symbol, "identifier", None)
+            parsed[content] = identifiers
         return super().__new__(cls, kind, content, fid, identifiers)
+
+    def __getnewargs__(self) -> tuple:
+        return self[:3]
 
 
 class GoldAnnotations:
@@ -289,8 +299,7 @@ def record_to_document(record: dict, line: int | None = None,
                        parsed: dict[str, tuple[str, ...]] | None = None) -> Document:
     """Build a Document from one parsed JSON record, validating fields.
 
-    ``parsed`` maps formula markup to its identifier symbols.  A markup it
-    holds is not parsed again, and each markup parsed here is added to it;
+    Its segments share the markup map ``parsed`` (see ``Segment``);
     ``parse_corpus_text`` passes one map for a whole load.  The checks run
     in a fixed order, and each error message is built only when its check
     fails.  A formula id (``formula_id``: the explicit ``fid`` or the
@@ -298,8 +307,7 @@ def record_to_document(record: dict, line: int | None = None,
     ``fid``, gold names and judged n-grams and each identifier symbol are
     written to tables as they are, so none may hold a tab, CR or LF.
     """
-    if parsed is None:
-        parsed = {}
+    parsed = {} if parsed is None else parsed
     if not isinstance(record, dict):
         raise ParseError("record must be an object", line)
     if not record.keys() <= _RECORD_KEYS:
@@ -350,17 +358,10 @@ def record_to_document(record: dict, line: int | None = None,
             if effective in fids_seen:
                 raise ParseError(f"duplicate formula id {effective!r}", line)
             fids_seen.add(effective)
-        identifiers = parsed.get(content) if kind == FORMULA else ()
-        if identifiers is None:
-            try:
-                identifiers = tuple(extract_identifiers(content))
-            except ParseError as exc:
-                raise ParseError(f"in document {doc_id!r}: {exc}", line) from exc
-            for symbol in identifiers:
-                _check_cell(symbol, f"in document {doc_id!r}: identifier", line)
-            parsed[content] = identifiers
-        # ``_make`` skips ``Segment.__new__``, which would parse the markup again.
-        segments.append(Segment._make((kind, content, fid, identifiers)))
+        try:
+            segments.append(Segment(kind, content, fid, parsed))
+        except ParseError as exc:
+            raise ParseError(f"in document {doc_id!r}: {exc}", line) from exc
     gold = None
     if "gold" in record and record["gold"] is not None:
         gold = _parse_gold(record["gold"], line)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Mapping, Sequence
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +46,7 @@ MATH_KIND = "Math"
 CLS_ENT = "ClsEnt"
 ENT_CLS = "EntCls"
 
-# Full-scale reference entropies for the eight-row report, metadata only.
+# Full-scale reference entropies of the eight-row report; stage metadata only.
 FULL_SCALE_REFERENCE = {
     "MDiscTextClsEnt": 4.22, "MDiscTextEntCls": 0.54,
     "MFreqTextClsEnt": 7.71, "MFreqTextEntCls": 0.72,
@@ -496,7 +496,6 @@ REPORT_ROWS = (
 class EntropyReport:
     rows: tuple[tuple[str, float], ...]  # (row label, entropy)
     top_m: int
-    reference: dict = field(default_factory=lambda: dict(FULL_SCALE_REFERENCE))
 
     def value(self, label: str) -> float:
         return dict(self.rows)[label]
@@ -558,7 +557,7 @@ def run_explain(inputs: ExplainInputs, seed: int = 0, test_fraction: float = 0.2
     def fit(kind: str) -> tuple[LogRegModel, TfIdfModel]:
         encoder, _, model = fit_split_model(
             [TokenStream.of(doc_id, streams[kind][doc_id]) for doc_id in doc_ids], labels,
-            train_idx, seed, **train_kwargs)
+            train_idx, **train_kwargs)
         return model, encoder  # the encoded streams are not kept
 
     fitted = {kind: fit(kind) for kind in (TEXT_KIND, MATH_KIND)}

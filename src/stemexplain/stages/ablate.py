@@ -23,5 +23,5 @@ def run(config: dict, out: cli.StageWriter) -> None:
         "coverage_violations": [list(v) for v in report.coverage_violations],
         "n_train": report.n_train,
         "n_test": report.n_test,
-        "full_scale_reference": report.reference,
+        "full_scale_reference": augment.FULL_SCALE_REFERENCE,
     })

@@ -30,5 +30,5 @@ def run(config: dict, out: cli.StageWriter) -> None:
                       "text_plus_symbols": report.text_plus_symbols},
         "cells": [{"source": c.source, "top_k": c.top_k, "accuracy": c.accuracy}
                   for c in report.cells],
-        "full_scale_reference": report.reference,
+        "full_scale_reference": augment.FULL_SCALE_REFERENCE,
     })

@@ -14,10 +14,11 @@ def run(config: dict, out: cli.StageWriter) -> None:
     train_idx, test_idx = classify.stratified_split(
         labels, config["split"]["test_fraction"], classify.derive_seed(config["seed"], "classify"))
     encoder, vectors, model = classify.fit_split_model(streams, labels, train_idx,
-                                                       config["seed"], **config["logreg"])
+                                                       **config["logreg"])
+    model.metadata["seed"] = config["seed"]
     train_accuracy = classify.subset_accuracy(model, vectors, labels, train_idx)
-    accuracy, evaluated_on = classify.held_out_accuracy(model, vectors, labels,
-                                                        train_idx, test_idx)
+    accuracy, evaluated_on, predicted = classify.held_out_accuracy(model, vectors, labels,
+                                                                   train_idx, test_idx)
     out.tsv("classify.tsv", ["metric", "value"], [
         ("accuracy", accuracy),
         ("train_accuracy", train_accuracy),
@@ -34,6 +35,5 @@ def run(config: dict, out: cli.StageWriter) -> None:
         ("converged", model.metadata["converged"]),
     ])
     out.json("classify_model.json", {"tfidf": encoder.to_record(), "logreg": model.to_record()})
-    predicted = classify.predict_labels(model, [vectors[i] for i in test_idx])
     out.tsv("classify_predictions.tsv", ["doc", "label", "predicted"],
             [(kept[i].doc_id, labels[i], guess) for i, guess in zip(test_idx, predicted)])

@@ -28,8 +28,7 @@ def run(config: dict, out: cli.StageWriter) -> None:
     agreement_rows = []
     for direction, axis in (("arxiv-from-msc", "columns"), ("msc-from-arxiv", "rows")):
         counting = stats.argmax_predict(matrix, axis)
-        learned = classify.classifier_label_map(docs, direction, seed=config["seed"],
-                                                **config["logreg"])
+        learned = classify.classifier_label_map(docs, direction, **config["logreg"])
         matches, mismatches = stats.compare_predictions(counting, learned)
         agreement_rows.append((direction, matches, mismatches))
     out.tsv("argmax_vs_classifier.tsv", ["direction", "matches", "mismatches"],

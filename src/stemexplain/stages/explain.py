@@ -38,5 +38,5 @@ def run(config: dict, out: cli.StageWriter) -> None:
         "budget": settings["budget"],
         "warnings": report.warnings,
         "lime": report.lime,
-        "full_scale_reference": report.entropy.reference,
+        "full_scale_reference": explain.FULL_SCALE_REFERENCE,
     })

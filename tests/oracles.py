@@ -662,10 +662,9 @@ def explain_loops(documents, source, concept_map, seed=0, class_axis="arxiv",
     math_streams = build_math_streams(kept, source, source_top_k, concept_map)
     texts = text_streams(kept)
     train_idx, _ = stratified_split(labels, test_fraction, derive_seed(seed, "classify"))
-    text_encoder, _, text_model = fit_split_model(texts, labels, train_idx, seed)
+    text_encoder, _, text_model = fit_split_model(texts, labels, train_idx)
     math_encoder, _, math_model = fit_split_model(
-        [TokenStream.of(d.doc_id, math_streams[d.doc_id]) for d in kept], labels, train_idx,
-        seed)
+        [TokenStream.of(d.doc_id, math_streams[d.doc_id]) for d in kept], labels, train_idx)
     rank_lime = LimeSettings(rank_samples, lime.kernel_width, lime.ridge)
     reusable = mdisc_documents(kept, budget, seed, class_axis) if rank_lime == lime else set()
     rows, fidelities, explained, calls = [], [], {}, []

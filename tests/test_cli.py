@@ -711,6 +711,39 @@ class TestStages:
             "classify.tsv", "classify_manifest.json", "classify_model.json",
             "classify_predictions.tsv"]
 
+    def test_classify_scores_each_test_row_once(self, capsys, tmp_path, monkeypatch):
+        from stemexplain import classify
+
+        splits, fits, scored = [], [], []
+        split, fit, predict = (classify.stratified_split, classify.fit_split_model,
+                               classify.predict_labels)
+
+        def split_spy(*args, **kwargs):
+            splits.append(split(*args, **kwargs))
+            return splits[-1]
+
+        def fit_spy(*args, **kwargs):
+            fits.append(fit(*args, **kwargs))
+            return fits[-1]
+
+        def predict_spy(model, vectors):
+            scored.append({id(vector) for vector in vectors})
+            return predict(model, vectors)
+
+        monkeypatch.setattr(classify, "stratified_split", split_spy)
+        monkeypatch.setattr(classify, "fit_split_model", fit_spy)
+        monkeypatch.setattr(classify, "predict_labels", predict_spy)
+        assert run(capsys, "classify", "--seed", "1", "--out-dir", str(tmp_path))[0] == 0
+        ((_, test_idx),), ((_, vectors, _),) = splits, fits
+        assert test_idx
+        for i in test_idx:
+            assert sum(id(vectors[i]) in call for call in scored) == 1
+
+    def test_classify_model_records_the_run_seed(self, capsys, tmp_path):
+        assert run(capsys, "classify", "--seed", "7", "--out-dir", str(tmp_path))[0] == 0
+        record = json.loads((tmp_path / "classify_model.json").read_text(encoding="utf-8"))
+        assert record["logreg"]["metadata"]["seed"] == 7
+
     def test_link_counts_unjudged_links_of_a_gold_document(self, capsys, tmp_path):
         record = {"id": "d1", "arxiv": ["math.AP"], "msc": [],
                   "segments": [{"kind": "text",

@@ -1,6 +1,8 @@
 """Corpus records: parsing, validation, round-trips, synthetic generation."""
 
+import copy
 import json
+import pickle
 from unittest import mock
 
 import pytest
@@ -556,6 +558,37 @@ class TestOneParsePerMarkup:
             Segment(FORMULA, "<mi>x</mi>")
             Segment(FORMULA, "<mi>x</mi>")
         assert spy.call_count == 2
+
+
+class TestOneConstructionPath:
+    """Segments built in code and segments loaded from a file pass the same checks."""
+
+    @pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy,
+                                         lambda doc: pickle.loads(pickle.dumps(doc))])
+    def test_demo_document_copies(self, copy_of):
+        doc = demo_corpus()[0]
+        doc.token_layout()
+        copied = copy_of(doc)
+        assert copied == doc
+        assert [copy_of(s) for s in doc.segments] == doc.segments
+        assert [s.identifiers for s in copied.segments] == [s.identifiers for s in doc.segments]
+        assert any(s.identifiers for s in copied.segments)
+        assert copied.token_layout() == doc.token_layout()
+
+    @pytest.mark.parametrize("content, symbol", [("<mi>a\tb</mi>", "a\tb"),
+                                                 ("<mi>a&#13;b</mi>", "a\rb"),
+                                                 ("<mi>a\nb</mi>", "a\nb")])
+    def test_code_built_identifier_with_a_break_is_rejected(self, content, symbol):
+        with pytest.raises(ParseError) as raised:
+            Segment(FORMULA, content)
+        assert str(raised.value) == f"identifier {symbol!r} holds a tab or line break"
+
+    def test_record_path_keeps_its_message(self):
+        record = make_record(id="d", segments=[{"kind": FORMULA, "content": "<mi>a\tb</mi>"}])
+        with pytest.raises(ParseError) as raised:
+            record_to_document(record, 1)
+        assert str(raised.value) == (
+            "line 1: in document 'd': identifier 'a\\tb' holds a tab or line break")
 
 
 def test_summary_counts_every_identifier_occurrence():
