@@ -64,7 +64,8 @@ class Segment(namedtuple("Segment", ("kind", "content", "fid", "identifiers"))):
     A formula segment keeps its identifier symbols in document order, parsed
     when it is made unless ``parsed`` (markup -> symbols, filled here) holds
     them; malformed markup or a symbol with a tab, CR or LF raises ParseError.
-    Text segments have no identifiers.  Segments are immutable and compare by value.
+    Text segments have no identifiers.  Segments are immutable and compare by value;
+    ``_make`` and ``_replace`` make theirs through the constructor too.
     """
 
     __slots__ = ()
@@ -82,6 +83,21 @@ class Segment(namedtuple("Segment", ("kind", "content", "fid", "identifiers"))):
 
     def __getnewargs__(self) -> tuple:
         return self[:3]
+
+    @classmethod
+    def _make(cls, fields) -> Segment:
+        """The segment of the four fields, made by the constructor: its
+        identifiers are parsed from the content, not taken from the fourth."""
+        kind, content, fid, _ = fields
+        return cls(kind, content, fid)
+
+    def _replace(self, **changes) -> Segment:
+        """This segment with a new kind, content or fid, made by the constructor."""
+        kind, content, fid = (changes.pop(name, value)
+                              for name, value in zip(self._fields, self[:3]))
+        if changes:
+            raise ValueError(f"only kind, content and fid can be replaced, got {sorted(changes)}")
+        return type(self)(kind, content, fid)
 
 
 class GoldAnnotations:

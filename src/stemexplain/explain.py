@@ -10,16 +10,17 @@ kernel width and ridge, and ``LimeBuffers`` the two work arrays that
 successive calls reuse.
 
 ``explain_inputs`` turns the labeled documents into what the rest reads:
-their ids and primary labels, and each kind's entity stream by id.
-``plan_lime`` lists the LIME calls of a run, the table's and the MDisc
-rankings', and ``run_plan`` makes them.  ``rank_entities`` aggregates
-document frequencies (MFreq) or mean absolute surrogate weights (MDisc)
-into per-class entity rankings, and ``class_entity_entropy`` condenses a
-ranking into one entropy: ClsEnt averages the class-distribution entropy
-of the top entities, EntCls the entropy of each class's top entity
-strengths; ``reduce_ranking`` keeps the part of a ranking that its rows
-and both entropies read.  ``run_explain`` is the explain stage's
-computation on those inputs.
+their ids and primary labels, and the kinds table ``streams``, each kind's
+entities by document id; every kind in it is fitted, ranked and reported,
+in table order.  ``plan_lime`` lists the LIME calls of a run, those of
+the explanations table and of the MDisc rankings, and ``run_plan`` makes
+them.  ``rank_entities`` aggregates document frequencies (MFreq) or mean
+absolute surrogate weights (MDisc) into per-class entity rankings, and
+``class_entity_entropy`` condenses a ranking into one entropy: ClsEnt
+averages the class-distribution entropy of the top entities, EntCls the
+entropy of each class's top entity strengths; ``reduce_ranking`` keeps
+the part of a ranking that its rows and both entropies read.
+``run_explain`` is the explain stage's computation on those inputs.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ MATH_KIND = "Math"
 CLS_ENT = "ClsEnt"
 ENT_CLS = "EntCls"
 
-# Full-scale reference entropies of the eight-row report; stage metadata only.
+# Full-scale reference entropies of the Text and Math rows; stage metadata only.
 FULL_SCALE_REFERENCE = {
     "MDiscTextClsEnt": 4.22, "MDiscTextEntCls": 0.54,
     "MFreqTextClsEnt": 7.71, "MFreqTextEntCls": 0.72,
@@ -271,8 +272,9 @@ class LimePlan(NamedTuple):
 
 class ExplainInputs(NamedTuple):
     """What ``run_explain`` reads of the labeled documents: their ids and
-    primary labels in corpus order, and per kind each document's entities
-    by id (``streams``)."""
+    primary labels in corpus order, and the table of kinds (``streams``):
+    per kind each document's entities by id.  Its key order is the order of
+    the fits, rankings and entropy rows."""
 
     doc_ids: list[str]
     labels: list[str]
@@ -281,7 +283,8 @@ class ExplainInputs(NamedTuple):
 
 def _labeled_inputs(kept: list[Document], labels: list[str],
                     math_streams: Mapping[str, Sequence[str]]) -> ExplainInputs:
-    """The Text entities are each document's ``text_streams`` with their defaults."""
+    """The one builder of the kinds table: Text, each document's
+    ``text_streams`` with their defaults, then Math."""
     return ExplainInputs([doc.doc_id for doc in kept], labels, {
         TEXT_KIND: {stream.doc_id: stream.tokens for stream in text_streams(kept)},
         MATH_KIND: math_streams})
@@ -394,14 +397,15 @@ def rank_entities(doc_ids: Sequence[str], labels: Sequence[str], mode: str, kind
     """Rank entities per class by frequency (MFreq) or surrogate weight (MDisc):
     the number of the class's documents (``doc_ids`` with their primary
     ``labels``) whose ``streams`` entry (by id) holds the entity, or its
-    mean ``magnitudes`` over the ``plan``'s sample of the class.  Classes
+    mean ``magnitudes`` over the ``plan``'s sample of the class.  Any kind
+    that the plan (MDisc) or ``streams`` (MFreq) holds is ranked.  Classes
     without entities are omitted and warned about."""
     if mode not in (MFREQ, MDISC):
         raise ValidationError(f"unknown ranking mode {mode!r}")
-    if kind not in (TEXT_KIND, MATH_KIND):
-        raise ValidationError(f"unknown feature kind {kind!r}")
     found: dict[str, dict[str, float]] = {}
     if mode == MDISC:
+        if plan is None or kind not in plan.samples:
+            raise ValidationError(f"no LIME plan holds an MDisc sample of kind {kind!r}")
         sample, warnings = plan.samples[kind]
         for label, ids in sample.items():
             sums: dict[str, float] = {}
@@ -484,14 +488,6 @@ def class_entity_entropy(ranking: EntityRanking, direction: str, top_m: int = 20
     raise ValidationError(f"direction must be '{CLS_ENT}' or '{ENT_CLS}', got {direction!r}")
 
 
-REPORT_ROWS = (
-    (MDISC, TEXT_KIND, CLS_ENT), (MDISC, TEXT_KIND, ENT_CLS),
-    (MFREQ, TEXT_KIND, CLS_ENT), (MFREQ, TEXT_KIND, ENT_CLS),
-    (MDISC, MATH_KIND, CLS_ENT), (MDISC, MATH_KIND, ENT_CLS),
-    (MFREQ, MATH_KIND, CLS_ENT), (MFREQ, MATH_KIND, ENT_CLS),
-)
-
-
 @dataclass(frozen=True)
 class EntropyReport:
     rows: tuple[tuple[str, float], ...]  # (row label, entropy)
@@ -508,24 +504,26 @@ def compute_rankings(documents: list[Document],
                      seed: int = 0, lime: LimeSettings = LimeSettings(),
                      class_axis: str = "arxiv") -> dict[tuple[str, str], EntityRanking]:
     """All four rankings of the documents labeled on ``class_axis``, keyed
-    and ordered MDisc Text, MDisc Math, MFreq Text, MFreq Math.  The Text
-    entities are each document's ``text_streams`` with their defaults."""
+    and ordered MDisc Text, MDisc Math, MFreq Text, MFreq Math: the two
+    (model, encoder) pairs go to the kinds table's two kinds in order."""
     doc_ids, labels, streams = _labeled_inputs(*labeled_documents(documents, class_axis)[:2],
                                                math_streams)
-    fitted = {TEXT_KIND: (text_model, text_encoder), MATH_KIND: (math_model, math_encoder)}
+    fitted = dict(zip(streams, ((text_model, text_encoder), (math_model, math_encoder))))
     plan = plan_lime(doc_ids, labels, fitted, streams, budget, seed, lime)
     magnitudes = run_plan(plan, fitted, seed)[2]
     return {(mode, kind): rank_entities(doc_ids, labels, mode, kind, streams[kind], plan,
                                         magnitudes)
-            for mode in (MDISC, MFREQ) for kind in (TEXT_KIND, MATH_KIND)}
+            for mode in (MDISC, MFREQ) for kind in streams}
 
 
 def build_entropy_report(rankings: dict[tuple[str, str], EntityRanking],
                          top_m: int = 20) -> EntropyReport:
-    """The eight-row entropy table over MDisc/MFreq x Text/Math x direction."""
+    """Four rows per kind of ``rankings``, kinds in first-seen order: MDisc
+    then MFreq, each ClsEnt then EntCls.  Text and Math give eight rows."""
+    kinds = dict.fromkeys(kind for _, kind in rankings)
     return EntropyReport(tuple(
         (f"{mode}{kind}{direction}", class_entity_entropy(rankings[mode, kind], direction, top_m))
-        for mode, kind, direction in REPORT_ROWS), top_m)
+        for kind in kinds for mode in (MDISC, MFREQ) for direction in (CLS_ENT, ENT_CLS)), top_m)
 
 
 @dataclass(frozen=True)
@@ -543,7 +541,8 @@ def run_explain(inputs: ExplainInputs, seed: int = 0, test_fraction: float = 0.2
                 lime: LimeSettings = LimeSettings(), top_k: int | None = 10,
                 rank_samples: int = 1000, budget: int = 5, top_m: int = 20,
                 **train_kwargs) -> ExplainReport:
-    """Fit a text and a math model on the ``classify`` split, explain and rank them.
+    """Fit a model per kind of ``inputs.streams`` on the ``classify`` split,
+    explain and rank them.
 
     ``inputs`` (``explain_inputs``) is all that is read of the corpus.
     Each model is fitted on its kind's entities.  One plan holds every
@@ -560,7 +559,7 @@ def run_explain(inputs: ExplainInputs, seed: int = 0, test_fraction: float = 0.2
             train_idx, **train_kwargs)
         return model, encoder  # the encoded streams are not kept
 
-    fitted = {kind: fit(kind) for kind in (TEXT_KIND, MATH_KIND)}
+    fitted = {kind: fit(kind) for kind in streams}
 
     def ranked(mode: str, kind: str, **read) -> EntityRanking:
         """Cut to what its rows and entropies read as soon as it is made."""
@@ -568,13 +567,13 @@ def run_explain(inputs: ExplainInputs, seed: int = 0, test_fraction: float = 0.2
 
     # The MFreq rankings come before the LIME calls, so that no full ranking
     # is held beside the LIME work or after it.
-    mfreq = {(MFREQ, kind): ranked(MFREQ, kind, streams=streams[kind]) for kind in fitted}
+    mfreq = {(MFREQ, kind): ranked(MFREQ, kind, streams=streams[kind]) for kind in streams}
     plan = plan_lime(doc_ids, labels, fitted, streams, budget, seed,
                      replace(lime, num_samples=rank_samples), table=lime)
     explanation_rows, fidelities, magnitudes = run_plan(plan, fitted, seed, top_k)
     reused = sum(r.table and r.magnitudes for r in plan.requests)
     rankings = {**{(MDISC, kind): ranked(MDISC, kind, plan=plan, magnitudes=magnitudes)
-                   for kind in fitted}, **mfreq}
+                   for kind in streams}, **mfreq}
     ranking_rows = [(mode, kind, label, position, entity, strength)
                     for (mode, kind), ranking in rankings.items()
                     for label in sorted(ranking.per_class)

@@ -583,6 +583,20 @@ class TestOneConstructionPath:
             Segment(FORMULA, content)
         assert str(raised.value) == f"identifier {symbol!r} holds a tab or line break"
 
+    def test_replace_parses_the_new_content(self):
+        replaced = Segment(FORMULA, "<mi>x</mi>", "f1")._replace(content="<mi>y</mi>")
+        assert replaced == Segment(FORMULA, "<mi>y</mi>", "f1")
+        assert replaced.identifiers == ("y",)
+        assert Segment(FORMULA, "<mi>x</mi>")._replace(kind=TEXT).identifiers == ()
+        with pytest.raises(ValueError, match="identifiers"):
+            Segment(FORMULA, "<mi>x</mi>")._replace(identifiers=("y",))
+
+    def test_make_checks_its_fields_like_the_constructor(self):
+        assert Segment._make((FORMULA, "<mi>x</mi>", "f1", ("stale",))) == Segment(
+            FORMULA, "<mi>x</mi>", "f1")
+        with pytest.raises(ParseError, match="holds a tab or line break"):
+            Segment._make((FORMULA, "<mi>a\tb</mi>", None, ("a\tb",)))
+
     def test_record_path_keeps_its_message(self):
         record = make_record(id="d", segments=[{"kind": FORMULA, "content": "<mi>a\tb</mi>"}])
         with pytest.raises(ParseError) as raised:

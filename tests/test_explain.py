@@ -27,9 +27,9 @@ from stemexplain.classify import (LabeledDataset, LogRegModel, derive_seed,
 from stemexplain.corpus import load_corpus, primary_label, record_to_document
 from stemexplain.encode import TfIdfModel, TokenStream, fit_tfidf, text_streams, transform
 from stemexplain.errors import DomainError, ValidationError
-from stemexplain.explain import (CLS_ENT, ENT_CLS, MATH_KIND, MDISC, MFREQ,
-                                 REPORT_ROWS, TEXT_KIND, EntityRanking, LimeBuffers, LimePlan,
-                                 LimeSettings, TokenMagnitudes, build_entropy_report,
+from stemexplain.explain import (CLS_ENT, ENT_CLS, FULL_SCALE_REFERENCE, MATH_KIND, MDISC,
+                                 MFREQ, TEXT_KIND, EntityRanking, ExplainInputs, LimeBuffers,
+                                 LimePlan, LimeSettings, TokenMagnitudes, build_entropy_report,
                                  class_entity_entropy, compute_rankings, explain_inputs,
                                  lime_explain, plan_lime, rank_entities, reduce_ranking,
                                  run_explain, run_plan)
@@ -440,6 +440,25 @@ class TestRankEntities:
             plan_lime(*ids_and_labels(docs), {MATH_KIND: (model, encoder)},
                       {MATH_KIND: partial})
 
+    def test_mdisc_without_a_sample_of_the_kind_rejected(self):
+        """An MDisc ranking reads its kind's sample off the plan: with no plan,
+        or a plan without that kind, it names the kind."""
+        docs = labeled_docs()
+        message = "^no LIME plan holds an MDisc sample of kind 'Text'$"
+        with pytest.raises(ValidationError, match=message):
+            rank_entities(*ids_and_labels(docs), MDISC, TEXT_KIND, text_entities(docs))
+        math_only = LimePlan((), {MATH_KIND: ({}, ())})
+        with pytest.raises(ValidationError, match=message):
+            rank_entities(*ids_and_labels(docs), MDISC, TEXT_KIND, text_entities(docs),
+                          plan=math_only, magnitudes={})
+
+    def test_any_kind_of_the_streams_is_ranked(self):
+        docs = labeled_docs()
+        streams = {d.doc_id: [d.arxiv_categories[0]] for d in docs}
+        ranking = rank_entities(*ids_and_labels(docs), MFREQ, "Entity", streams=streams)
+        assert (ranking.kind, dict(ranking.per_class["astro-ph"])) == ("Entity",
+                                                                        {"astro-ph": 3.0})
+
     def test_math_streams_feed_math_kind(self):
         docs = labeled_docs()
         streams = {d.doc_id: ["psi"] if d.arxiv_categories[0] == "quant-ph"
@@ -544,11 +563,6 @@ class TestClassEntityEntropy:
 
 
 class TestEntropyReport:
-    def test_eight_rows_in_fixed_order(self):
-        assert len(REPORT_ROWS) == 8
-        assert REPORT_ROWS[0] == (MDISC, TEXT_KIND, CLS_ENT)
-        assert REPORT_ROWS[-1] == (MFREQ, MATH_KIND, ENT_CLS)
-
     def test_build_report_from_rankings(self):
         docs = labeled_docs()
         text_streams = [TokenStream.of(d.doc_id, d.text_tokens()) for d in docs]
@@ -572,6 +586,25 @@ class TestEntropyReport:
         assert report.value("MFreqMathClsEnt") > 0.0
         with pytest.raises(KeyError):
             report.value("NoSuchRow")
+
+    @staticmethod
+    def row_labels(modes, kinds):
+        """The report's labels for rankings made in ``modes`` x ``kinds`` order."""
+        rankings = {(mode, kind): EntityRanking(mode, kind, {"a": (("x", 1.0),)})
+                    for mode in modes for kind in kinds}
+        return [label for label, _ in build_entropy_report(rankings).rows]
+
+    def test_rows_follow_the_kinds_of_the_rankings(self):
+        """Four rows per kind, kinds in first-seen order, whatever order the
+        modes come in."""
+        kinds = (TEXT_KIND, MATH_KIND, "Entity")
+        assert self.row_labels((MFREQ, MDISC), kinds) == [
+            f"{mode}{kind}{direction}" for kind in kinds
+            for mode in (MDISC, MFREQ) for direction in (CLS_ENT, ENT_CLS)]
+
+    def test_full_scale_reference_has_the_text_and_math_rows(self):
+        assert list(FULL_SCALE_REFERENCE) == self.row_labels((MDISC, MFREQ),
+                                                              (TEXT_KIND, MATH_KIND))
 
 
 # Few entities and classes, so that they share entities; tied, zero and
@@ -632,8 +665,8 @@ class TestReduceRanking:
                     == outcome(class_entity_entropy, ranking, direction, top_m))
 
     @settings(max_examples=100, deadline=None)
-    @given(drawn=st.tuples(*(full_rankings(mode, kind) for mode, kind, direction
-                             in REPORT_ROWS if direction == CLS_ENT)),
+    @given(drawn=st.tuples(*(full_rankings(mode, kind) for kind in (TEXT_KIND, MATH_KIND)
+                             for mode in (MDISC, MFREQ))),
            top_m=st.integers(1, 4))
     def test_entropy_report_equals_the_full_rankings(self, drawn, top_m):
         full = {(ranking.mode, ranking.kind): ranking for ranking in drawn}
@@ -750,6 +783,50 @@ class TestLimePlan:
         assert got.warnings == warnings
         assert got.lime == block
         assert len(calls) == n_calls
+
+
+class TestKindsTable:
+    def test_a_third_kind_is_fitted_ranked_and_reported(self):
+        """A third kind in the table gets its fit, both rankings, their
+        warnings and four entropy rows, last; the explanations table, which
+        is Text only, and the other kinds' outputs are unchanged."""
+        docs = pool_documents(6)
+        two = explain_inputs(docs, _PLAN_SOURCE, None)
+        entities = {doc_id: tokens[:3] for doc_id, tokens in two.streams[TEXT_KIND].items()}
+        three = ExplainInputs(two.doc_ids, two.labels, {**two.streams, "Entity": entities})
+        options = dict(seed=5, lime=LimeSettings(num_samples=30), rank_samples=30, budget=3,
+                       top_k=3, top_m=4)
+        calls, plans = [], []
+        library_lime, library_plan = explain_mod.lime_explain, explain_mod.plan_lime
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return library_lime(*args, **kwargs)
+
+        def planned(*args, **kwargs):
+            plans.append(library_plan(*args, **kwargs))
+            return plans[-1]
+
+        with mock.patch.object(explain_mod, "lime_explain", counted), \
+                mock.patch.object(explain_mod, "plan_lime", planned):
+            before = run_explain(two, **options)
+            calls_before = len(calls)
+            after = run_explain(three, **options)
+        assert after.explanation_rows == before.explanation_rows
+        assert after.lime == before.lime
+        assert len(after.entropy.rows) == 12
+        assert after.entropy.rows[:8] == before.entropy.rows
+        assert [label for label, _ in after.entropy.rows[8:]] == [
+            "MDiscEntityClsEnt", "MDiscEntityEntCls", "MFreqEntityClsEnt", "MFreqEntityEntCls"]
+        assert list(after.warnings) == ["MDisc_Text", "MDisc_Math", "MDisc_Entity",
+                                        "MFreq_Text", "MFreq_Math", "MFreq_Entity"]
+        assert {key: after.warnings[key] for key in before.warnings} == before.warnings
+        assert [row for row in after.ranking_rows if row[1] != "Entity"] == before.ranking_rows
+        assert {row[:2] for row in after.ranking_rows if row[1] == "Entity"} == {
+            (MDISC, "Entity"), (MFREQ, "Entity")}
+        grown = sum(len(ids) for ids in plans[1].samples["Entity"][0].values())
+        assert grown == 6  # budget 3, two classes
+        assert len(calls) - calls_before == calls_before + grown
 
 
 @pytest.fixture(scope="module")
